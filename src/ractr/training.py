@@ -134,20 +134,12 @@ def precompute_neighbors(ds: Dataset, index: RetrievalIndex, k: int
     n = len(ds)
     if k == 0:
         return np.zeros((n, 0), dtype=np.int64), np.zeros((n, 0), dtype=bool)
-    neigh = np.full((n, k), -1, dtype=np.int64)
-    mask = np.zeros((n, k), dtype=bool)
-
     tr = np.arange(ds.train_end)
-    res_tr = retrieve_batch(index, ds.field_ids[tr], k, "earlier",
-                            query_ts=ds.timestamps[tr], query_index=tr)
-    ev = np.arange(ds.train_end, n)
-    res_ev = retrieve_batch(index, ds.field_ids[ev], k, "all")
-    for i, r in zip(tr, res_tr):
-        neigh[i] = r.neighbor_indices
-        mask[i] = r.mask
-    for i, r in zip(ev, res_ev):
-        neigh[i] = r.neighbor_indices
-        mask[i] = r.mask
+    results = retrieve_batch(index, ds.field_ids[tr], k, "earlier",
+                             query_ts=ds.timestamps[tr], query_index=tr)
+    results += retrieve_batch(index, ds.field_ids[ds.train_end:], k, "all")
+    neigh = np.array([r.neighbor_indices for r in results], dtype=np.int64).reshape(n, k)
+    mask = np.array([r.mask for r in results], dtype=bool).reshape(n, k)
     return neigh, mask
 
 

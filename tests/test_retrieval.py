@@ -76,6 +76,15 @@ def test_id_zero_never_indexed():
     assert res.neighbor_indices.tolist() == [2, 1, 0]
 
 
+def test_pool_without_terms_scores_zero():
+    idx = build_index(np.zeros((3, 2), dtype=np.int64), np.arange(3))
+    assert idx.postings == {}
+    for q in ([0, 0], [1, 2]):
+        res = retrieve(idx, np.array(q), k=4)
+        assert res.neighbor_indices.tolist() == [2, 1, 0, -1]
+        assert res.scores.tolist() == [0.0] * 4
+
+
 def test_score_only_on_equal_nonzero_ids():
     ids = np.array([[1, 3], [1, 4], [2, 3]])
     idx = build_index(ids, np.arange(3))
@@ -284,3 +293,157 @@ def test_index_file_errors(tmp_path):
 
     with pytest.raises(DataError, match="cannot open"):
         load_index(str(tmp_path / "absent.rati"))
+
+
+# ---------------------------------------------------------------- input validation
+
+def test_query_wider_than_num_fields_rejected():
+    idx = build_index(np.array([[1, 2], [2, 1]]), np.arange(2))
+    with pytest.raises(ValueError, match=r"shape \(queries, 2\)"):
+        retrieve_batch(idx, [[1, 2, 9]], 2)
+    with pytest.raises(ValueError, match=r"shape \(2,\)"):
+        retrieve(idx, [1, 2, 9], 2)
+
+
+def test_query_narrower_than_num_fields_rejected():
+    idx = build_index(np.array([[1, 2], [2, 1]]), np.arange(2))
+    with pytest.raises(ValueError, match=r"shape \(queries, 2\)"):
+        retrieve_batch(idx, [[1]], 2)
+    with pytest.raises(ValueError, match=r"shape \(2,\)"):
+        retrieve(idx, [1], 2)
+
+
+def test_bad_eligibility_rejected_on_empty_batch():
+    idx = small_index()
+    with pytest.raises(ValueError, match="eligibility must be one of"):
+        retrieve_batch(idx, np.empty((0, 1), dtype=np.int64), 2, eligibility="future")
+
+
+def test_batch_earlier_needs_one_position_per_query():
+    idx = small_index()
+    queries = np.array([[1], [2], [1]])
+    with pytest.raises(ValueError, match="strictly-earlier"):
+        retrieve_batch(idx, queries, 2, eligibility="earlier", query_index=np.arange(3))
+    with pytest.raises(ValueError, match="strictly-earlier"):
+        retrieve_batch(idx, queries, 2, eligibility="earlier", query_ts=np.arange(3))
+    with pytest.raises(ValueError, match="one timestamp and one index per query"):
+        retrieve_batch(idx, queries, 2, eligibility="earlier",
+                       query_ts=np.arange(2), query_index=np.arange(3))
+    with pytest.raises(ValueError, match="one timestamp and one index per query"):
+        retrieve_batch(idx, queries, 2, eligibility="earlier",
+                       query_ts=np.arange(3), query_index=np.arange(4))
+
+
+# ---------------------------------------------------------------- exactness
+
+def assert_same_as_oracle(got, ref):
+    assert got.neighbor_indices.tolist() == ref.neighbor_indices.tolist()
+    assert got.mask.tolist() == ref.mask.tolist()
+    # tolist() would treat -0.0 as 0.0; compare the bits
+    assert got.scores.view(np.int64).tolist() == ref.scores.view(np.int64).tolist()
+
+
+def check_against_oracle(idx, queries, k, query_ts, query_index):
+    for elig in ("all", "earlier"):
+        for chunk in (1, 7, None):
+            kw = {} if chunk is None else {"chunk_size": chunk}
+            if elig == "earlier":
+                kw.update(query_ts=query_ts, query_index=query_index)
+            batched = retrieve_batch(idx, queries, k, elig, **kw)
+            assert len(batched) == len(queries)
+            for i, got in enumerate(batched):
+                pos = {} if elig == "all" else {"query_ts": int(query_ts[i]),
+                                                "query_index": int(query_index[i])}
+                ref = brute_force_retrieve(idx, queries[i], k, elig, **pos)
+                assert_same_as_oracle(got, ref)
+                if chunk is None:
+                    assert_same_as_oracle(retrieve(idx, queries[i], k, elig, **pos), ref)
+
+
+ORACLE_CASES = ("unsorted_ts", "duplicate_keys", "all_tied", "big_k")
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_scores_bitwise_equal_to_oracle(case):
+    rng = np.random.default_rng(ORACLE_CASES.index(case))
+    n, nf, vocab = 120, 4, 6
+    ids = rng.integers(0, vocab + 1, size=(n, nf))
+    ts = rng.integers(0, 40, size=n)           # unsorted, with ties
+    ridx = None
+    k = 5
+    if case == "duplicate_keys":
+        ts = rng.integers(0, 5, size=n)
+        ridx = rng.integers(0, 10, size=n)      # many equal (ts, record index) pairs
+    elif case == "all_tied":
+        ids = np.ones((n, nf), dtype=np.int64)
+    elif case == "big_k":
+        n, k = 9, 12                            # k > pool
+        ids, ts = ids[:n], ts[:n]
+    idx = build_index(ids, ts, ridx)
+    nq = 30
+    queries = rng.integers(0, vocab + 1, size=(nq, nf))
+    queries[:3] = 0                             # all-missing queries match nothing
+    queries[3:6, 1] = vocab + 50                # unseen ids
+    queries[6:10] = ids[rng.integers(0, n, size=4)]
+    q_ts = rng.integers(-2, 45, size=nq)
+    q_ts[10] = ts.min() - 1                     # nothing eligible
+    q_idx = rng.integers(0, n + 2, size=nq)
+    q_idx[11] = 0
+    q_ts[11] = ts.min()
+    check_against_oracle(idx, queries, k, q_ts, q_idx)
+
+
+def test_zero_eligible_rows_are_all_padding():
+    rng = np.random.default_rng(9)
+    ids = rng.integers(1, 4, size=(50, 3))
+    idx = build_index(ids, rng.integers(10, 20, size=50))
+    res = retrieve_batch(idx, ids[:4], 3, "earlier", query_ts=np.full(4, 10),
+                         query_index=np.zeros(4, dtype=np.int64), chunk_size=2)
+    for r in res:
+        assert r.neighbor_indices.tolist() == [-1, -1, -1]
+        assert r.scores.view(np.int64).tolist() == [0, 0, 0]
+        assert not r.mask.any()
+
+
+def test_weight_table_is_bitwise_the_formula():
+    rng = np.random.default_rng(12)
+    ids = rng.integers(0, 30, size=(700, 3))
+    ids[:, 2] = rng.integers(0, 3, size=700)
+    idx = build_index(ids, np.arange(700))
+    n = idx.pool_size
+    for (f, v), df in idx.doc_freq.items():
+        want = float(np.log((n - df + 0.5) / (df + 0.5)))
+        assert np.float64(idx.weight(f, v)).view(np.int64) == np.float64(want).view(np.int64)
+    # the scorer's per-query weights are the same table; 0.0 where nothing can match
+    queries = np.array([[v, v, v] for v in range(-1, 35)])
+    got = idx._query_weights(queries)
+    for qi, q in enumerate(queries):
+        for f in range(3):
+            want = idx.weight(f, q[f]) if (f, int(q[f])) in idx.doc_freq else 0.0
+            assert got[qi, f].view(np.int64) == np.float64(want).view(np.int64)
+
+
+def test_index_file_rejects_postings_that_disagree_with_ids(tmp_path):
+    rng = np.random.default_rng(13)
+    idx = random_index(rng, 12, 2, 3)
+    p = str(tmp_path / "i.rati")
+    save_index(idx, p)
+    with open(p, "rb") as f:
+        blob = f.read()
+    start = 4 + 2 + 4 + 8 + idx.pool_size * (8 + 8 + 4 * idx.num_fields)
+    # the first posting position of field 0 sits after n_terms, value and df
+    flip = bytearray(blob)
+    flip[start + 12] ^= 0x01
+    bad = str(tmp_path / "flip.rati")
+    with open(bad, "wb") as f:
+        f.write(bytes(flip))
+    with pytest.raises(DataError, match="postings of field 0 disagree"):
+        load_index(bad)
+    # any single flipped bit in the postings is caught, whatever field it hits
+    for i in range(start, len(blob)):
+        flip = bytearray(blob)
+        flip[i] ^= 0x01
+        with open(bad, "wb") as f:
+            f.write(bytes(flip))
+        with pytest.raises(DataError):
+            load_index(bad)
