@@ -32,10 +32,6 @@ def write_u64(f, v: int) -> None:
     f.write(struct.pack("<Q", v))
 
 
-def write_i64(f, v: int) -> None:
-    f.write(struct.pack("<q", v))
-
-
 def read_u8(f) -> int:
     return struct.unpack("<B", read_exact(f, 1))[0]
 
@@ -52,10 +48,6 @@ def read_u64(f) -> int:
     return struct.unpack("<Q", read_exact(f, 8))[0]
 
 
-def read_i64(f) -> int:
-    return struct.unpack("<q", read_exact(f, 8))[0]
-
-
 def write_str(f, s: str) -> None:
     b = s.encode("utf-8")
     write_u32(f, len(b))
@@ -64,7 +56,10 @@ def write_str(f, s: str) -> None:
 
 def read_str(f) -> str:
     n = read_u32(f)
-    return read_exact(f, n).decode("utf-8")
+    try:
+        return read_exact(f, n).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise DataError(f"invalid UTF-8 in string: {e}") from None
 
 
 def write_array(f, a: np.ndarray, dtype: str) -> None:

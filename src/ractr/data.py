@@ -59,21 +59,11 @@ class FieldSchema:
 
 
 @dataclass
-class Record:
-    """One sample, already encoded. index is its position after the global sort."""
-    field_ids: np.ndarray
-    label: int
-    timestamp: int
-    index: int
-
-
-@dataclass
 class Dataset:
     """Records sorted by (timestamp, arrival order) with split marks on that order.
 
-    Storage is columnar; record(i) materializes a Record view. split_marks =
-    (train_end, valid_end): train is [0, train_end), validation [train_end,
-    valid_end), test [valid_end, n).
+    Storage is columnar. split_marks = (train_end, valid_end): train is
+    [0, train_end), validation [train_end, valid_end), test [valid_end, n).
     """
     schema: list[FieldSchema]
     field_ids: np.ndarray      # (n, F) int64
@@ -105,9 +95,6 @@ class Dataset:
     @property
     def missing_ratio(self) -> float:
         return self.missing_cells / max(1, len(self) * self.num_fields)
-
-    def record(self, i: int) -> Record:
-        return Record(self.field_ids[i], int(self.labels[i]), int(self.timestamps[i]), i)
 
     def slice_indices(self, split: str) -> np.ndarray:
         if split == "train":

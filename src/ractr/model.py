@@ -4,7 +4,8 @@ The input stacks the target record with its K retrieved neighbors: sample axis
 of size K+1 (target first), field axis of size F+1 (a label token at position
 0, then one token per field). Intra-sample attention (ISA) mixes fields within
 a sample; cross-sample attention (CSA) mixes samples at a fixed field. Four
-block layouts are supported:
+block layouts are supported, each described as data by LAYOUTS and
+BLOCK_KINDS below:
 
   cascade  ISA then CSA then MLP, each with a pre-LN residual
   jm       one joint attention over all (K+1)(F+1) tokens, then MLP
@@ -25,12 +26,34 @@ import numpy as np
 from . import binio
 from . import tensor as T
 from .errors import DataError
-from .retrieval import RetrievalResult
 
 CHECKPOINT_MAGIC = b"RATM"
 CHECKPOINT_VERSION = 1
 
-VARIANTS = ("cascade", "jm", "ce", "pa")
+# variant -> the block kinds of one layer (num_blocks layers in all)
+LAYOUTS = {
+    "cascade": ("cascade",),
+    "jm": ("jm",),
+    "ce": ("intra", "cross"),
+    "pa": ("pa",),
+}
+INTRA_ONLY_LAYOUT = ("intra",)
+VARIANTS = tuple(LAYOUTS)
+
+# block kind -> its pre-LN residual attention sub-layers as (LN name, attention
+# names). Attentions sharing one LN each run at width D/n and their outputs are
+# concatenated. Every kind ends with the (ln_mlp, mlp) sub-layer. These names
+# are the block's parameter-name prefixes in a checkpoint.
+BLOCK_KINDS = {
+    "cascade": (("ln1", ("isa",)), ("ln2", ("csa",))),
+    "jm": (("ln1", ("attn",)),),
+    "intra": (("ln1", ("isa",)),),
+    "cross": (("ln1", ("csa",)),),
+    "pa": (("ln1", ("isa", "csa")),),
+}
+
+# attention name -> the CtrModel method that mixes tokens with it
+MIXERS = {"isa": "_isa", "csa": "_csa", "attn": "_jm_attn"}
 
 LABEL_UNCLICK = 0
 LABEL_CLICK = 1
@@ -65,6 +88,9 @@ class Linear:
     def __call__(self, x: T.Tensor) -> T.Tensor:
         return T.add(T.matmul(x, self.w), self.b)
 
+    def named(self, pre: str) -> list[tuple[str, T.Tensor]]:
+        return [(f"{pre}.w", self.w), (f"{pre}.b", self.b)]
+
 
 @dataclass
 class LayerNormParams:
@@ -74,6 +100,9 @@ class LayerNormParams:
     def __call__(self, x: T.Tensor) -> T.Tensor:
         return T.layer_norm(x, self.gamma, self.beta)
 
+    def named(self, pre: str) -> list[tuple[str, T.Tensor]]:
+        return [(f"{pre}.gamma", self.gamma), (f"{pre}.beta", self.beta)]
+
 
 @dataclass
 class AttentionParams:
@@ -82,6 +111,10 @@ class AttentionParams:
     v: Linear
     o: Linear
     n_heads: int
+
+    def named(self, pre: str) -> list[tuple[str, T.Tensor]]:
+        return [p for part in ("q", "k", "v", "o")
+                for p in getattr(self, part).named(f"{pre}.{part}")]
 
 
 @dataclass
@@ -95,16 +128,14 @@ class MlpParams:
         h = T.gelu(h) if self.activation == "gelu" else T.relu(h)
         return self.lin2(h)
 
+    def named(self, pre: str) -> list[tuple[str, T.Tensor]]:
+        return self.lin1.named(f"{pre}.lin1") + self.lin2.named(f"{pre}.lin2")
+
 
 @dataclass
 class Block:
-    kind: str  # cascade | jm | intra | cross | pa
-    ln1: LayerNormParams
-    ln_mlp: LayerNormParams
-    mlp: MlpParams
-    isa: AttentionParams | None = None
-    csa: AttentionParams | None = None
-    ln2: LayerNormParams | None = None  # cascade only: LN before CSA
+    kind: str  # a BLOCK_KINDS key
+    layers: dict[str, LayerNormParams | AttentionParams | MlpParams]  # in BLOCK_KINDS order
 
 
 class EmbeddingSet:
@@ -115,10 +146,6 @@ class EmbeddingSet:
         self.field_tables = field_tables
         self.label_table = label_table
         self.pad_row = pad_row
-
-    @property
-    def dim(self) -> int:
-        return self.label_table.data.shape[1]
 
 
 def _init_linear(rng, fan_in: int, fan_out: int) -> Linear:
@@ -134,8 +161,6 @@ def _init_ln(dim: int) -> LayerNormParams:
 
 
 def _init_attention(rng, dim_in: int, dim_attn: int, n_heads: int) -> AttentionParams:
-    if dim_attn % n_heads != 0:
-        raise ValueError(f"attention width {dim_attn} not divisible by {n_heads} heads")
     return AttentionParams(
         q=_init_linear(rng, dim_in, dim_attn),
         k=_init_linear(rng, dim_in, dim_attn),
@@ -162,9 +187,12 @@ class CtrModel:
             raise ValueError(f"unknown activation {activation!r}")
         if embed_dim % num_heads != 0:
             raise ValueError(f"embed_dim {embed_dim} not divisible by {num_heads} heads")
-        if variant == "pa" and not intra_only:
-            if embed_dim % 2 != 0 or (embed_dim // 2) % num_heads != 0:
-                raise ValueError("pa needs embed_dim/2 divisible by num_heads")
+        kinds = (INTRA_ONLY_LAYOUT if intra_only else LAYOUTS[variant]) * num_blocks
+        for kind in kinds:
+            for _, names in BLOCK_KINDS[kind]:
+                n = len(names)
+                if embed_dim % n != 0 or (embed_dim // n) % num_heads != 0:
+                    raise ValueError(f"{kind} needs embed_dim/{n} divisible by num_heads")
 
         self.field_num_ids = list(field_num_ids)
         self.embed_dim = embed_dim
@@ -186,62 +214,15 @@ class CtrModel:
 
         hidden = mlp_ratio * d
         self.blocks: list[Block] = []
-        if intra_only:
-            kinds = ["intra"] * num_blocks
-        elif variant == "cascade":
-            kinds = ["cascade"] * num_blocks
-        elif variant == "jm":
-            kinds = ["jm"] * num_blocks
-        elif variant == "ce":
-            kinds = ["intra" if i % 2 == 0 else "cross" for i in range(2 * num_blocks)]
-        else:
-            kinds = ["pa"] * num_blocks
-
         for kind in kinds:
-            if kind == "cascade":
-                self.blocks.append(Block(
-                    kind=kind,
-                    ln1=_init_ln(d),
-                    isa=_init_attention(rng, d, d, num_heads),
-                    ln2=_init_ln(d),
-                    csa=_init_attention(rng, d, d, num_heads),
-                    ln_mlp=_init_ln(d),
-                    mlp=_init_mlp(rng, d, hidden, activation),
-                ))
-            elif kind == "jm":
-                self.blocks.append(Block(
-                    kind=kind,
-                    ln1=_init_ln(d),
-                    isa=_init_attention(rng, d, d, num_heads),
-                    ln_mlp=_init_ln(d),
-                    mlp=_init_mlp(rng, d, hidden, activation),
-                ))
-            elif kind == "intra":
-                self.blocks.append(Block(
-                    kind=kind,
-                    ln1=_init_ln(d),
-                    isa=_init_attention(rng, d, d, num_heads),
-                    ln_mlp=_init_ln(d),
-                    mlp=_init_mlp(rng, d, hidden, activation),
-                ))
-            elif kind == "cross":
-                self.blocks.append(Block(
-                    kind=kind,
-                    ln1=_init_ln(d),
-                    csa=_init_attention(rng, d, d, num_heads),
-                    ln_mlp=_init_ln(d),
-                    mlp=_init_mlp(rng, d, hidden, activation),
-                ))
-            else:  # pa
-                half = d // 2
-                self.blocks.append(Block(
-                    kind=kind,
-                    ln1=_init_ln(d),
-                    isa=_init_attention(rng, d, half, num_heads),
-                    csa=_init_attention(rng, d, half, num_heads),
-                    ln_mlp=_init_ln(d),
-                    mlp=_init_mlp(rng, d, hidden, activation),
-                ))
+            layers = {}
+            for ln, names in BLOCK_KINDS[kind]:
+                layers[ln] = _init_ln(d)
+                for name in names:
+                    layers[name] = _init_attention(rng, d, d // len(names), num_heads)
+            layers["ln_mlp"] = _init_ln(d)
+            layers["mlp"] = _init_mlp(rng, d, hidden, activation)
+            self.blocks.append(Block(kind, layers))
 
         self.head_w = T.Tensor(np.zeros((d, 1)), requires_grad=True)
         self.head_b = T.Tensor(np.zeros(1), requires_grad=True)
@@ -253,27 +234,8 @@ class CtrModel:
         out.append(("emb.label", self.emb.label_table))
         out.append(("emb.pad", self.emb.pad_row))
         for bi, blk in enumerate(self.blocks):
-            pre = f"block.{bi}"
-            def ln_params(name, ln):
-                return [(f"{pre}.{name}.gamma", ln.gamma), (f"{pre}.{name}.beta", ln.beta)]
-            def att_params(name, att):
-                ps = []
-                for part, lin in (("q", att.q), ("k", att.k), ("v", att.v), ("o", att.o)):
-                    ps.append((f"{pre}.{name}.{part}.w", lin.w))
-                    ps.append((f"{pre}.{name}.{part}.b", lin.b))
-                return ps
-            out.extend(ln_params("ln1", blk.ln1))
-            if blk.isa is not None:
-                out.extend(att_params("attn" if blk.kind == "jm" else "isa", blk.isa))
-            if blk.ln2 is not None:
-                out.extend(ln_params("ln2", blk.ln2))
-            if blk.csa is not None:
-                out.extend(att_params("csa", blk.csa))
-            out.extend(ln_params("ln_mlp", blk.ln_mlp))
-            out.append((f"{pre}.mlp.lin1.w", blk.mlp.lin1.w))
-            out.append((f"{pre}.mlp.lin1.b", blk.mlp.lin1.b))
-            out.append((f"{pre}.mlp.lin2.w", blk.mlp.lin2.w))
-            out.append((f"{pre}.mlp.lin2.b", blk.mlp.lin2.b))
+            for name, layer in blk.layers.items():
+                out.extend(layer.named(f"block.{bi}.{name}"))
         out.append(("head.w", self.head_w))
         out.append(("head.b", self.head_b))
         return out
@@ -310,8 +272,9 @@ class CtrModel:
             out = T.mul(out, query_mask.reshape(g, t, 1).astype(np.float64))
         return out
 
-    def _isa(self, x: T.Tensor, att: AttentionParams, counter) -> T.Tensor:
-        """Attention along the field axis, samples as batch. No mask needed."""
+    def _isa(self, x: T.Tensor, att: AttentionParams, mask: np.ndarray, counter) -> T.Tensor:
+        """Attention along the field axis, samples as batch. The mask is unused:
+        a padded sample only ever attends to itself here."""
         b, s, t, d = x.shape
         if counter is not None:
             counter.entries += s * t * t
@@ -350,21 +313,12 @@ class CtrModel:
         if not mask[:, 0].all():
             raise ValueError("target sample (row 0) must never be masked")
         for blk in self.blocks:
-            if blk.kind == "cascade":
-                x = T.add(self._isa(blk.ln1(x), blk.isa, counter), x)
-                x = T.add(self._csa(blk.ln2(x), blk.csa, mask, counter), x)
-            elif blk.kind == "jm":
-                x = T.add(self._jm_attn(blk.ln1(x), blk.isa, mask, counter), x)
-            elif blk.kind == "intra":
-                x = T.add(self._isa(blk.ln1(x), blk.isa, counter), x)
-            elif blk.kind == "cross":
-                x = T.add(self._csa(blk.ln1(x), blk.csa, mask, counter), x)
-            else:  # pa
-                z = blk.ln1(x)
-                left = self._isa(z, blk.isa, counter)
-                right = self._csa(z, blk.csa, mask, counter)
-                x = T.add(T.concat_lastdim([left, right]), x)
-            x = T.add(blk.mlp(blk.ln_mlp(x)), x)
+            for ln, names in BLOCK_KINDS[blk.kind]:
+                z = blk.layers[ln](x)
+                outs = [getattr(self, MIXERS[name])(z, blk.layers[name], mask, counter)
+                        for name in names]
+                x = T.add(outs[0] if len(outs) == 1 else T.concat_lastdim(outs), x)
+            x = T.add(blk.layers["mlp"](blk.layers["ln_mlp"](x)), x)
         return x
 
     def predict(self, x: T.Tensor, mask: np.ndarray,
@@ -403,7 +357,6 @@ def build_input_batch(emb: EmbeddingSet, target_ids: np.ndarray,
     b, nf = target_ids.shape
     neighbor_indices = np.asarray(neighbor_indices, dtype=np.int64).reshape(b, -1)
     neighbor_mask = np.asarray(neighbor_mask, dtype=bool).reshape(b, -1)
-    k = neighbor_indices.shape[1]
 
     real = neighbor_mask
     if real.any():
@@ -412,15 +365,11 @@ def build_input_batch(emb: EmbeddingSet, target_ids: np.ndarray,
             raise IndexError("neighbor index out of pool range")
     safe = np.where(real, neighbor_indices, 0)
 
-    if k > 0:
-        nb_fields = pool_field_ids[safe]                       # (B, K, F)
-        nb_labels = pool_labels[safe].astype(np.int64)         # (B, K)
-        all_fields = np.concatenate([target_ids[:, None, :], nb_fields], axis=1)
-        label_ids = np.concatenate(
-            [np.full((b, 1), LABEL_UNKNOWN, dtype=np.int64), nb_labels], axis=1)
-    else:
-        all_fields = target_ids[:, None, :]
-        label_ids = np.full((b, 1), LABEL_UNKNOWN, dtype=np.int64)
+    nb_fields = pool_field_ids[safe]                           # (B, K, F)
+    nb_labels = pool_labels[safe].astype(np.int64)             # (B, K)
+    all_fields = np.concatenate([target_ids[:, None, :], nb_fields], axis=1)
+    label_ids = np.concatenate(
+        [np.full((b, 1), LABEL_UNKNOWN, dtype=np.int64), nb_labels], axis=1)
 
     cols = [T.gather_rows(emb.label_table, label_ids)]
     for f in range(nf):
@@ -430,16 +379,6 @@ def build_input_batch(emb: EmbeddingSet, target_ids: np.ndarray,
     sample_mask = np.concatenate([np.ones((b, 1), dtype=bool), real], axis=1)
     x = T.where_mask(sample_mask[:, :, None, None], x, emb.pad_row)
     return x, sample_mask
-
-
-def build_input(emb: EmbeddingSet, target_ids: np.ndarray, neighbors: RetrievalResult,
-                pool_field_ids: np.ndarray, pool_labels: np.ndarray
-                ) -> tuple[T.Tensor, np.ndarray]:
-    """Single-record build_input_batch; returns (K+1, F+1, D) and (K+1,)."""
-    x, mask = build_input_batch(emb, np.asarray(target_ids)[None, :],
-                                neighbors.neighbor_indices[None, :],
-                                neighbors.mask[None, :], pool_field_ids, pool_labels)
-    return T.reshape(x, x.shape[1:]), mask[0]
 
 
 def save_checkpoint(model: CtrModel, path: str, extra_config: dict | None = None) -> None:
@@ -461,6 +400,36 @@ def save_checkpoint(model: CtrModel, path: str, extra_config: dict | None = None
             binio.write_array(f, t.data, "<f8")
 
 
+def _count(v) -> bool:
+    return type(v) is int and v >= 0  # bool is not a count
+
+
+# what a stored model config must hold; CtrModel itself rejects unknown variant
+# and activation values and widths the heads do not divide
+_CONFIG_CHECKS = {
+    "field_num_ids": lambda v: type(v) is list and all(map(_count, v)),
+    "embed_dim": _count, "num_blocks": _count, "mlp_ratio": _count,
+    "num_heads": lambda v: _count(v) and v > 0,
+    "variant": lambda v: type(v) is str, "activation": lambda v: type(v) is str,
+    "intra_only": lambda v: type(v) is bool, "seed": _count,
+}
+_CONFIG_DEFAULTS = {"intra_only": False, "seed": 42}
+
+
+def _model_config(cfg) -> dict:
+    """CtrModel keyword arguments from a stored config, or ValueError."""
+    if not isinstance(cfg, dict):
+        raise ValueError("config is not a JSON object")
+    out = {}
+    for key, ok in _CONFIG_CHECKS.items():
+        if key not in cfg and key not in _CONFIG_DEFAULTS:
+            raise ValueError(f"missing {key!r}")
+        out[key] = cfg.get(key, _CONFIG_DEFAULTS.get(key))
+        if not ok(out[key]):
+            raise ValueError(f"ill-typed {key!r}: {out[key]!r}")
+    return out
+
+
 def load_checkpoint(path: str) -> tuple[CtrModel, dict]:
     try:
         fh = open(path, "rb")
@@ -473,7 +442,10 @@ def load_checkpoint(path: str) -> tuple[CtrModel, dict]:
         version = binio.read_u16(fh)
         if version != CHECKPOINT_VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {version}")
-        cfg = json.loads(binio.read_str(fh))
+        try:
+            cfg = json.loads(binio.read_str(fh))
+        except json.JSONDecodeError as e:
+            raise DataError(f"{path}: checkpoint config is not valid JSON: {e}") from None
         n_params = binio.read_u32(fh)
         payload: dict[str, np.ndarray] = {}
         for _ in range(n_params):
@@ -486,17 +458,10 @@ def load_checkpoint(path: str) -> tuple[CtrModel, dict]:
         if extra:
             raise DataError(f"{path}: trailing bytes after checkpoint payload")
 
-    model = CtrModel(
-        field_num_ids=cfg["field_num_ids"],
-        embed_dim=cfg["embed_dim"],
-        num_blocks=cfg["num_blocks"],
-        num_heads=cfg["num_heads"],
-        mlp_ratio=cfg["mlp_ratio"],
-        variant=cfg["variant"],
-        activation=cfg["activation"],
-        intra_only=cfg.get("intra_only", False),
-        seed=cfg.get("seed", 42),
-    )
+    try:
+        model = CtrModel(**_model_config(cfg))
+    except ValueError as e:
+        raise DataError(f"{path}: bad checkpoint config: {e}") from None
     named = dict(model.named_parameters())
     if set(named) != set(payload):
         raise DataError(f"{path}: checkpoint parameters do not match the model layout")

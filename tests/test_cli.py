@@ -281,6 +281,22 @@ def test_evaluate_with_prebuilt_index_checks_coverage(ws, trained, tmp_path, cap
     assert "index covers" in err
 
 
+def test_evaluate_corrupt_checkpoint_config_exits_2(ws, trained, tmp_path, capsys):
+    with open(os.path.join(trained, "checkpoint.ratm"), "rb") as f:
+        blob = f.read()
+    n = int.from_bytes(blob[6:10], "little")
+    cfg = json.loads(blob[10:10 + n])
+    del cfg["embed_dim"]
+    raw = json.dumps(cfg).encode()
+    bad = str(tmp_path / "bad.ratm")
+    with open(bad, "wb") as f:
+        f.write(blob[:6] + len(raw).to_bytes(4, "little") + raw + blob[10 + n:])
+    rc = main(["evaluate", "--config", ws["cfg_path"], "--checkpoint", bad])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("data error:") and "missing 'embed_dim'" in err
+
+
 def test_evaluate_requires_checkpoint(ws, capsys):
     rc = main(["evaluate", "--config", ws["cfg_path"]])
     assert rc == 1

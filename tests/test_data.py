@@ -265,6 +265,22 @@ def test_dataset_version_check(tmp_path):
         load_dataset(bad)
 
 
+def test_dataset_invalid_utf8_name_is_data_error(tmp_path):
+    ds = random_dataset(seed=1, n=20, n_fields=2, vocab=4)
+    p = str(tmp_path / "d.ratd")
+    save_dataset(ds, p)
+    with open(p, "rb") as f:
+        blob = bytearray(f.read())
+    name = ds.schema[1].name.encode()
+    at = blob.index(len(name).to_bytes(4, "little") + name) + 4
+    blob[at] = 0xFF  # never valid in UTF-8
+    bad = str(tmp_path / "utf8.ratd")
+    with open(bad, "wb") as f:
+        f.write(bytes(blob))
+    with pytest.raises(DataError, match="invalid UTF-8"):
+        load_dataset(bad)
+
+
 # ---------------------------------------------------------------- re-splitting
 
 def test_chronological_split_re_marks_and_rebuilds_vocab(tmp_path):

@@ -1,5 +1,7 @@
 """Input assembly, masking guarantees, equivariances, counters, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,14 +11,12 @@ from ractr.model import (
     LABEL_UNKNOWN,
     AttentionEntryCounter,
     CtrModel,
-    build_input,
     build_input_batch,
     cascade_entries_per_layer,
     jm_entries_per_layer,
     load_checkpoint,
     save_checkpoint,
 )
-from ractr.retrieval import RetrievalResult
 
 VARIANTS = ("cascade", "jm", "ce", "pa")
 
@@ -100,22 +100,6 @@ def test_input_batch_rejects_out_of_pool_neighbors():
                           pool, labels)
 
 
-def test_single_record_wrapper_matches_batch():
-    m = tiny_model()
-    rng = np.random.default_rng(1)
-    pool = rng.integers(0, 4, size=(8, 3))
-    labels = rng.integers(0, 2, size=8)
-    res = RetrievalResult(np.array([3, 6, -1]), np.array([1.0, 0.5, 0.0]),
-                          np.array([True, True, False]))
-    x, mask = build_input(m.emb, np.array([1, 2, 0]), res, pool, labels)
-    assert x.shape == (4, 4, 8)
-    assert mask.tolist() == [True, True, True, False]
-    xb, mb = build_input_batch(m.emb, np.array([[1, 2, 0]]),
-                               res.neighbor_indices[None], res.mask[None],
-                               pool, labels)
-    np.testing.assert_array_equal(x.data, xb.data[0])
-
-
 # ---------------------------------------------------------------- masking
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -186,9 +170,9 @@ def test_cross_attention_is_field_equivariant():
     rng = np.random.default_rng(7)
     x, mask, _ = random_batch(m, rng, b=2, k=3)
     blk = m.blocks[0]
-    out = m._csa(x, blk.csa, mask, None).data
+    out = m._csa(x, blk.layers["csa"], mask, None).data
     perm = rng.permutation(4)
-    outp = m._csa(T.Tensor(x.data[:, :, perm]), blk.csa, mask, None).data
+    outp = m._csa(T.Tensor(x.data[:, :, perm]), blk.layers["csa"], mask, None).data
     np.testing.assert_allclose(outp, out[:, :, perm], atol=1e-12, rtol=0)
 
 
@@ -257,6 +241,50 @@ def test_ce_builds_two_half_blocks_per_layer():
     m2 = CtrModel(field_num_ids=[5], embed_dim=8, num_blocks=2, num_heads=2,
                   variant="ce", seed=0)
     assert [b.kind for b in m2.blocks] == ["intra", "cross", "intra", "cross"]
+
+
+def _ln(pre, d):
+    return [(f"{pre}.gamma", (d,)), (f"{pre}.beta", (d,))]
+
+
+def _att(pre, d, w):
+    out = []
+    for part, fan_in in (("q", d), ("k", d), ("v", d), ("o", w)):
+        out += [(f"{pre}.{part}.w", (fan_in, w)), (f"{pre}.{part}.b", (w,))]
+    return out
+
+
+def _mlp(pre, d, hidden):
+    return [(f"{pre}.lin1.w", (d, hidden)), (f"{pre}.lin1.b", (hidden,)),
+            (f"{pre}.lin2.w", (hidden, d)), (f"{pre}.lin2.b", (d,))]
+
+
+@pytest.mark.parametrize("variant,intra_only", [(v, False) for v in VARIANTS] + [("cascade", True)])
+def test_checkpoint_parameter_layout(variant, intra_only):
+    """Pins the ordered (name, shape) list a .ratm stores at num_blocks=2."""
+    d, hidden = 8, 16
+    m = CtrModel(field_num_ids=[5, 7], embed_dim=d, num_blocks=2, num_heads=2,
+                 mlp_ratio=2, variant=variant, intra_only=intra_only, seed=0)
+    per_block = {
+        "cascade": lambda b: (_ln(f"{b}.ln1", d) + _att(f"{b}.isa", d, d)
+                              + _ln(f"{b}.ln2", d) + _att(f"{b}.csa", d, d)),
+        "jm": lambda b: _ln(f"{b}.ln1", d) + _att(f"{b}.attn", d, d),
+        "intra": lambda b: _ln(f"{b}.ln1", d) + _att(f"{b}.isa", d, d),
+        "cross": lambda b: _ln(f"{b}.ln1", d) + _att(f"{b}.csa", d, d),
+        "pa": lambda b: (_ln(f"{b}.ln1", d) + _att(f"{b}.isa", d, d // 2)
+                         + _att(f"{b}.csa", d, d // 2)),
+    }
+    kinds = {"cascade": ["cascade"] * 2, "jm": ["jm"] * 2,
+             "ce": ["intra", "cross", "intra", "cross"], "pa": ["pa"] * 2}[variant]
+    if intra_only:
+        kinds = ["intra"] * 2
+    want = [("emb.field.0", (5, d)), ("emb.field.1", (7, d)),
+            ("emb.label", (3, d)), ("emb.pad", (d,))]
+    for i, kind in enumerate(kinds):  # for ce, i counts half-blocks
+        want += (per_block[kind](f"block.{i}") + _ln(f"block.{i}.ln_mlp", d)
+                 + _mlp(f"block.{i}.mlp", d, hidden))
+    want += [("head.w", (d, 1)), ("head.b", (1,))]
+    assert [(n, t.data.shape) for n, t in m.named_parameters()] == want
 
 
 def test_constructor_validation():
@@ -331,3 +359,55 @@ def test_checkpoint_errors(tmp_path):
 
     with pytest.raises(DataError, match="cannot open"):
         load_checkpoint(str(tmp_path / "absent.ratm"))
+
+
+def _with_config(blob: bytes, text: str) -> bytes:
+    """A .ratm blob with its JSON config string replaced by text."""
+    n = int.from_bytes(blob[6:10], "little")
+    raw = text.encode()
+    return blob[:6] + len(raw).to_bytes(4, "little") + raw + blob[10 + n:]
+
+
+@pytest.mark.parametrize("edit,msg", [
+    (lambda c: "{not json", "not valid JSON"),
+    (lambda c: "[1, 2]", "not a JSON object"),
+    (lambda c: {k: v for k, v in c.items() if k != "embed_dim"}, "missing 'embed_dim'"),
+    (lambda c: dict(c, embed_dim="8"), "ill-typed 'embed_dim'"),
+    (lambda c: dict(c, embed_dim=8.0), "ill-typed 'embed_dim'"),
+    (lambda c: dict(c, num_blocks=True), "ill-typed 'num_blocks'"),
+    (lambda c: dict(c, num_heads=0), "ill-typed 'num_heads'"),
+    (lambda c: dict(c, field_num_ids=[5, -7, 4]), "ill-typed 'field_num_ids'"),
+    (lambda c: dict(c, field_num_ids=5), "ill-typed 'field_num_ids'"),
+    (lambda c: dict(c, intra_only="no"), "ill-typed 'intra_only'"),
+    (lambda c: dict(c, seed=None), "ill-typed 'seed'"),
+    (lambda c: dict(c, variant=["pa"]), "ill-typed 'variant'"),
+    (lambda c: dict(c, variant="mlp"), "unknown variant"),
+    (lambda c: dict(c, activation="tanh"), "unknown activation"),
+    (lambda c: dict(c, embed_dim=7), "not divisible"),
+], ids=["bad-json", "not-object", "missing-key", "str-int", "float-int", "bool-int",
+        "zero-heads", "negative-ids", "scalar-ids", "str-bool", "null-seed", "list-variant",
+        "unknown-variant", "unknown-activation", "indivisible-width"])
+def test_checkpoint_config_errors(tmp_path, edit, msg):
+    m = tiny_model()
+    path = str(tmp_path / "m.ratm")
+    save_checkpoint(m, path)
+    with open(path, "rb") as f:
+        blob = f.read()
+    cfg = edit(m.config_dict())
+    bad = str(tmp_path / "bad.ratm")
+    with open(bad, "wb") as f:
+        f.write(_with_config(blob, cfg if isinstance(cfg, str) else json.dumps(cfg)))
+    with pytest.raises(DataError, match=msg):
+        load_checkpoint(bad)
+
+
+def test_checkpoint_invalid_utf8_name_is_data_error(tmp_path):
+    path = str(tmp_path / "m.ratm")
+    save_checkpoint(tiny_model(), path)
+    with open(path, "rb") as f:
+        blob = bytearray(f.read())
+    blob[blob.index(b"emb.field.0")] = 0xFF  # never valid in UTF-8
+    with open(path, "wb") as f:
+        f.write(bytes(blob))
+    with pytest.raises(DataError, match="invalid UTF-8"):
+        load_checkpoint(path)
