@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -10,10 +11,14 @@ from .errors import DataError
 
 
 def read_exact(f, n: int) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise DataError(f"truncated file: wanted {n} bytes, got {len(buf)}")
-    return buf
+    """n bytes from a seekable file; a count past its end is a DataError before
+    anything is read, so a corrupt count never allocates more than the file."""
+    pos = f.tell()
+    left = f.seek(0, os.SEEK_END) - pos
+    f.seek(pos)
+    if n > left:
+        raise DataError(f"truncated file: wanted {n} bytes, got {left}")
+    return f.read(n)
 
 
 def write_u8(f, v: int) -> None:
@@ -63,8 +68,14 @@ def read_str(f) -> str:
 
 
 def write_array(f, a: np.ndarray, dtype: str) -> None:
-    """dtype is an explicit little-endian numpy dtype string, e.g. '<u4'."""
-    f.write(np.ascontiguousarray(a, dtype=np.dtype(dtype)).tobytes())
+    """dtype is an explicit little-endian numpy dtype string, e.g. '<u4'. An
+    integer value the dtype cannot hold is a DataError, never a silent wrap."""
+    dt = np.dtype(dtype)
+    if dt.kind in "iu" and np.size(a):
+        lo, hi = int(np.min(a)), int(np.max(a))
+        if lo < np.iinfo(dt).min or hi > np.iinfo(dt).max:
+            raise DataError(f"values in [{lo}, {hi}] do not fit {dt.name}")
+    f.write(np.ascontiguousarray(a, dtype=dt).tobytes())
 
 
 def read_array(f, count: int, dtype: str) -> np.ndarray:

@@ -29,7 +29,7 @@ from . import __version__
 from .data import CsvSpec, Dataset, load_csv, load_dataset
 from .errors import DataError, UsageError
 from .model import VARIANTS, load_checkpoint, save_checkpoint
-from .retrieval import RetrievalIndex, index_from_dataset, load_index, retrieve, save_index
+from .retrieval import check_train_index, index_from_dataset, load_index, retrieve, save_index
 from .synthetic import majority_task, singleton_pool, write_csv
 from .training import TrainConfig, ablate, evaluate, train, write_ablation_csv
 
@@ -111,7 +111,7 @@ def cmd_build_index(args) -> int:
     build_ms = (time.perf_counter() - t0) * 1000.0
     save_index(index, out)
     print(f"pool records: {index.pool_size}")
-    print(f"distinct terms: {len(index.postings)}")
+    print(f"distinct terms: {index.num_terms}")
     print(f"build time: {build_ms:.1f} ms")
     print(f"index written to {out}")
     return 0
@@ -135,8 +135,7 @@ def cmd_retrieve(args) -> int:
         raise UsageError("no index: pass --index or set 'index' in the config")
     index = load_index(index_path)
     ds = _load_any_dataset(cfg, args.dataset)
-    if ds.num_fields != index.num_fields:
-        raise DataError(f"index has {index.num_fields} fields, dataset schema has {ds.num_fields}")
+    check_train_index(index, ds)
     k = args.k if args.k is not None else cfg.get("train", {}).get("k", 5)
 
     if args.queries == "-":
@@ -239,8 +238,6 @@ def cmd_evaluate(args) -> int:
     ds = _load_any_dataset(cfg)
     index_path = args.index or cfg.get("index")
     index = load_index(index_path) if index_path else index_from_dataset(ds)
-    if index.pool_size != ds.train_end:
-        raise DataError(f"index covers {index.pool_size} records, train slice has {ds.train_end}")
 
     segments = _segments_list(args)
     report = evaluate(model, ds, index, tcfg, split=args.split,

@@ -332,6 +332,8 @@ def load_dataset(path: str) -> Dataset:
         extra = fh.read(1)
         if extra:
             raise DataError(f"{path}: trailing bytes after dataset payload")
+    if np.any(labels > 1) or np.any(field_ids > [fs.vocab_size for fs in schema]):
+        raise DataError(f"{path}: labels must be 0 or 1 and ids at most their field's vocab size")
 
     return Dataset(
         schema=schema,

@@ -19,6 +19,7 @@ so their content can never reach the target's prediction.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,6 +175,25 @@ def _init_mlp(rng, dim: int, hidden: int, activation: str) -> MlpParams:
     return MlpParams(_init_linear(rng, dim, hidden), _init_linear(rng, hidden, dim), activation)
 
 
+def _layer_kinds(variant: str, activation: str, embed_dim: int, num_heads: int,
+                 intra_only: bool) -> tuple[str, ...]:
+    """The block kinds of one layer, or ValueError when the settings cannot
+    build them."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+    if activation not in ("gelu", "relu"):
+        raise ValueError(f"unknown activation {activation!r}")
+    if embed_dim % num_heads != 0:
+        raise ValueError(f"embed_dim {embed_dim} not divisible by {num_heads} heads")
+    kinds = INTRA_ONLY_LAYOUT if intra_only else LAYOUTS[variant]
+    for kind in kinds:
+        for _, names in BLOCK_KINDS[kind]:
+            n = len(names)
+            if embed_dim % n != 0 or (embed_dim // n) % num_heads != 0:
+                raise ValueError(f"{kind} needs embed_dim/{n} divisible by num_heads")
+    return kinds
+
+
 class CtrModel:
     """Embeddings + L blocks of one variant + a sigmoid head reading the
     target's label token (sample 0, field 0)."""
@@ -181,19 +201,7 @@ class CtrModel:
     def __init__(self, field_num_ids: list[int], embed_dim: int = 16, num_blocks: int = 2,
                  num_heads: int = 2, mlp_ratio: int = 4, variant: str = "cascade",
                  activation: str = "gelu", intra_only: bool = False, seed: int = 42):
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-        if activation not in ("gelu", "relu"):
-            raise ValueError(f"unknown activation {activation!r}")
-        if embed_dim % num_heads != 0:
-            raise ValueError(f"embed_dim {embed_dim} not divisible by {num_heads} heads")
-        kinds = (INTRA_ONLY_LAYOUT if intra_only else LAYOUTS[variant]) * num_blocks
-        for kind in kinds:
-            for _, names in BLOCK_KINDS[kind]:
-                n = len(names)
-                if embed_dim % n != 0 or (embed_dim // n) % num_heads != 0:
-                    raise ValueError(f"{kind} needs embed_dim/{n} divisible by num_heads")
-
+        kinds = _layer_kinds(variant, activation, embed_dim, num_heads, intra_only) * num_blocks
         self.field_num_ids = list(field_num_ids)
         self.embed_dim = embed_dim
         self.num_blocks = num_blocks
@@ -404,12 +412,16 @@ def _count(v) -> bool:
     return type(v) is int and v >= 0  # bool is not a count
 
 
+def _positive(v) -> bool:
+    return _count(v) and v > 0
+
+
 # what a stored model config must hold; CtrModel itself rejects unknown variant
 # and activation values and widths the heads do not divide
 _CONFIG_CHECKS = {
     "field_num_ids": lambda v: type(v) is list and all(map(_count, v)),
-    "embed_dim": _count, "num_blocks": _count, "mlp_ratio": _count,
-    "num_heads": lambda v: _count(v) and v > 0,
+    "embed_dim": _positive, "num_blocks": _count, "mlp_ratio": _positive,
+    "num_heads": _positive,
     "variant": lambda v: type(v) is str, "activation": lambda v: type(v) is str,
     "intra_only": lambda v: type(v) is bool, "seed": _count,
 }
@@ -428,6 +440,26 @@ def _model_config(cfg) -> dict:
         if not ok(out[key]):
             raise ValueError(f"ill-typed {key!r}: {out[key]!r}")
     return out
+
+
+def _check_sizes(mc: dict, payload: dict[str, np.ndarray]) -> None:
+    """ValueError unless the sizes CtrModel(**mc) would allocate are the
+    payload's: embedding tables, block count and MLP width. Checked first, so
+    a corrupt size is never allocated."""
+    kinds = _layer_kinds(mc["variant"], mc["activation"], mc["embed_dim"], mc["num_heads"],
+                         mc["intra_only"])
+    blocks = {name.split(".")[1] for name in payload if name.startswith("block.")}
+    if len(blocks) != mc["num_blocks"] * len(kinds):
+        raise ValueError(f"config makes {mc['num_blocks'] * len(kinds)} blocks, "
+                         f"payload holds {len(blocks)}")
+    d = mc["embed_dim"]
+    want = {f"emb.field.{i}": (n, d) for i, n in enumerate(mc["field_num_ids"])}
+    want["emb.label"] = (3, d)
+    want.update((f"block.{b}.mlp.lin1.w", (d, mc["mlp_ratio"] * d)) for b in blocks)
+    for name, shape in want.items():
+        got = payload[name].shape if name in payload else "missing"
+        if got != shape:
+            raise ValueError(f"config makes {name} {shape}, payload holds {got}")
 
 
 def load_checkpoint(path: str) -> tuple[CtrModel, dict]:
@@ -451,15 +483,18 @@ def load_checkpoint(path: str) -> tuple[CtrModel, dict]:
         for _ in range(n_params):
             name = binio.read_str(fh)
             ndim = binio.read_u8(fh)
+            if ndim > 2:  # no parameter has a higher rank
+                raise DataError(f"{path}: parameter {name!r} has rank {ndim}")
             shape = tuple(binio.read_u32(fh) for _ in range(ndim))
-            count = int(np.prod(shape)) if shape else 1
-            payload[name] = binio.read_array(fh, count, "<f8").reshape(shape)
+            payload[name] = binio.read_array(fh, math.prod(shape), "<f8").reshape(shape)
         extra = fh.read(1)
         if extra:
             raise DataError(f"{path}: trailing bytes after checkpoint payload")
 
     try:
-        model = CtrModel(**_model_config(cfg))
+        mc = _model_config(cfg)
+        _check_sizes(mc, payload)
+        model = CtrModel(**mc)
     except ValueError as e:
         raise DataError(f"{path}: bad checkpoint config: {e}") from None
     named = dict(model.named_parameters())

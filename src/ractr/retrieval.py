@@ -30,7 +30,7 @@ from . import binio
 from .errors import DataError
 
 INDEX_MAGIC = b"RATI"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 ELIGIBILITY = ("earlier", "all")
 
@@ -56,35 +56,9 @@ class RetrievalResult:
         return int(self.mask.sum())
 
 
-def _field_postings(col: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Postings of one pool column as flat arrays: its non-zero values in
-    ascending order, their document frequencies, and the positions holding
-    them, grouped by value and ascending within each value."""
-    order = np.argsort(col, kind="stable")
-    order = order[col[order] != 0]
-    terms, df = np.unique(col[order], return_counts=True)
-    return terms, df, order
-
-
-def _postings_match(col: np.ndarray, terms: np.ndarray, df: np.ndarray,
-                    positions: np.ndarray) -> bool:
-    """Whether stored postings are exactly _field_postings(col), checked without
-    a sort: every listed position holds its term, terms are non-zero and
-    ascending, lists are non-empty and ascending, and together they cover
-    every non-zero id of the column."""
-    if (positions.size != np.count_nonzero(col) or np.any(df < 1) or np.any(terms == 0)
-            or np.any(terms[1:] <= terms[:-1]) or np.any(positions >= col.size)):
-        return False
-    if not np.array_equal(col[positions], np.repeat(terms, df)):
-        return False
-    ascending = np.diff(positions) > 0
-    ascending[np.cumsum(df)[:-1] - 1] = True     # a list may start below the previous one's end
-    return bool(ascending.all())
-
-
 class RetrievalIndex:
     """A fixed pool of encoded records, kept once in rank space, with per-field
-    term, document-frequency and weight tables derived from its ids."""
+    term and weight tables derived from its ids."""
 
     def __init__(self, pool_field_ids: np.ndarray, timestamps: np.ndarray,
                  record_indices: np.ndarray):
@@ -102,13 +76,13 @@ class RetrievalIndex:
         per_field = [np.unique(col[col != 0], return_counts=True) for col in self._rank_cols]
         self._term_field = np.repeat(np.arange(self.num_fields), [v.size for v, _ in per_field])
         self._term_value = np.concatenate([np.empty(0, np.int64)] + [v for v, _ in per_field])
-        self._term_df = np.concatenate([np.empty(0, np.int64)] + [d for _, d in per_field])
+        df = np.concatenate([np.empty(0, np.int64)] + [d for _, d in per_field])
+        self.num_terms = self._term_value.size
         self._unseen_weight = float(np.log((n + 0.5) / 0.5))
         # (field, id) -> one ascending key, so a single search finds a term in any
         # field: the id's slot in the vocabulary (which holds 0, never a term),
         # offset by field. Key and weight tables end with a sentinel (weight 0.0)
         # whose key is past every real one.
-        df = self._term_df
         self._term_weight = np.append(np.log((n - df + 0.5) / (df + 0.5)), 0.0)
         self._vocab = np.unique(np.append(self._term_value, 0))
         self._term_key = np.append(
@@ -123,22 +97,6 @@ class RetrievalIndex:
     def _weight_of(self) -> dict[tuple[int, int], float]:
         terms = zip(self._term_field.tolist(), self._term_value.tolist())
         return dict(zip(terms, self._term_weight.tolist()))
-
-    @cached_property
-    def doc_freq(self) -> dict[tuple[int, int], int]:
-        """(field, value) -> number of pool records holding it; id 0 excluded."""
-        terms = zip(self._term_field.tolist(), self._term_value.tolist())
-        return dict(zip(terms, self._term_df.tolist()))
-
-    @cached_property
-    def postings(self) -> dict[tuple[int, int], np.ndarray]:
-        """(field, value) -> ascending pool positions holding it; id 0 excluded."""
-        out: dict[tuple[int, int], np.ndarray] = {}
-        for f in range(self.num_fields):
-            terms, df, positions = _field_postings(self.pool_field_ids[:, f])
-            out.update(zip([(f, v) for v in terms.tolist()],
-                           np.split(positions, np.cumsum(df)[:-1])))
-        return out
 
     def _query_weights(self, query_ids: np.ndarray) -> np.ndarray:
         """(queries, F) match weights; 0.0 where an id matches no pool record."""
@@ -327,7 +285,8 @@ def brute_force_retrieve(index: RetrievalIndex, query_ids: np.ndarray, k: int,
 
 
 def save_index(index: RetrievalIndex, path: str) -> None:
-    """Serialize to the RATI container: field-major postings, little-endian."""
+    """Serialize the pool to the RATI v2 container, little-endian; every table
+    scoring reads derives from it on load."""
     with open(path, "wb") as f:
         f.write(INDEX_MAGIC)
         binio.write_u16(f, INDEX_VERSION)
@@ -336,21 +295,10 @@ def save_index(index: RetrievalIndex, path: str) -> None:
         binio.write_array(f, index.timestamps, "<i8")
         binio.write_array(f, index.record_indices, "<u8")
         binio.write_array(f, index.pool_field_ids, "<u4")
-        for fld in range(index.num_fields):
-            terms, df, positions = _field_postings(index.pool_field_ids[:, fld])
-            # per term: value id, posting length, then the postings
-            heads = np.cumsum(df + 2) - (df + 2)
-            block = np.empty(2 * terms.size + positions.size, dtype=np.int64)
-            in_postings = np.ones(block.size, dtype=bool)
-            in_postings[heads] = in_postings[heads + 1] = False
-            block[heads], block[heads + 1], block[in_postings] = terms, df, positions
-            binio.write_u32(f, len(terms))
-            binio.write_array(f, block, "<u4")
 
 
 def load_index(path: str) -> RetrievalIndex:
-    """Read a RATI file; postings that disagree with the stored pool ids are a
-    DataError, since scores derive from the ids."""
+    """Read a RATI v2 file and index its pool exactly as build_index does."""
     try:
         fh = open(path, "rb")
     except OSError as e:
@@ -361,28 +309,32 @@ def load_index(path: str) -> RetrievalIndex:
             raise DataError(f"{path}: bad magic {magic!r}, expected {INDEX_MAGIC!r}")
         version = binio.read_u16(fh)
         if version != INDEX_VERSION:
-            raise DataError(f"{path}: unsupported index version {version}")
+            raise DataError(f"{path}: unsupported index version {version} (this build reads "
+                            f"{INDEX_VERSION}); rebuild it with `ractr build-index`")
         nf = binio.read_u32(fh)
         n = binio.read_u64(fh)
         timestamps = binio.read_array(fh, n, "<i8")
-        record_indices = binio.read_array(fh, n, "<u8").astype(np.int64)
-        pool_field_ids = binio.read_array(fh, n * nf, "<u4").astype(np.int64).reshape(n, nf)
-        for fld in range(nf):
-            heads, chunks = [], [np.empty(0, dtype=np.uint32)]
-            for _ in range(binio.read_u32(fh)):
-                heads.append((binio.read_u32(fh), binio.read_u32(fh)))   # value id, length
-                chunks.append(binio.read_array(fh, heads[-1][1], "<u4"))
-            terms, df = np.array(heads, dtype=np.int64).reshape(-1, 2).T
-            positions = np.concatenate(chunks).astype(np.int64)
-            if not _postings_match(pool_field_ids[:, fld], terms, df, positions):
-                raise DataError(f"{path}: postings of field {fld} disagree with the pool ids")
-        extra = fh.read(1)
-        if extra:
+        record_indices = binio.read_array(fh, n, "<u8")
+        pool_field_ids = binio.read_array(fh, n * nf, "<u4").reshape(n, nf)
+        if fh.read(1):
             raise DataError(f"{path}: trailing bytes after index payload")
-    return RetrievalIndex(pool_field_ids, timestamps, record_indices)
+    return build_index(pool_field_ids, timestamps, record_indices)
 
 
 def index_from_dataset(ds) -> RetrievalIndex:
     """Index the train slice: the only leakage-safe reference pool."""
     te = ds.train_end
     return build_index(ds.field_ids[:te], ds.timestamps[:te], np.arange(te, dtype=np.int64))
+
+
+def check_train_index(index: RetrievalIndex, ds) -> None:
+    """DataError unless index is ds's train slice as index_from_dataset builds
+    it: the same ids and timestamps, with record indices 0..train_end-1."""
+    te = ds.train_end
+    if index.pool_size != te:
+        raise DataError(f"index covers {index.pool_size} records, train slice has {te}")
+    if not (np.array_equal(index.pool_field_ids, ds.field_ids[:te])
+            and np.array_equal(index.timestamps, ds.timestamps[:te])
+            and np.array_equal(index.record_indices, np.arange(te))):
+        raise DataError("index was built from a different train slice; "
+                        "rebuild it with `ractr build-index`")

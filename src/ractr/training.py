@@ -19,7 +19,7 @@ from . import tensor as T
 from .data import Dataset
 from .errors import DataError, UsageError
 from .model import CtrModel, build_input_batch
-from .retrieval import RetrievalIndex, retrieve_batch
+from .retrieval import RetrievalIndex, check_train_index, retrieve_batch
 
 ABLATION_ORDER = ("jm", "ce", "pa", "cascade")
 ABLATION_HEADER = ("variant", "auc", "logloss", "params", "runtime_us")
@@ -173,8 +173,7 @@ def train(ds: Dataset, index: RetrievalIndex, cfg: TrainConfig,
     """Train one model; early stopping on validation AUC, best weights kept."""
     if ds.train_end >= ds.valid_end:
         raise DataError("training needs a non-empty validation slice")
-    if index.pool_size != ds.train_end:
-        raise DataError(f"index covers {index.pool_size} records, train slice has {ds.train_end}")
+    check_train_index(index, ds)
     valid_rows = ds.slice_indices("valid")
     vy = ds.labels[valid_rows]
     if vy.min() == vy.max():
@@ -288,6 +287,7 @@ def evaluate(model: CtrModel, ds: Dataset, index: RetrievalIndex, cfg: TrainConf
              user_field: str | None = None,
              neighbors: tuple[np.ndarray, np.ndarray] | None = None) -> EvalReport:
     """Metrics over one split, optionally broken out by user-frequency tail."""
+    check_train_index(index, ds)
     rows = ds.slice_indices(split)
     if len(rows) == 0:
         raise DataError(f"{split} slice is empty")

@@ -281,6 +281,36 @@ def test_evaluate_with_prebuilt_index_checks_coverage(ws, trained, tmp_path, cap
     assert "index covers" in err
 
 
+def test_index_of_another_dataset_or_format_exits_2(ws, trained, tmp_path, capsys):
+    ckpt = os.path.join(trained, "checkpoint.ratm")
+    # same sizes as the workspace dataset, other seed: same pool size, other records
+    other = str(tmp_path / "other")
+    assert main(["synth", "--out-dir", other, "--seed", "4", "--history-groups", "12",
+                 "--eval-groups", "24", "--eval-train-records", "3"]) == 0
+    same_size = os.path.join(other, "idx.rati")
+    assert main(["build-index", "--config", os.path.join(other, "config.json"),
+                 "--out", same_size]) == 0
+    assert "pool records: 192" in capsys.readouterr().out
+
+    with open(str(ws["base"] / "i1.rati"), "rb") as f:
+        blob = f.read()
+    v1 = str(tmp_path / "v1.rati")
+    with open(v1, "wb") as f:
+        f.write(blob[:4] + (1).to_bytes(2, "little") + blob[6:])
+    empty = str(tmp_path / "empty.rati")
+    with open(empty, "wb") as f:
+        f.write(blob[:10] + (0).to_bytes(8, "little"))
+
+    queries = queries_file(tmp_path / "q.jsonl", [json.dumps({"fields": {"key": "g3"}})])
+    for idx, msg in ((same_size, "different train slice"),
+                     (v1, "rebuild it with `ractr build-index`"), (empty, "empty pool")):
+        for argv in (["evaluate", "--checkpoint", ckpt], ["retrieve", "--queries", queries]):
+            rc = main(argv + ["--config", ws["cfg_path"], "--index", idx])
+            err = capsys.readouterr().err
+            assert rc == 2, (argv[0], idx)
+            assert err.startswith("data error:") and msg in err
+
+
 def test_evaluate_corrupt_checkpoint_config_exits_2(ws, trained, tmp_path, capsys):
     with open(os.path.join(trained, "checkpoint.ratm"), "rb") as f:
         blob = f.read()
@@ -295,6 +325,16 @@ def test_evaluate_corrupt_checkpoint_config_exits_2(ws, trained, tmp_path, capsy
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("data error:") and "missing 'embed_dim'" in err
+
+    # sizes far past the payload fail before anything of that size is allocated
+    for key, value in (("field_num_ids", [5, 10**12]), ("mlp_ratio", 10**12)):
+        raw = json.dumps(dict(json.loads(blob[10:10 + n]), **{key: value})).encode()
+        with open(bad, "wb") as f:
+            f.write(blob[:6] + len(raw).to_bytes(4, "little") + raw + blob[10 + n:])
+        rc = main(["evaluate", "--config", ws["cfg_path"], "--checkpoint", bad])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("data error:") and "bad checkpoint config: config makes" in err
 
 
 def test_evaluate_requires_checkpoint(ws, capsys):

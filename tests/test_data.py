@@ -250,6 +250,26 @@ def test_dataset_file_errors(tmp_path):
     with pytest.raises(DataError, match="cannot open"):
         load_dataset(str(tmp_path / "missing.ratd"))
 
+    # the payload ends with labels (n x u1), timestamps (n x i8), ids (n*F x u4)
+    labels_at = len(blob) - len(ds) * (1 + 8 + 4 * ds.num_fields)
+    label = str(tmp_path / "label.ratd")
+    write_bytes(label, blob[:labels_at] + b"\x02" + blob[labels_at + 1:])
+    with pytest.raises(DataError, match="labels must be 0 or 1"):
+        load_dataset(label)
+
+    past_vocab = ds.schema[-1].vocab_size + 1
+    vid = str(tmp_path / "id.ratd")
+    write_bytes(vid, blob[:-4] + past_vocab.to_bytes(4, "little"))
+    with pytest.raises(DataError, match="ids at most their field's vocab size"):
+        load_dataset(vid)
+
+
+def test_dataset_file_rejects_ids_past_u32(tmp_path):
+    ds = random_dataset(seed=1, n=20, n_fields=2, vocab=4)
+    ds.field_ids[3, 1] = 2**32
+    with pytest.raises(DataError, match="do not fit uint32"):
+        save_dataset(ds, str(tmp_path / "d.ratd"))
+
 
 def test_dataset_version_check(tmp_path):
     ds = random_dataset(seed=1, n=20, n_fields=2, vocab=4)

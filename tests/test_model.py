@@ -384,9 +384,14 @@ def _with_config(blob: bytes, text: str) -> bytes:
     (lambda c: dict(c, variant="mlp"), "unknown variant"),
     (lambda c: dict(c, activation="tanh"), "unknown activation"),
     (lambda c: dict(c, embed_dim=7), "not divisible"),
+    (lambda c: dict(c, mlp_ratio=0), "ill-typed 'mlp_ratio'"),
+    (lambda c: dict(c, field_num_ids=[5, 10**12, 4]), r"emb.field.1 \(1000000000000, 8\)"),
+    (lambda c: dict(c, mlp_ratio=10**12), r"block.0.mlp.lin1.w \(8, 8000000000000\)"),
+    (lambda c: dict(c, num_blocks=3), "config makes 3 blocks, payload holds 1"),
 ], ids=["bad-json", "not-object", "missing-key", "str-int", "float-int", "bool-int",
         "zero-heads", "negative-ids", "scalar-ids", "str-bool", "null-seed", "list-variant",
-        "unknown-variant", "unknown-activation", "indivisible-width"])
+        "unknown-variant", "unknown-activation", "indivisible-width", "zero-mlp-ratio",
+        "huge-vocab", "huge-mlp", "block-count"])
 def test_checkpoint_config_errors(tmp_path, edit, msg):
     m = tiny_model()
     path = str(tmp_path / "m.ratm")

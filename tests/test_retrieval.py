@@ -1,6 +1,7 @@
-"""Match-weight values, inverted index invariants, top-k correctness, leakage."""
+"""Match-weight values, index invariants, top-k correctness, leakage."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -59,17 +60,22 @@ def test_negative_scores_are_kept_not_filtered():
 
 
 def test_doc_freq_matches_posting_lengths():
+    # df is the length of a (field, value)'s posting list, built here by scanning
     rng = np.random.default_rng(0)
     idx = random_index(rng, 200, 4, 8)
-    for term, idxs in idx.postings.items():
-        assert idx.doc_freq[term] == len(idxs)
-        assert (np.diff(idxs) > 0).all()  # sorted, unique positions
+    n = idx.pool_size
+    postings = {(f, v): [p for p in range(n) if idx.pool_field_ids[p, f] == v]
+                for f in range(4) for v in range(1, 9)}
+    for (f, v), positions in postings.items():
+        want = math.log((n - len(positions) + 0.5) / (len(positions) + 0.5))
+        assert idx.weight(f, v) == pytest.approx(want, abs=1e-15)
+    assert idx.num_terms == sum(1 for positions in postings.values() if positions)
 
 
 def test_id_zero_never_indexed():
     ids = np.array([[0, 1], [0, 0], [2, 0]])
     idx = build_index(ids, np.arange(3))
-    assert all(v != 0 for (_, v) in idx.postings)
+    assert idx.num_terms == 2
     # a query of all zeros matches nothing: scores stay zero, order is recency
     res = retrieve(idx, np.array([0, 0]), k=3)
     assert res.scores.tolist() == [0.0, 0.0, 0.0]
@@ -78,7 +84,7 @@ def test_id_zero_never_indexed():
 
 def test_pool_without_terms_scores_zero():
     idx = build_index(np.zeros((3, 2), dtype=np.int64), np.arange(3))
-    assert idx.postings == {}
+    assert idx.num_terms == 0
     for q in ([0, 0], [1, 2]):
         res = retrieve(idx, np.array(q), k=4)
         assert res.neighbor_indices.tolist() == [2, 1, 0, -1]
@@ -238,15 +244,17 @@ def test_index_file_round_trip(tmp_path):
     np.testing.assert_array_equal(got.timestamps, idx.timestamps)
     np.testing.assert_array_equal(got.record_indices, idx.record_indices)
     np.testing.assert_array_equal(got.pool_field_ids, idx.pool_field_ids)
-    assert set(got.postings) == set(idx.postings)
-    for term in idx.postings:
-        np.testing.assert_array_equal(got.postings[term], idx.postings[term])
-    # loaded index retrieves identically
-    q = rng.integers(0, 10, size=4)
-    a = retrieve(idx, q, k=5)
-    b = retrieve(got, q, k=5)
-    assert a.neighbor_indices.tolist() == b.neighbor_indices.tolist()
-    assert a.scores.tolist() == b.scores.tolist()
+    assert got.num_terms == idx.num_terms
+    # v2 holds the pool and nothing else: header, then 8 + 8 + 4F bytes a record
+    assert os.path.getsize(p) == 18 + idx.pool_size * (16 + 4 * idx.num_fields)
+    # loaded index retrieves identically, bit for bit
+    q = rng.integers(0, 10, size=(20, 4))
+    for elig, ts, ri in (("all", None, None), ("earlier", rng.integers(0, 80, 20), np.arange(20))):
+        for a, b in zip(retrieve_batch(idx, q, 5, elig, ts, ri),
+                        retrieve_batch(got, q, 5, elig, ts, ri)):
+            assert a.neighbor_indices.tolist() == b.neighbor_indices.tolist()
+            assert a.mask.tolist() == b.mask.tolist()
+            assert a.scores.view(np.int64).tolist() == b.scores.view(np.int64).tolist()
 
 
 def test_index_file_bytes_deterministic(tmp_path):
@@ -278,6 +286,20 @@ def test_index_file_errors(tmp_path):
         f.write(blob[:4] + (9).to_bytes(2, "little") + blob[6:])
     with pytest.raises(DataError, match="unsupported index version 9"):
         load_index(ver)
+
+    # v1 files carried postings; they are rebuilt, not read
+    v1 = str(tmp_path / "v1.rati")
+    with open(v1, "wb") as f:
+        f.write(blob[:4] + (1).to_bytes(2, "little") + blob[6:])
+    with pytest.raises(DataError, match="version 1 .*rebuild it with `ractr build-index`"):
+        load_index(v1)
+
+    # an empty pool from a file is rejected exactly as at build time
+    empty = str(tmp_path / "empty.rati")
+    with open(empty, "wb") as f:
+        f.write(blob[:10] + (0).to_bytes(8, "little"))
+    with pytest.raises(DataError, match="empty pool"):
+        load_index(empty)
 
     trunc = str(tmp_path / "trunc.rati")
     with open(trunc, "wb") as f:
@@ -411,7 +433,12 @@ def test_weight_table_is_bitwise_the_formula():
     ids[:, 2] = rng.integers(0, 3, size=700)
     idx = build_index(ids, np.arange(700))
     n = idx.pool_size
-    for (f, v), df in idx.doc_freq.items():
+    doc_freq = {}
+    for f in range(3):
+        values, counts = np.unique(ids[:, f][ids[:, f] != 0], return_counts=True)
+        doc_freq.update({(f, int(v)): int(df) for v, df in zip(values, counts)})
+    assert idx.num_terms == len(doc_freq)
+    for (f, v), df in doc_freq.items():
         want = float(np.log((n - df + 0.5) / (df + 0.5)))
         assert np.float64(idx.weight(f, v)).view(np.int64) == np.float64(want).view(np.int64)
     # the scorer's per-query weights are the same table; 0.0 where nothing can match
@@ -419,31 +446,12 @@ def test_weight_table_is_bitwise_the_formula():
     got = idx._query_weights(queries)
     for qi, q in enumerate(queries):
         for f in range(3):
-            want = idx.weight(f, q[f]) if (f, int(q[f])) in idx.doc_freq else 0.0
+            want = idx.weight(f, q[f]) if (f, int(q[f])) in doc_freq else 0.0
             assert got[qi, f].view(np.int64) == np.float64(want).view(np.int64)
 
 
-def test_index_file_rejects_postings_that_disagree_with_ids(tmp_path):
-    rng = np.random.default_rng(13)
-    idx = random_index(rng, 12, 2, 3)
-    p = str(tmp_path / "i.rati")
-    save_index(idx, p)
-    with open(p, "rb") as f:
-        blob = f.read()
-    start = 4 + 2 + 4 + 8 + idx.pool_size * (8 + 8 + 4 * idx.num_fields)
-    # the first posting position of field 0 sits after n_terms, value and df
-    flip = bytearray(blob)
-    flip[start + 12] ^= 0x01
-    bad = str(tmp_path / "flip.rati")
-    with open(bad, "wb") as f:
-        f.write(bytes(flip))
-    with pytest.raises(DataError, match="postings of field 0 disagree"):
-        load_index(bad)
-    # any single flipped bit in the postings is caught, whatever field it hits
-    for i in range(start, len(blob)):
-        flip = bytearray(blob)
-        flip[i] ^= 0x01
-        with open(bad, "wb") as f:
-            f.write(bytes(flip))
-        with pytest.raises(DataError):
-            load_index(bad)
+def test_index_file_rejects_ids_past_u32(tmp_path):
+    for bad_id in (2**32, -1):
+        idx = build_index(np.array([[1], [bad_id]]), np.arange(2))
+        with pytest.raises(DataError, match="do not fit uint32"):
+            save_index(idx, str(tmp_path / "i.rati"))
