@@ -1,13 +1,32 @@
-"""Little-endian binary read/write primitives for the on-disk formats."""
+"""Little-endian binary read/write primitives for the on-disk formats, and
+the atomic file writer every artifact goes through."""
 
 from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import DataError
+
+
+@contextmanager
+def atomic_open(path: str, mode: str = "wb", **kwargs):
+    """Open a temp file in path's directory for writing; a clean exit moves it
+    onto path with one os.replace and an error removes it, so path keeps its
+    old content or gets the whole new one, never a partial write."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def read_exact(f, n: int) -> bytes:

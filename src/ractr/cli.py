@@ -22,10 +22,12 @@ import os
 import sys
 import time
 import traceback
+from contextlib import nullcontext
 
 import numpy as np
 
 from . import __version__
+from .binio import atomic_open
 from .data import CsvSpec, Dataset, load_csv, load_dataset
 from .errors import DataError, UsageError
 from .model import VARIANTS, load_checkpoint, save_checkpoint
@@ -87,7 +89,7 @@ def _out_dir(cfg: dict, args) -> str:
 
 
 def _write_json(obj, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path, "w", encoding="utf-8") as f:
         json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -147,8 +149,8 @@ def cmd_retrieve(args) -> int:
         except OSError as e:
             raise UsageError(f"cannot read queries {args.queries}: {e}") from None
 
-    out_f = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    out = atomic_open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    with out as out_f:
         for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
@@ -169,9 +171,6 @@ def cmd_retrieve(args) -> int:
                 "mask": [bool(m) for m in res.mask],
             }
             out_f.write(json.dumps(rec, sort_keys=True) + "\n")
-    finally:
-        if out_f is not sys.stdout:
-            out_f.close()
     return 0
 
 
@@ -215,7 +214,7 @@ def cmd_train(args) -> int:
     _echo_run_config(out, "train", cfg, tcfg)
     save_checkpoint(res.model, os.path.join(out, "checkpoint.ratm"),
                     extra_config={"train": tcfg.to_dict()})
-    with open(os.path.join(out, "train_log.jsonl"), "w", encoding="utf-8") as f:
+    with atomic_open(os.path.join(out, "train_log.jsonl"), "w", encoding="utf-8") as f:
         for rec in res.log:
             f.write(json.dumps(rec, sort_keys=True) + "\n")
     _write_json(summary, os.path.join(out, "summary.json"))
@@ -245,7 +244,7 @@ def cmd_evaluate(args) -> int:
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     print(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
+        with atomic_open(args.out, "w", encoding="utf-8") as f:
             f.write(text + "\n")
     return 0
 

@@ -282,7 +282,7 @@ def chronological_split(ds: Dataset, ratios) -> Dataset:
 
 def save_dataset(ds: Dataset, path: str) -> None:
     """Serialize to the RATD container (little-endian, layout in README)."""
-    with open(path, "wb") as f:
+    with binio.atomic_open(path) as f:
         f.write(DATASET_MAGIC)
         binio.write_u16(f, DATASET_VERSION)
         binio.write_u8(f, 1 if ds.has_timestamp_column else 0)
@@ -334,6 +334,8 @@ def load_dataset(path: str) -> Dataset:
             raise DataError(f"{path}: trailing bytes after dataset payload")
     if np.any(labels > 1) or np.any(field_ids > [fs.vocab_size for fs in schema]):
         raise DataError(f"{path}: labels must be 0 or 1 and ids at most their field's vocab size")
+    if np.any(timestamps[1:] < timestamps[:-1]):
+        raise DataError(f"{path}: timestamps are not sorted")
 
     return Dataset(
         schema=schema,

@@ -14,6 +14,14 @@ BLOCK_KINDS below:
 
 Padded neighbor samples are key-masked everywhere the sample axis is mixed,
 so their content can never reach the target's prediction.
+
+The head reads one token, the target's label token (sample 0, field 0), so
+predict computes only what that token depends on. Walking back from the head,
+each layer's needed outputs are a (samples prefix x fields prefix) rectangle:
+LN, MLP and residuals keep it, ISA needs all fields of its samples, CSA all
+samples of its fields, and joint attention the whole grid. For the four
+variants only the last layer shrinks; an intra-only model, whose samples never
+mix, runs every layer on the target's sample alone.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,8 +62,20 @@ BLOCK_KINDS = {
     "pa": (("ln1", ("isa", "csa")),),
 }
 
-# attention name -> the CtrModel method that mixes tokens with it
-MIXERS = {"isa": "_isa", "csa": "_csa", "attn": "_jm_attn"}
+
+class Mixer(NamedTuple):
+    """How one attention mixes a (samples, fields) grid of s x t tokens."""
+    method: str  # the CtrModel method: (queries, keys/values, params, mask) -> updates
+    keys: Callable[[tuple, tuple], tuple]  # (queried prefix, grid) -> key/value prefix
+    entries: Callable[[int, int], int]  # (s, t) -> score entries per example on the full grid
+
+
+# attention name -> its Mixer. Each key/value prefix covers its queries.
+MIXERS = {
+    "isa": Mixer("_isa", lambda q, grid: (q[0], grid[1]), lambda s, t: s * t * t),
+    "csa": Mixer("_csa", lambda q, grid: (grid[0], q[1]), lambda s, t: t * s * s),
+    "attn": Mixer("_jm_attn", lambda q, grid: grid, lambda s, t: (s * t) ** 2),
+}
 
 LABEL_UNCLICK = 0
 LABEL_CLICK = 1
@@ -176,9 +197,13 @@ def _init_mlp(rng, dim: int, hidden: int, activation: str) -> MlpParams:
 
 
 def _layer_kinds(variant: str, activation: str, embed_dim: int, num_heads: int,
-                 intra_only: bool) -> tuple[str, ...]:
+                 mlp_ratio: int, intra_only: bool) -> tuple[str, ...]:
     """The block kinds of one layer, or ValueError when the settings cannot
     build them."""
+    for name, size in (("embed_dim", embed_dim), ("num_heads", num_heads),
+                       ("mlp_ratio", mlp_ratio)):
+        if size <= 0:
+            raise ValueError(f"{name} must be positive, got {size}")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     if activation not in ("gelu", "relu"):
@@ -201,7 +226,8 @@ class CtrModel:
     def __init__(self, field_num_ids: list[int], embed_dim: int = 16, num_blocks: int = 2,
                  num_heads: int = 2, mlp_ratio: int = 4, variant: str = "cascade",
                  activation: str = "gelu", intra_only: bool = False, seed: int = 42):
-        kinds = _layer_kinds(variant, activation, embed_dim, num_heads, intra_only) * num_blocks
+        kinds = _layer_kinds(variant, activation, embed_dim, num_heads, mlp_ratio,
+                             intra_only) * num_blocks
         self.field_num_ids = list(field_num_ids)
         self.embed_dim = embed_dim
         self.num_blocks = num_blocks
@@ -256,83 +282,135 @@ class CtrModel:
 
     # forward pieces -----------------------------------------------------
 
-    def _mha(self, x3: T.Tensor, att: AttentionParams, key_mask: np.ndarray | None,
-             query_mask: np.ndarray | None) -> T.Tensor:
-        """x3: (G, T, D_in) -> (G, T, D_attn). key_mask/query_mask: (G, T) bool."""
-        g, t, _ = x3.shape
+    def _mha(self, q3: T.Tensor, kv3: T.Tensor, att: AttentionParams,
+             key_mask: np.ndarray | None, query_mask: np.ndarray | None) -> T.Tensor:
+        """q3: (G, Tq, D_in) queries over kv3: (G, Tk, D_in) keys and values ->
+        (G, Tq, D_attn). key_mask: (G, Tk), query_mask: (G, Tq), bool."""
+        g, tq, _ = q3.shape
+        tk = kv3.shape[1]
         h = att.n_heads
         dh = att.q.w.data.shape[1] // h
         scale = 1.0 / np.sqrt(dh)
 
-        def heads(lin):
-            y = lin(x3)
-            y = T.reshape(y, (g, t, h, dh))
+        def heads(lin, x3, n):
+            y = T.reshape(lin(x3), (g, n, h, dh))
             return T.transpose(y, (0, 2, 1, 3))
 
-        q, k, v = heads(att.q), heads(att.k), heads(att.v)
+        q, k, v = heads(att.q, q3, tq), heads(att.k, kv3, tk), heads(att.v, kv3, tk)
         scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), scale)
-        mask4 = None if key_mask is None else key_mask.reshape(g, 1, 1, t)
+        mask4 = None if key_mask is None else key_mask.reshape(g, 1, 1, tk)
         attn = T.softmax_lastdim(scores, mask4)
         ctx = T.matmul(attn, v)
-        ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (g, t, h * dh))
+        ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (g, tq, h * dh))
         out = att.o(ctx)
         if query_mask is not None:
-            out = T.mul(out, query_mask.reshape(g, t, 1).astype(np.float64))
+            out = T.mul(out, query_mask.reshape(g, tq, 1).astype(np.float64))
         return out
 
-    def _isa(self, x: T.Tensor, att: AttentionParams, mask: np.ndarray, counter) -> T.Tensor:
+    # Each mixer maps queries q: (B, Sq, Tq, D) over keys/values kv: (B, Sk, Tk, D),
+    # both grid prefixes, to (B, Sq, Tq, D_attn) updates; mask: (B, S) bool.
+    # Passing kv is q reuses the query reshape, so a full-grid layer builds the
+    # same graph as self-attention.
+
+    def _isa(self, q: T.Tensor, kv: T.Tensor, att: AttentionParams,
+             mask: np.ndarray) -> T.Tensor:
         """Attention along the field axis, samples as batch. The mask is unused:
         a padded sample only ever attends to itself here."""
-        b, s, t, d = x.shape
-        if counter is not None:
-            counter.entries += s * t * t
-        x3 = T.reshape(x, (b * s, t, d))
-        out = self._mha(x3, att, None, None)
-        return T.reshape(out, (b, s, t, out.shape[-1]))
+        b, s, tq, d = q.shape
+        q3 = T.reshape(q, (b * s, tq, d))
+        kv3 = q3 if kv is q else T.reshape(kv, (b * s, kv.shape[2], d))
+        out = self._mha(q3, kv3, att, None, None)
+        return T.reshape(out, (b, s, tq, out.shape[-1]))
 
-    def _csa(self, x: T.Tensor, att: AttentionParams, mask: np.ndarray, counter) -> T.Tensor:
+    def _csa(self, q: T.Tensor, kv: T.Tensor, att: AttentionParams,
+             mask: np.ndarray) -> T.Tensor:
         """Attention along the sample axis, fields as batch. Padded samples are
         key-masked and, as queries, get a zero update (residual pass-through)."""
-        b, s, t, d = x.shape
-        if counter is not None:
-            counter.entries += t * s * s
-        xt = T.transpose(x, (0, 2, 1, 3))          # (B, T, S, D)
-        x3 = T.reshape(xt, (b * t, s, d))
-        m = np.repeat(mask[:, None, :], t, axis=1).reshape(b * t, s)
-        out = self._mha(x3, att, m, m)
-        out = T.reshape(out, (b, t, s, out.shape[-1]))
+        b, sq, t, d = q.shape
+        sk = kv.shape[1]
+
+        def by_field(x, s):                        # (B, S, T, D) -> (B*T, S, D)
+            return T.reshape(T.transpose(x, (0, 2, 1, 3)), (b * t, s, d))
+
+        def mask_by_field(s):
+            return np.repeat(mask[:, None, :s], t, axis=1).reshape(b * t, s)
+
+        q3 = by_field(q, sq)
+        kv3 = q3 if kv is q else by_field(kv, sk)
+        out = self._mha(q3, kv3, att, mask_by_field(sk), mask_by_field(sq))
+        out = T.reshape(out, (b, t, sq, out.shape[-1]))
         return T.transpose(out, (0, 2, 1, 3))
 
-    def _jm_attn(self, x: T.Tensor, att: AttentionParams, mask: np.ndarray, counter) -> T.Tensor:
+    def _jm_attn(self, q: T.Tensor, kv: T.Tensor, att: AttentionParams,
+                 mask: np.ndarray) -> T.Tensor:
         """One attention over all samples-x-fields tokens, padded samples key-masked."""
-        b, s, t, d = x.shape
-        if counter is not None:
-            counter.entries += (s * t) ** 2
-        x3 = T.reshape(x, (b, s * t, d))
-        m = np.repeat(mask, t, axis=1)             # (B, S*T)
-        out = self._mha(x3, att, m, m)
-        return T.reshape(out, (b, s, t, d))
+        b, sq, tq, d = q.shape
+        _, sk, tk, _ = kv.shape
+        q3 = T.reshape(q, (b, sq * tq, d))
+        kv3 = q3 if kv is q else T.reshape(kv, (b, sk * tk, d))
+        out = self._mha(q3, kv3, att, np.repeat(mask[:, :sk], tk, axis=1),
+                        np.repeat(mask[:, :sq], tq, axis=1))
+        return T.reshape(out, (b, sq, tq, out.shape[-1]))
 
-    def forward_hidden(self, x: T.Tensor, mask: np.ndarray,
-                       counter: AttentionEntryCounter | None = None) -> T.Tensor:
-        """Run all blocks. x: (B, S, T, D); mask: (B, S) bool, column 0 true."""
+    def _plan(self, grid: tuple[int, int], need: tuple[int, int]
+              ) -> tuple[tuple[int, int], list[list[tuple[int, int]]]]:
+        """Walk back from `need`, the (samples, fields) prefix wanted from the
+        last block, to what each layer must compute. Returns the prefix of the
+        input that is read and, per block, the output prefix of each attention
+        sub-layer. LN, MLP and residuals keep the prefix they are given; an
+        attention needs its mixers' key/value prefixes as input."""
+        plan = []
+        for blk in reversed(self.blocks):
+            outs = []
+            for _, names in reversed(BLOCK_KINDS[blk.kind]):
+                outs.append(need)
+                keys = [MIXERS[name].keys(need, grid) for name in names]
+                need = tuple(max(dims) for dims in zip(*keys))
+            plan.append(outs[::-1])
+        return need, plan[::-1]
+
+    def _run_blocks(self, x: T.Tensor, mask: np.ndarray, need: tuple[int, int],
+                    counter: AttentionEntryCounter | None) -> T.Tensor:
+        """Run all blocks on x: (B, S, T, D), computing only the tokens that
+        the (samples, fields) prefix `need` of the output depends on. A layer
+        whose prefix is the whole grid runs unsliced. The counter gets each
+        layer's entries on the whole grid."""
         if mask.dtype != bool:
             mask = mask.astype(bool)
         if not mask[:, 0].all():
             raise ValueError("target sample (row 0) must never be masked")
-        for blk in self.blocks:
-            for ln, names in BLOCK_KINDS[blk.kind]:
+        b, s, t, _ = x.shape
+        read, plan = self._plan((s, t), need)
+        x = T.prefix_slice(x, (b, *read))
+        for blk, outs in zip(self.blocks, plan):
+            for (ln, names), out in zip(BLOCK_KINDS[blk.kind], outs):
                 z = blk.layers[ln](x)
-                outs = [getattr(self, MIXERS[name])(z, blk.layers[name], mask, counter)
-                        for name in names]
-                x = T.add(outs[0] if len(outs) == 1 else T.concat_lastdim(outs), x)
+                q = T.prefix_slice(z, (b, *out))
+                ups = []
+                for name in names:
+                    mixer = MIXERS[name]
+                    if counter is not None:
+                        counter.entries += mixer.entries(s, t)
+                    kv = T.prefix_slice(z, (b, *mixer.keys(out, (s, t))))
+                    ups.append(getattr(self, mixer.method)(q, kv, blk.layers[name], mask))
+                up = ups[0] if len(ups) == 1 else T.concat_lastdim(ups)
+                x = T.add(up, T.prefix_slice(x, (b, *out)))
             x = T.add(blk.layers["mlp"](blk.layers["ln_mlp"](x)), x)
         return x
 
+    def forward_hidden(self, x: T.Tensor, mask: np.ndarray,
+                       counter: AttentionEntryCounter | None = None) -> T.Tensor:
+        """Run all blocks on the whole grid. x: (B, S, T, D); mask: (B, S)
+        bool, column 0 true."""
+        return self._run_blocks(x, mask, x.shape[1:3], counter)
+
     def predict(self, x: T.Tensor, mask: np.ndarray,
                 counter: AttentionEntryCounter | None = None) -> T.Tensor:
-        """Click probability from the target's label token. Returns (B,)."""
-        h = self.forward_hidden(x, mask, counter)
+        """Click probability from the target's label token. Returns (B,). Only
+        what token (0, 0) depends on is computed: in a cascade's last block,
+        ISA queries field 0 only, CSA queries the target only, and its MLP
+        runs on one token."""
+        h = self._run_blocks(x, mask, (1, 1), counter)
         tok = T.token_at(h, 0, 0)
         logit = T.add(T.matmul(tok, self.head_w), self.head_b)
         return T.reshape(T.sigmoid(logit), (x.shape[0],))
@@ -395,7 +473,7 @@ def save_checkpoint(model: CtrModel, path: str, extra_config: dict | None = None
     if extra_config:
         cfg = {**cfg, **extra_config}
     named = model.named_parameters()
-    with open(path, "wb") as f:
+    with binio.atomic_open(path) as f:
         f.write(CHECKPOINT_MAGIC)
         binio.write_u16(f, CHECKPOINT_VERSION)
         binio.write_str(f, json.dumps(cfg, sort_keys=True))
@@ -447,7 +525,7 @@ def _check_sizes(mc: dict, payload: dict[str, np.ndarray]) -> None:
     payload's: embedding tables, block count and MLP width. Checked first, so
     a corrupt size is never allocated."""
     kinds = _layer_kinds(mc["variant"], mc["activation"], mc["embed_dim"], mc["num_heads"],
-                         mc["intra_only"])
+                         mc["mlp_ratio"], mc["intra_only"])
     blocks = {name.split(".")[1] for name in payload if name.startswith("block.")}
     if len(blocks) != mc["num_blocks"] * len(kinds):
         raise ValueError(f"config makes {mc['num_blocks'] * len(kinds)} blocks, "

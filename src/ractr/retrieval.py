@@ -287,7 +287,7 @@ def brute_force_retrieve(index: RetrievalIndex, query_ids: np.ndarray, k: int,
 def save_index(index: RetrievalIndex, path: str) -> None:
     """Serialize the pool to the RATI v2 container, little-endian; every table
     scoring reads derives from it on load."""
-    with open(path, "wb") as f:
+    with binio.atomic_open(path) as f:
         f.write(INDEX_MAGIC)
         binio.write_u16(f, INDEX_VERSION)
         binio.write_u32(f, index.num_fields)

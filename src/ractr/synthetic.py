@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .binio import atomic_open
 from .data import Dataset, _encode
 
 
@@ -166,7 +167,7 @@ def write_csv(ds: Dataset, path: str) -> None:
     if ds.raw_values is None:
         raise ValueError("dataset has no raw values to write")
     cols = ["ts"] + [fs.name for fs in ds.schema] + ["label"]
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path, "w", encoding="utf-8") as f:
         f.write(",".join(cols) + "\n")
         for i in range(len(ds)):
             f.write(",".join([str(int(ds.timestamps[i]))] + ds.raw_values[i]

@@ -385,6 +385,25 @@ def where_mask(cond: np.ndarray, a, b) -> Tensor:
     return _node(out_data, (a, b), bw)
 
 
+def prefix_slice(a: Tensor, shape) -> Tensor:
+    """The leading corner a[:shape[0], :shape[1], ...]; axes past len(shape)
+    stay whole. Returns a itself when the corner is all of a."""
+    shape = tuple(shape)
+    if shape == a.data.shape[:len(shape)]:
+        return a
+    if len(shape) > a.data.ndim or any(not 0 <= n <= dim for n, dim in zip(shape, a.data.shape)):
+        raise ValueError(f"prefix_slice: {shape} is not a corner of {a.data.shape}")
+    idx = tuple(slice(0, n) for n in shape)
+    out_data = np.ascontiguousarray(a.data[idx])
+
+    def bw(g):
+        ga = np.zeros_like(a.data)
+        ga[idx] = g
+        return [(a, ga)]
+
+    return _node(out_data, (a,), bw)
+
+
 def token_at(a: Tensor, sample: int, field: int) -> Tensor:
     """Select one (sample, field) token from a (B, S, T, D) tensor -> (B, D)."""
     out_data = a.data[:, sample, field, :]

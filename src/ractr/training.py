@@ -16,6 +16,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from . import tensor as T
+from .binio import atomic_open
 from .data import Dataset
 from .errors import DataError, UsageError
 from .model import CtrModel, build_input_batch
@@ -23,6 +24,9 @@ from .retrieval import RetrievalIndex, check_train_index, retrieve_batch
 
 ABLATION_ORDER = ("jm", "ce", "pa", "cascade")
 ABLATION_HEADER = ("variant", "auc", "logloss", "params", "runtime_us")
+# TrainConfig size -> its least valid value
+_SIZE_FLOORS = {"k": 0, "num_blocks": 0, "embed_dim": 1, "num_heads": 1, "mlp_ratio": 1,
+                "batch_size": 1, "max_epochs": 1}
 
 
 @dataclass
@@ -54,6 +58,10 @@ class TrainConfig:
         unknown = set(d) - known
         if unknown:
             raise UsageError(f"unknown train config keys: {sorted(unknown)}")
+        for key, least in _SIZE_FLOORS.items():
+            if key in d and (type(d[key]) is not int or d[key] < least):
+                raise UsageError(f"train config {key!r} must be an integer >= {least}, "
+                                 f"got {d[key]!r}")
         return cls(**d)
 
 
@@ -375,7 +383,7 @@ def ablate(ds: Dataset, index: RetrievalIndex, cfg: TrainConfig) -> list[Ablatio
 
 
 def write_ablation_csv(rows: list[AblationRow], path: str) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(ABLATION_HEADER)
         for r in rows:

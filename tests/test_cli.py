@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from ractr.cli import main
+from ractr.cli import _write_json, main
 from ractr.data import CsvSpec, load_csv, save_dataset
 from ractr.model import load_checkpoint
 from ractr.training import ABLATION_ORDER
@@ -408,6 +408,39 @@ def test_data_errors_exit_2(ws, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("data error:")
     assert missing_csv in err
+
+
+@pytest.mark.parametrize("key,value", [("embed_dim", 0), ("mlp_ratio", 0), ("k", -1)])
+def test_bad_sizes_exit_1(ws, tmp_path, capsys, key, value):
+    cfg = {"data": ws["cfg"]["data"], "out_dir": str(tmp_path / "o"),
+           "train": {key: value, "max_epochs": 1}}
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as f:
+        json.dump(cfg, f)
+    assert main(["train", "--config", cfg_path]) == 1
+    assert f"'{key}' must be an integer >= " in capsys.readouterr().err
+
+
+def test_failed_artifact_write_leaves_old_file(ws, tmp_path, capsys):
+    """JSON artifacts and retrieve --out go through a temp file: a write that
+    fails part way leaves the earlier file and no partial one."""
+    path = tmp_path / "summary.json"
+    _write_json({"a": 1}, str(path))
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        _write_json({"a": 1, "b": object()}, str(path))  # dumps "a" first
+    assert path.read_bytes() == before
+
+    idx = str(tmp_path / "i.rati")
+    assert main(["build-index", "--config", ws["cfg_path"], "--out", idx]) == 0
+    out = tmp_path / "res.jsonl"
+    out.write_text("earlier\n")
+    q = queries_file(tmp_path / "q.jsonl", [json.dumps({"fields": {"key": "g3"}}), "{nope"])
+    assert main(["retrieve", "--config", ws["cfg_path"], "--index", idx,
+                 "--queries", q, "--out", str(out)]) == 2
+    assert out.read_text() == "earlier\n"
+    assert sorted(os.listdir(tmp_path)) == ["i.rati", "q.jsonl", "res.jsonl", "summary.json"]
+    capsys.readouterr()
 
 
 def test_internal_errors_exit_3(ws, tmp_path, capsys):

@@ -263,12 +263,35 @@ def test_dataset_file_errors(tmp_path):
     with pytest.raises(DataError, match="ids at most their field's vocab size"):
         load_dataset(vid)
 
+    # the first timestamp pushed past the second
+    ts_at = labels_at + len(ds)
+    later = int(ds.timestamps[1]) + 1
+    unsorted = str(tmp_path / "unsorted.ratd")
+    write_bytes(unsorted, blob[:ts_at] + later.to_bytes(8, "little", signed=True)
+                + blob[ts_at + 8:])
+    with pytest.raises(DataError, match="timestamps are not sorted"):
+        load_dataset(unsorted)
+
 
 def test_dataset_file_rejects_ids_past_u32(tmp_path):
     ds = random_dataset(seed=1, n=20, n_fields=2, vocab=4)
     ds.field_ids[3, 1] = 2**32
     with pytest.raises(DataError, match="do not fit uint32"):
         save_dataset(ds, str(tmp_path / "d.ratd"))
+
+
+def test_failed_dataset_save_leaves_old_file(tmp_path):
+    ds = random_dataset(seed=1, n=20, n_fields=2, vocab=4)
+    path = tmp_path / "d.ratd"
+    save_dataset(ds, str(path))
+    before = path.read_bytes()
+    ds.field_ids[3, 1] = 2**32  # ids come last, so the save fails part way
+    with pytest.raises(DataError, match="do not fit uint32"):
+        save_dataset(ds, str(path))
+    with pytest.raises(DataError, match="do not fit uint32"):
+        save_dataset(ds, str(tmp_path / "new.ratd"))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["d.ratd"]
 
 
 def test_dataset_version_check(tmp_path):

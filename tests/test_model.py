@@ -1,6 +1,7 @@
 """Input assembly, masking guarantees, equivariances, counters, checkpoints."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -170,10 +171,49 @@ def test_cross_attention_is_field_equivariant():
     rng = np.random.default_rng(7)
     x, mask, _ = random_batch(m, rng, b=2, k=3)
     blk = m.blocks[0]
-    out = m._csa(x, blk.layers["csa"], mask, None).data
+    out = m._csa(x, x, blk.layers["csa"], mask).data
     perm = rng.permutation(4)
-    outp = m._csa(T.Tensor(x.data[:, :, perm]), blk.layers["csa"], mask, None).data
+    xp = T.Tensor(x.data[:, :, perm])
+    outp = m._csa(xp, xp, blk.layers["csa"], mask).data
     np.testing.assert_allclose(outp, out[:, :, perm], atol=1e-12, rtol=0)
+
+
+# ---------------------------------------------------------------- pruning
+
+@pytest.mark.parametrize("intra_only", (False, True), ids=("full", "intra_only"))
+@pytest.mark.parametrize("num_blocks", (1, 2))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_pruned_predict_matches_full_grid(variant, num_blocks, intra_only):
+    """predict computes only what token (0, 0) reads. The reference is the
+    head applied to the whole-grid forward_hidden: predictions agree within
+    1e-12 and every parameter gradient of a BCE loss within 1e-10 relative."""
+    m = CtrModel(field_num_ids=[5, 7, 4], embed_dim=8, num_blocks=num_blocks,
+                 num_heads=2, mlp_ratio=2, variant=variant, intra_only=intra_only,
+                 seed=3)
+    rng = np.random.default_rng(31)
+    for p in m.parameters():  # move off init: a zero head would hide any difference
+        p.data = p.data + rng.normal(0, 0.3, size=p.data.shape)
+    x, mask, _ = random_batch(m, rng, b=4, k=4, n_pad=3)
+    y = np.array([1.0, 0.0, 0.0, 1.0])
+
+    def grads(p):
+        nll = T.add(T.mul(y, T.tlog(p)), T.mul(1.0 - y, T.tlog(T.sub(1.0, p))))
+        T.mul(T.tmean(nll), -1.0).backward()
+        out = {name: t.grad.copy() for name, t in m.named_parameters()}
+        T.zero_grads(m.parameters())
+        return out
+
+    pruned = m.predict(x, mask)
+    tok = T.token_at(m.forward_hidden(x, mask), 0, 0)
+    full = T.reshape(T.sigmoid(T.add(T.matmul(tok, m.head_w), m.head_b)), (4,))
+    assert np.abs(pruned.data - full.data).max() <= 1e-12
+    assert np.ptp(full.data) > 1e-3  # the predictions are not trivially equal
+    got, want = grads(pruned), grads(full)
+    for name, g in want.items():
+        # a key bias shifts a softmax row by a constant, so its true gradient
+        # is 0 and both paths hold only rounding (~1e-17): the 1e-6 floor
+        scale = max(np.abs(g).max(), 1e-6)
+        assert np.abs(got[name] - g).max() <= 1e-10 * scale, name
 
 
 # ---------------------------------------------------------------- structure
@@ -298,6 +338,12 @@ def test_constructor_validation():
         CtrModel([5], embed_dim=6, num_heads=2, variant="pa")
 
 
+@pytest.mark.parametrize("size", ("embed_dim", "mlp_ratio", "num_heads"))
+def test_zero_sizes_are_value_errors(size):
+    with pytest.raises(ValueError, match=f"{size} must be positive, got 0"):
+        CtrModel([5], **{size: 0})
+
+
 def test_same_seed_same_model():
     a, b = tiny_model(seed=11), tiny_model(seed=11)
     for (na, pa), (nb, pb) in zip(a.named_parameters(), b.named_parameters()):
@@ -334,6 +380,18 @@ def test_checkpoint_bytes_deterministic(tmp_path):
     save_checkpoint(m, p2)
     with open(p1, "rb") as f1, open(p2, "rb") as f2:
         assert f1.read() == f2.read()
+
+
+def test_failed_checkpoint_save_leaves_old_file(tmp_path):
+    m = tiny_model(seed=5)
+    path = tmp_path / "m.ratm"
+    save_checkpoint(m, str(path))
+    before = path.read_bytes()
+    # the config is written after the header, so this fails part way
+    with pytest.raises(TypeError):
+        save_checkpoint(m, str(path), extra_config={"bad": object()})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["m.ratm"]
 
 
 def test_checkpoint_errors(tmp_path):

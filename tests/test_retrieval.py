@@ -455,3 +455,14 @@ def test_index_file_rejects_ids_past_u32(tmp_path):
         idx = build_index(np.array([[1], [bad_id]]), np.arange(2))
         with pytest.raises(DataError, match="do not fit uint32"):
             save_index(idx, str(tmp_path / "i.rati"))
+
+
+def test_failed_index_save_leaves_old_file(tmp_path):
+    path = tmp_path / "i.rati"
+    save_index(build_index(np.array([[1], [2]]), np.arange(2)), str(path))
+    before = path.read_bytes()
+    # pool ids are written last, so the save fails part way
+    with pytest.raises(DataError, match="do not fit uint32"):
+        save_index(build_index(np.array([[1], [2**32]]), np.arange(2)), str(path))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["i.rati"]

@@ -130,6 +130,17 @@ def test_clamp_keeps_boundary_gradient():
     assert np.array_equal(x.grad, [1.0, 1.0, 1.0, 0.0, 0.0])
 
 
+def test_prefix_slice_corner():
+    a = T.Tensor(np.arange(24.0).reshape(2, 3, 4))
+    assert T.prefix_slice(a, (2, 3)) is a  # the whole tensor: no node
+    out = T.prefix_slice(a, (2, 1, 2))
+    assert np.array_equal(out.data, a.data[:, :1, :2])
+    assert out.data.flags.c_contiguous
+    for bad in ((3, 1), (2, -1), (1, 1, 1, 1)):
+        with pytest.raises(ValueError, match="not a corner"):
+            T.prefix_slice(a, bad)
+
+
 def test_gather_rows_out_of_range():
     table = T.Tensor(np.zeros((4, 2)))
     with pytest.raises(IndexError):
@@ -226,6 +237,7 @@ def op_cases():
 
     tok = p(2, 3, 4, 5)
     cases.append(("token_at", [tok], lambda: proj(T.token_at(tok, 1, 2))))
+    cases.append(("prefix_slice", [tok], lambda: proj(T.prefix_slice(tok, (2, 2, 1)))))
 
     comp_a, comp_b = p(3, 4), p(4, 4)
     def composite():

@@ -149,6 +149,16 @@ def test_train_config_rejects_unknown_keys():
 
 # ---------------------------------------------------------------- neighbors
 
+@pytest.mark.parametrize("key,value", [
+    ("embed_dim", 0), ("num_heads", 0), ("mlp_ratio", 0), ("batch_size", 0),
+    ("max_epochs", 0), ("k", -1), ("num_blocks", -1), ("embed_dim", 8.0),
+    ("batch_size", True), ("k", "5"),
+])
+def test_train_config_rejects_bad_sizes(key, value):
+    with pytest.raises(UsageError, match=f"'{key}' must be an integer >= "):
+        TrainConfig.from_dict({key: value})
+
+
 def test_precomputed_neighbors_respect_time():
     ds = tiny_task()
     index = index_from_dataset(ds)
