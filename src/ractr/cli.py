@@ -139,6 +139,8 @@ def cmd_retrieve(args) -> int:
     ds = _load_any_dataset(cfg, args.dataset)
     check_train_index(index, ds)
     k = args.k if args.k is not None else cfg.get("train", {}).get("k", 5)
+    if type(k) is not int or k < 1:
+        raise UsageError(f"k must be an integer >= 1, got {k!r}")
 
     if args.queries == "-":
         lines = sys.stdin.read().splitlines()
@@ -160,6 +162,8 @@ def cmd_retrieve(args) -> int:
                 raise DataError(f"queries line {lineno}: invalid JSON: {e}") from None
             if not isinstance(q, dict) or "fields" not in q:
                 raise DataError(f"queries line {lineno}: expected an object with a 'fields' key")
+            if not isinstance(q["fields"], dict):
+                raise DataError(f"queries line {lineno}: 'fields' must be a JSON object")
             ids = _encode_query(ds, q["fields"])
             # ad-hoc queries score against the whole pool
             res = retrieve(index, ids, k, eligibility="all")

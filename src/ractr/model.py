@@ -2,10 +2,11 @@
 
 The input stacks the target record with its K retrieved neighbors: sample axis
 of size K+1 (target first), field axis of size F+1 (a label token at position
-0, then one token per field). Intra-sample attention (ISA) mixes fields within
-a sample; cross-sample attention (CSA) mixes samples at a fixed field. Four
-block layouts are supported, each described as data by LAYOUTS and
-BLOCK_KINDS below:
+0, then one token per field). Every attention is axial: MIXES below names the
+grid axes it attends along, and the other axes are batch. Intra-sample
+attention (ISA) mixes fields within a sample, cross-sample attention (CSA)
+mixes samples at a fixed field, and joint attention mixes both. Four block
+layouts are supported, each described as data by LAYOUTS and BLOCK_KINDS:
 
   cascade  ISA then CSA then MLP, each with a pre-LN residual
   jm       one joint attention over all (K+1)(F+1) tokens, then MLP
@@ -29,7 +30,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -62,20 +62,17 @@ BLOCK_KINDS = {
     "pa": (("ln1", ("isa", "csa")),),
 }
 
+# attention name -> the axes of a (B, S, T, D) grid it attends along: axis 1 is
+# samples, axis 2 fields; the axes it does not mix are batch. Each attention's
+# key/value prefix is the whole grid on a mixed axis and its queries' prefix on
+# the others, and it scores s*t * (size of each mixed axis) entries per example.
+MIXES = {"isa": (2,), "csa": (1,), "attn": (1, 2)}
 
-class Mixer(NamedTuple):
-    """How one attention mixes a (samples, fields) grid of s x t tokens."""
-    method: str  # the CtrModel method: (queries, keys/values, params, mask) -> updates
-    keys: Callable[[tuple, tuple], tuple]  # (queried prefix, grid) -> key/value prefix
-    entries: Callable[[int, int], int]  # (s, t) -> score entries per example on the full grid
 
+def _kv_prefix(axes: tuple[int, ...], queried: tuple[int, int],
+               grid: tuple[int, int]) -> tuple[int, int]:
+    return tuple(g if a in axes else q for a, q, g in zip((1, 2), queried, grid))
 
-# attention name -> its Mixer. Each key/value prefix covers its queries.
-MIXERS = {
-    "isa": Mixer("_isa", lambda q, grid: (q[0], grid[1]), lambda s, t: s * t * t),
-    "csa": Mixer("_csa", lambda q, grid: (grid[0], q[1]), lambda s, t: t * s * s),
-    "attn": Mixer("_jm_attn", lambda q, grid: grid, lambda s, t: (s * t) ** 2),
-}
 
 LABEL_UNCLICK = 0
 LABEL_CLICK = 1
@@ -307,50 +304,32 @@ class CtrModel:
             out = T.mul(out, query_mask.reshape(g, tq, 1).astype(np.float64))
         return out
 
-    # Each mixer maps queries q: (B, Sq, Tq, D) over keys/values kv: (B, Sk, Tk, D),
-    # both grid prefixes, to (B, Sq, Tq, D_attn) updates; mask: (B, S) bool.
-    # Passing kv is q reuses the query reshape, so a full-grid layer builds the
-    # same graph as self-attention.
+    def _attend(self, q: T.Tensor, kv: T.Tensor, att: AttentionParams,
+                mask: np.ndarray, axes: tuple[int, ...]) -> T.Tensor:
+        """Attention of queries q: (B, Sq, Tq, D) over keys/values kv: (B, Sk,
+        Tk, D), both grid prefixes, along the grid `axes` (a MIXES value); the
+        other axes are batch. Returns (B, Sq, Tq, D_attn) updates. When samples
+        mix, padded samples (mask: (B, S) bool) are key-masked and, as queries,
+        get a zero update (residual pass-through); otherwise a padded sample
+        only ever attends to itself. Passing kv is q reuses the query reshape,
+        so a full-grid layer builds the same graph as self-attention."""
+        perm = (0, *(a for a in (1, 2) if a not in axes), *axes, 3)
+        nb = 3 - len(axes)  # leading axes after perm: B and the unmixed grid axis, if any
 
-    def _isa(self, q: T.Tensor, kv: T.Tensor, att: AttentionParams,
-             mask: np.ndarray) -> T.Tensor:
-        """Attention along the field axis, samples as batch. The mask is unused:
-        a padded sample only ever attends to itself here."""
-        b, s, tq, d = q.shape
-        q3 = T.reshape(q, (b * s, tq, d))
-        kv3 = q3 if kv is q else T.reshape(kv, (b * s, kv.shape[2], d))
-        out = self._mha(q3, kv3, att, None, None)
-        return T.reshape(out, (b, s, tq, out.shape[-1]))
+        def grouped(x):  # (B, S, T, D) -> (groups, tokens, D)
+            x = x if perm == (0, 1, 2, 3) else T.transpose(x, perm)
+            return T.reshape(x, (math.prod(x.shape[:nb]), math.prod(x.shape[nb:3]), x.shape[3]))
 
-    def _csa(self, q: T.Tensor, kv: T.Tensor, att: AttentionParams,
-             mask: np.ndarray) -> T.Tensor:
-        """Attention along the sample axis, fields as batch. Padded samples are
-        key-masked and, as queries, get a zero update (residual pass-through)."""
-        b, sq, t, d = q.shape
-        sk = kv.shape[1]
+        def grouped_mask(x):  # the sample mask over x's tokens -> (groups, tokens)
+            m = np.broadcast_to(mask[:, :x.shape[1], None], x.shape[:3]).transpose(perm[:3])
+            return m.reshape(math.prod(m.shape[:nb]), math.prod(m.shape[nb:]))
 
-        def by_field(x, s):                        # (B, S, T, D) -> (B*T, S, D)
-            return T.reshape(T.transpose(x, (0, 2, 1, 3)), (b * t, s, d))
-
-        def mask_by_field(s):
-            return np.repeat(mask[:, None, :s], t, axis=1).reshape(b * t, s)
-
-        q3 = by_field(q, sq)
-        kv3 = q3 if kv is q else by_field(kv, sk)
-        out = self._mha(q3, kv3, att, mask_by_field(sk), mask_by_field(sq))
-        out = T.reshape(out, (b, t, sq, out.shape[-1]))
-        return T.transpose(out, (0, 2, 1, 3))
-
-    def _jm_attn(self, q: T.Tensor, kv: T.Tensor, att: AttentionParams,
-                 mask: np.ndarray) -> T.Tensor:
-        """One attention over all samples-x-fields tokens, padded samples key-masked."""
-        b, sq, tq, d = q.shape
-        _, sk, tk, _ = kv.shape
-        q3 = T.reshape(q, (b, sq * tq, d))
-        kv3 = q3 if kv is q else T.reshape(kv, (b, sk * tk, d))
-        out = self._mha(q3, kv3, att, np.repeat(mask[:, :sk], tk, axis=1),
-                        np.repeat(mask[:, :sq], tq, axis=1))
-        return T.reshape(out, (b, sq, tq, out.shape[-1]))
+        q3 = grouped(q)
+        kv3 = q3 if kv is q else grouped(kv)
+        masks = (grouped_mask(kv), grouped_mask(q)) if 1 in axes else (None, None)
+        out = self._mha(q3, kv3, att, *masks)
+        out = T.reshape(out, (*(q.shape[a] for a in perm[:3]), out.shape[-1]))
+        return out if perm == (0, 1, 2, 3) else T.transpose(out, np.argsort(perm))
 
     def _plan(self, grid: tuple[int, int], need: tuple[int, int]
               ) -> tuple[tuple[int, int], list[list[tuple[int, int]]]]:
@@ -358,13 +337,13 @@ class CtrModel:
         last block, to what each layer must compute. Returns the prefix of the
         input that is read and, per block, the output prefix of each attention
         sub-layer. LN, MLP and residuals keep the prefix they are given; an
-        attention needs its mixers' key/value prefixes as input."""
+        attention needs its key/value prefixes as input."""
         plan = []
         for blk in reversed(self.blocks):
             outs = []
             for _, names in reversed(BLOCK_KINDS[blk.kind]):
                 outs.append(need)
-                keys = [MIXERS[name].keys(need, grid) for name in names]
+                keys = [_kv_prefix(MIXES[name], need, grid) for name in names]
                 need = tuple(max(dims) for dims in zip(*keys))
             plan.append(outs[::-1])
         return need, plan[::-1]
@@ -379,8 +358,8 @@ class CtrModel:
             mask = mask.astype(bool)
         if not mask[:, 0].all():
             raise ValueError("target sample (row 0) must never be masked")
-        b, s, t, _ = x.shape
-        read, plan = self._plan((s, t), need)
+        b, grid = x.shape[0], x.shape[1:3]
+        read, plan = self._plan(grid, need)
         x = T.prefix_slice(x, (b, *read))
         for blk, outs in zip(self.blocks, plan):
             for (ln, names), out in zip(BLOCK_KINDS[blk.kind], outs):
@@ -388,11 +367,11 @@ class CtrModel:
                 q = T.prefix_slice(z, (b, *out))
                 ups = []
                 for name in names:
-                    mixer = MIXERS[name]
+                    axes = MIXES[name]
                     if counter is not None:
-                        counter.entries += mixer.entries(s, t)
-                    kv = T.prefix_slice(z, (b, *mixer.keys(out, (s, t))))
-                    ups.append(getattr(self, mixer.method)(q, kv, blk.layers[name], mask))
+                        counter.entries += math.prod(grid) * math.prod(grid[a - 1] for a in axes)
+                    kv = T.prefix_slice(z, (b, *_kv_prefix(axes, out, grid)))
+                    ups.append(self._attend(q, kv, blk.layers[name], mask, axes))
                 up = ups[0] if len(ups) == 1 else T.concat_lastdim(ups)
                 x = T.add(up, T.prefix_slice(x, (b, *out)))
             x = T.add(blk.layers["mlp"](blk.layers["ln_mlp"](x)), x)

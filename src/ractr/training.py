@@ -19,7 +19,7 @@ from . import tensor as T
 from .binio import atomic_open
 from .data import Dataset
 from .errors import DataError, UsageError
-from .model import CtrModel, build_input_batch
+from .model import CtrModel, _layer_kinds, build_input_batch
 from .retrieval import RetrievalIndex, check_train_index, retrieve_batch
 
 ABLATION_ORDER = ("jm", "ce", "pa", "cascade")
@@ -62,7 +62,13 @@ class TrainConfig:
             if key in d and (type(d[key]) is not int or d[key] < least):
                 raise UsageError(f"train config {key!r} must be an integer >= {least}, "
                                  f"got {d[key]!r}")
-        return cls(**d)
+        cfg = cls(**d)
+        try:
+            _layer_kinds(cfg.variant, cfg.activation, cfg.embed_dim, cfg.num_heads,
+                         cfg.mlp_ratio, cfg.intra_only)
+        except ValueError as e:
+            raise UsageError(f"train config: {e}") from None
+        return cfg
 
 
 @dataclass
@@ -151,17 +157,21 @@ def precompute_neighbors(ds: Dataset, index: RetrievalIndex, k: int
     return neigh, mask
 
 
+def _inputs(model: CtrModel, ds: Dataset, rows: np.ndarray, neigh: np.ndarray,
+            neigh_mask: np.ndarray) -> tuple[T.Tensor, np.ndarray]:
+    """Model inputs for `rows`, whose neighbors index the train slice."""
+    return build_input_batch(model.emb, ds.field_ids[rows], neigh[rows], neigh_mask[rows],
+                             ds.field_ids[:ds.train_end], ds.labels[:ds.train_end])
+
+
 def predict_rows(model: CtrModel, ds: Dataset, rows: np.ndarray,
                  neigh: np.ndarray, neigh_mask: np.ndarray,
                  batch_size: int = 512) -> np.ndarray:
     """Forward the model over rows in chunks; returns probabilities."""
-    pool_ids = ds.field_ids[:ds.train_end]
-    pool_labels = ds.labels[:ds.train_end]
     out = np.empty(len(rows), dtype=np.float64)
     for lo in range(0, len(rows), batch_size):
         chunk = rows[lo:lo + batch_size]
-        x, mask = build_input_batch(model.emb, ds.field_ids[chunk], neigh[chunk],
-                                    neigh_mask[chunk], pool_ids, pool_labels)
+        x, mask = _inputs(model, ds, chunk, neigh, neigh_mask)
         out[lo:lo + len(chunk)] = model.predict(x, mask).data
     return out
 
@@ -203,8 +213,6 @@ def train(ds: Dataset, index: RetrievalIndex, cfg: TrainConfig,
                beta2=cfg.adam_beta2, eps=cfg.adam_eps)
     shuffle_rng = np.random.default_rng(cfg.seed + 1)
 
-    pool_ids = ds.field_ids[:ds.train_end]
-    pool_labels = ds.labels[:ds.train_end]
     train_rows = np.arange(ds.train_end)
 
     best_auc = -np.inf
@@ -221,8 +229,7 @@ def train(ds: Dataset, index: RetrievalIndex, cfg: TrainConfig,
         loss_sum = 0.0
         for lo in range(0, len(perm), cfg.batch_size):
             chunk = perm[lo:lo + cfg.batch_size]
-            x, mask = build_input_batch(model.emb, ds.field_ids[chunk], neigh[chunk],
-                                        neigh_mask[chunk], pool_ids, pool_labels)
+            x, mask = _inputs(model, ds, chunk, neigh, neigh_mask)
             p = model.predict(x, mask)
             pc = T.clamp(p, cfg.logloss_clip_eps, 1.0 - cfg.logloss_clip_eps)
             y = np.asarray(ds.labels[chunk], dtype=np.float64)
@@ -342,11 +349,7 @@ def time_forward_per_example(model: CtrModel, ds: Dataset,
                              neighbors: tuple[np.ndarray, np.ndarray],
                              rows: np.ndarray, repeats: int = 5) -> float:
     """Median per-example forward wall time in microseconds over a fixed batch."""
-    neigh, neigh_mask = neighbors
-    pool_ids = ds.field_ids[:ds.train_end]
-    pool_labels = ds.labels[:ds.train_end]
-    x, mask = build_input_batch(model.emb, ds.field_ids[rows], neigh[rows],
-                                neigh_mask[rows], pool_ids, pool_labels)
+    x, mask = _inputs(model, ds, rows, *neighbors)
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()

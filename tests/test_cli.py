@@ -145,6 +145,11 @@ def test_retrieve_error_reporting(ws, tmp_path, capsys):
     assert main(base + [unknown]) == 2
     assert "query field 'color' not in dataset schema" in capsys.readouterr().err
 
+    for fields in (["key"], "key", None, 3):
+        not_object = queries_file(tmp_path / "no.jsonl", [json.dumps({"fields": fields})])
+        assert main(base + [not_object]) == 2
+        assert "queries line 1: 'fields' must be a JSON object" in capsys.readouterr().err
+
     assert main(["retrieve", "--queries", bad_json]) == 1
     assert "no index" in capsys.readouterr().err
 
@@ -396,6 +401,20 @@ def test_usage_errors_exit_1(ws, tmp_path, capsys):
     assert main(["train", "--config", no_out]) == 1
     assert "no output directory" in capsys.readouterr().err
 
+    idx = str(tmp_path / "i.rati")
+    assert main(["build-index", "--config", ws["cfg_path"], "--out", idx]) == 0
+    query = queries_file(tmp_path / "q.jsonl", [json.dumps({"fields": {"key": "g1"}})])
+    retrieve = ["retrieve", "--config", ws["cfg_path"], "--index", idx, "--queries", query]
+    for k in ("0", "-3"):
+        assert main(retrieve + ["--k", k]) == 1
+        assert f"k must be an integer >= 1, got {k}" in capsys.readouterr().err
+    for k in (2.5, "5", True, None):
+        cfg_k = str(tmp_path / "cfg_k.json")
+        with open(cfg_k, "w") as f:
+            json.dump(dict(ws["cfg"], train={"k": k}), f)
+        assert main(["retrieve", "--config", cfg_k, "--index", idx, "--queries", query]) == 1
+        assert f"k must be an integer >= 1, got {k!r}" in capsys.readouterr().err
+
 
 def test_data_errors_exit_2(ws, tmp_path, capsys):
     missing_csv = str(tmp_path / "gone.csv")
@@ -443,14 +462,31 @@ def test_failed_artifact_write_leaves_old_file(ws, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_internal_errors_exit_3(ws, tmp_path, capsys):
+@pytest.mark.parametrize("train,message", [
+    ({"embed_dim": 7, "num_heads": 2}, "embed_dim 7 not divisible by 2 heads"),
+    ({"variant": "pa", "embed_dim": 6, "num_heads": 2}, "pa needs embed_dim/2 divisible"),
+    ({"variant": "mlp"}, "unknown variant 'mlp'"),
+    ({"activation": "tanh"}, "unknown activation 'tanh'"),
+], ids=("indivisible", "pa_indivisible", "variant", "activation"))
+def test_bad_model_settings_exit_1(ws, tmp_path, capsys, train, message):
     cfg = {"data": ws["cfg"]["data"], "out_dir": str(tmp_path / "o"),
-           "train": {"embed_dim": 7, "num_heads": 2, "max_epochs": 1}}
+           "train": dict(train, max_epochs=1)}
     cfg_path = str(tmp_path / "cfg.json")
     with open(cfg_path, "w") as f:
         json.dump(cfg, f)
-    assert main(["train", "--config", cfg_path]) == 3
-    assert "ValueError" in capsys.readouterr().err
+    assert main(["train", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: train config: ") and message in err
+
+
+def test_internal_errors_exit_3(ws, tmp_path, capsys, monkeypatch):
+    def fault(*args, **kwargs):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr("ractr.cli.train", fault)
+    assert main(["train", "--config", ws["fast_path"], "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: injected fault" in err
 
 
 def test_help_everywhere(capsys):

@@ -10,6 +10,7 @@ from ractr import tensor as T
 from ractr.errors import DataError
 from ractr.model import (
     LABEL_UNKNOWN,
+    MIXES,
     AttentionEntryCounter,
     CtrModel,
     build_input_batch,
@@ -165,17 +166,27 @@ def test_intra_attention_is_sample_equivariant():
     np.testing.assert_allclose(hp, h[:, perm], atol=1e-12, rtol=0)
 
 
-def test_cross_attention_is_field_equivariant():
-    # fields are batch entries for CSA: reordering fields reorders its output
-    m = tiny_model("cascade")
+@pytest.mark.parametrize("name", tuple(MIXES))
+def test_attention_respects_its_axes(name):
+    """Each attention run alone along its MIXES axes. An axis it does not mix
+    is batch, so reordering it reorders the output: ISA is sample-equivariant,
+    CSA field-equivariant. Where samples mix (CSA, joint), padded samples'
+    queries get exactly zero update."""
+    m = tiny_model("jm" if name == "attn" else "cascade")
     rng = np.random.default_rng(7)
-    x, mask, _ = random_batch(m, rng, b=2, k=3)
-    blk = m.blocks[0]
-    out = m._csa(x, x, blk.layers["csa"], mask).data
-    perm = rng.permutation(4)
-    xp = T.Tensor(x.data[:, :, perm])
-    outp = m._csa(xp, xp, blk.layers["csa"], mask).data
-    np.testing.assert_allclose(outp, out[:, :, perm], atol=1e-12, rtol=0)
+    x, mask, _ = random_batch(m, rng, b=3, k=3, n_pad=2)
+    att, axes = m.blocks[0].layers[name], MIXES[name]
+    out = m._attend(x, x, att, mask, axes).data
+    for axis in {1, 2} - set(axes):
+        perm = rng.permutation(x.shape[axis])
+        xp = T.Tensor(np.take(x.data, perm, axis=axis))
+        mp = mask[:, perm] if axis == 1 else mask
+        outp = m._attend(xp, xp, att, mp, axes).data
+        np.testing.assert_allclose(outp, np.take(out, perm, axis=axis), atol=1e-12, rtol=0)
+    if 1 in axes:
+        assert not mask.all()
+        assert (out[~mask] == 0.0).all()
+        assert (out[mask] != 0.0).all()
 
 
 # ---------------------------------------------------------------- pruning

@@ -333,7 +333,7 @@ def test_diamond_graph_accumulates_through_shared_node():
 
 def test_python_scalars_promote():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
-    out = 1.0 + x * 2.0 - 0.5
+    out = T.sub(T.add(1.0, T.mul(2.0, x)), 0.5)
     assert np.array_equal(out.data, [2.5, 4.5])
     T.tsum(out).backward()
     assert np.array_equal(x.grad, [2.0, 2.0])
