@@ -3,15 +3,21 @@
 Every op builds a graph node holding its parents and a closure that maps the
 output gradient to parent gradients. backward() walks the graph once in
 reverse topological order and accumulates gradients into leaf .grad arrays.
+Inside `with no_grad():` ops build no node: their outputs are plain tensors,
+so a forward frees each intermediate as soon as it drops it.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 from scipy.special import erf
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+_grad_enabled = True
 
 
 class Tensor:
@@ -103,8 +109,20 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
+@contextmanager
+def no_grad():
+    """Ops inside build no graph; the previous state returns on exit. The
+    switch is process-wide, not per thread."""
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
+
+
 def _node(data, parents, backward_fn) -> Tensor:
-    req = any(p.requires_grad for p in parents)
+    req = _grad_enabled and any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=req, _parents=tuple(parents) if req else (),
                   _backward_fn=backward_fn if req else None)
 

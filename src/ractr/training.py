@@ -3,12 +3,15 @@
 Leakage protocol: while training, each target retrieves only from records
 strictly earlier than itself inside the train slice; validation and test
 queries retrieve from the whole train slice. Neighbors are precomputed once
-per record and reused across epochs.
+per record and reused across epochs; evaluate without a precomputed table
+retrieves for its split's rows only. Scoring, evaluation and forward timing
+run under T.no_grad and build no autodiff graph.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -24,9 +27,17 @@ from .retrieval import RetrievalIndex, check_train_index, retrieve_batch
 
 ABLATION_ORDER = ("jm", "ce", "pa", "cascade")
 ABLATION_HEADER = ("variant", "auc", "logloss", "params", "runtime_us")
-# TrainConfig size -> its least valid value
-_SIZE_FLOORS = {"k": 0, "num_blocks": 0, "embed_dim": 1, "num_heads": 1, "mlp_ratio": 1,
-                "batch_size": 1, "max_epochs": 1}
+# TrainConfig integer -> its least valid value
+_INT_FLOORS = {"k": 0, "num_blocks": 0, "embed_dim": 1, "num_heads": 1, "mlp_ratio": 1,
+               "batch_size": 1, "max_epochs": 1, "seed": 0, "early_stop_patience": 0}
+# TrainConfig float -> (its valid range as text, the test of a finite value)
+_FLOAT_RANGES = {
+    "learning_rate": (">= 0", lambda v: v >= 0),
+    "adam_beta1": ("in [0, 1)", lambda v: 0 <= v < 1),
+    "adam_beta2": ("in [0, 1)", lambda v: 0 <= v < 1),
+    "adam_eps": ("> 0", lambda v: v > 0),
+    "logloss_clip_eps": ("in (0, 0.5)", lambda v: 0 < v < 0.5),
+}
 
 
 @dataclass
@@ -58,10 +69,19 @@ class TrainConfig:
         unknown = set(d) - known
         if unknown:
             raise UsageError(f"unknown train config keys: {sorted(unknown)}")
-        for key, least in _SIZE_FLOORS.items():
+        for key, least in _INT_FLOORS.items():
             if key in d and (type(d[key]) is not int or d[key] < least):
                 raise UsageError(f"train config {key!r} must be an integer >= {least}, "
                                  f"got {d[key]!r}")
+        for key, (text, ok) in _FLOAT_RANGES.items():
+            v = d.get(key)
+            if key in d and (isinstance(v, bool) or not isinstance(v, (int, float))
+                             or not math.isfinite(v) or not ok(v)):
+                raise UsageError(f"train config {key!r} must be a finite number {text}, "
+                                 f"got {v!r}")
+        if type(d.get("intra_only", False)) is not bool:
+            raise UsageError(f"train config 'intra_only' must be true or false, "
+                             f"got {d['intra_only']!r}")
         cfg = cls(**d)
         try:
             _layer_kinds(cfg.variant, cfg.activation, cfg.embed_dim, cfg.num_heads,
@@ -141,19 +161,25 @@ class Adam:
             p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-def precompute_neighbors(ds: Dataset, index: RetrievalIndex, k: int
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Neighbor table for every record: strictly-earlier eligibility inside the
-    train slice, whole-train-pool for validation and test rows."""
-    n = len(ds)
+def precompute_neighbors(ds: Dataset, index: RetrievalIndex, k: int,
+                         rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbor table for `rows` (every record when None), row i for rows[i]:
+    strictly-earlier eligibility inside the train slice, whole-train-pool for
+    validation and test rows."""
+    rows = np.arange(len(ds)) if rows is None else np.asarray(rows, dtype=np.int64)
+    neigh = np.zeros((len(rows), k), dtype=np.int64)
+    mask = np.zeros((len(rows), k), dtype=bool)
     if k == 0:
-        return np.zeros((n, 0), dtype=np.int64), np.zeros((n, 0), dtype=bool)
-    tr = np.arange(ds.train_end)
-    results = retrieve_batch(index, ds.field_ids[tr], k, "earlier",
-                             query_ts=ds.timestamps[tr], query_index=tr)
-    results += retrieve_batch(index, ds.field_ids[ds.train_end:], k, "all")
-    neigh = np.array([r.neighbor_indices for r in results], dtype=np.int64).reshape(n, k)
-    mask = np.array([r.mask for r in results], dtype=bool).reshape(n, k)
+        return neigh, mask
+    in_train = rows < ds.train_end
+    for sel, eligibility in ((in_train, "earlier"), (~in_train, "all")):
+        q = rows[sel]
+        if len(q) == 0:
+            continue
+        results = retrieve_batch(index, ds.field_ids[q], k, eligibility,
+                                 query_ts=ds.timestamps[q], query_index=q)
+        neigh[sel] = [r.neighbor_indices for r in results]
+        mask[sel] = [r.mask for r in results]
     return neigh, mask
 
 
@@ -167,12 +193,14 @@ def _inputs(model: CtrModel, ds: Dataset, rows: np.ndarray, neigh: np.ndarray,
 def predict_rows(model: CtrModel, ds: Dataset, rows: np.ndarray,
                  neigh: np.ndarray, neigh_mask: np.ndarray,
                  batch_size: int = 512) -> np.ndarray:
-    """Forward the model over rows in chunks; returns probabilities."""
+    """Forward the model over rows in chunks, building no autodiff graph;
+    returns probabilities."""
     out = np.empty(len(rows), dtype=np.float64)
-    for lo in range(0, len(rows), batch_size):
-        chunk = rows[lo:lo + batch_size]
-        x, mask = _inputs(model, ds, chunk, neigh, neigh_mask)
-        out[lo:lo + len(chunk)] = model.predict(x, mask).data
+    with T.no_grad():
+        for lo in range(0, len(rows), batch_size):
+            chunk = rows[lo:lo + batch_size]
+            x, mask = _inputs(model, ds, chunk, neigh, neigh_mask)
+            out[lo:lo + len(chunk)] = model.predict(x, mask).data
     return out
 
 
@@ -310,10 +338,13 @@ def evaluate(model: CtrModel, ds: Dataset, index: RetrievalIndex, cfg: TrainConf
     if y.min() == y.max():
         raise DataError(f"{split} slice has a single class; AUC undefined")
 
-    k = 0 if cfg.intra_only else cfg.k
-    if neighbors is None:
-        neighbors = precompute_neighbors(ds, index, k)
-    neigh, neigh_mask = neighbors
+    if neighbors is None:  # retrieve for this split's rows only
+        k = 0 if cfg.intra_only else cfg.k
+        neigh = np.zeros((len(ds), k), dtype=np.int64)
+        neigh_mask = np.zeros((len(ds), k), dtype=bool)
+        neigh[rows], neigh_mask[rows] = precompute_neighbors(ds, index, k, rows)
+    else:
+        neigh, neigh_mask = neighbors
     p = predict_rows(model, ds, rows, neigh, neigh_mask)
 
     seg_out = None
@@ -348,13 +379,15 @@ def evaluate(model: CtrModel, ds: Dataset, index: RetrievalIndex, cfg: TrainConf
 def time_forward_per_example(model: CtrModel, ds: Dataset,
                              neighbors: tuple[np.ndarray, np.ndarray],
                              rows: np.ndarray, repeats: int = 5) -> float:
-    """Median per-example forward wall time in microseconds over a fixed batch."""
-    x, mask = _inputs(model, ds, rows, *neighbors)
+    """Median per-example graph-free forward wall time in microseconds over a
+    fixed batch."""
     times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        model.predict(x, mask)
-        times.append(time.perf_counter() - t0)
+    with T.no_grad():
+        x, mask = _inputs(model, ds, rows, *neighbors)
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            model.predict(x, mask)
+            times.append(time.perf_counter() - t0)
     return float(np.median(times) / len(rows) * 1e6)
 
 

@@ -3,6 +3,7 @@ ablate, plus retrieve conventions, exit codes, and idempotence."""
 
 import io
 import json
+import math
 import os
 import sys
 
@@ -429,15 +430,23 @@ def test_data_errors_exit_2(ws, tmp_path, capsys):
     assert missing_csv in err
 
 
-@pytest.mark.parametrize("key,value", [("embed_dim", 0), ("mlp_ratio", 0), ("k", -1)])
-def test_bad_sizes_exit_1(ws, tmp_path, capsys, key, value):
+@pytest.mark.parametrize("key,value,must", [
+    ("embed_dim", 0, None), ("mlp_ratio", 0, None), ("k", -1, None),
+    ("intra_only", "no", "true or false"), ("learning_rate", "0.01", "a finite number >= 0"),
+    ("seed", "x", None), ("seed", -1, None), ("early_stop_patience", "2", None),
+    ("adam_beta1", 2, "a finite number in [0, 1)"),
+    ("learning_rate", math.nan, "a finite number >= 0"),
+], ids=("embed_dim-0", "mlp_ratio-0", "k--1", "intra_only-no", "learning_rate-str",
+        "seed-x", "seed--1", "early_stop_patience-str", "adam_beta1-2", "learning_rate-nan"))
+def test_bad_sizes_exit_1(ws, tmp_path, capsys, key, value, must):
     cfg = {"data": ws["cfg"]["data"], "out_dir": str(tmp_path / "o"),
            "train": {key: value, "max_epochs": 1}}
     cfg_path = str(tmp_path / "cfg.json")
     with open(cfg_path, "w") as f:
         json.dump(cfg, f)
     assert main(["train", "--config", cfg_path]) == 1
-    assert f"'{key}' must be an integer >= " in capsys.readouterr().err
+    assert f"'{key}' must be {must or 'an integer >= '}" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
 
 
 def test_failed_artifact_write_leaves_old_file(ws, tmp_path, capsys):

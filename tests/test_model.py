@@ -227,6 +227,31 @@ def test_pruned_predict_matches_full_grid(variant, num_blocks, intra_only):
         assert np.abs(got[name] - g).max() <= 1e-10 * scale, name
 
 
+@pytest.mark.parametrize("intra_only", (False, True), ids=("full", "intra_only"))
+@pytest.mark.parametrize("num_blocks", (1, 2))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_no_grad_forward_is_bitwise_and_graph_free(variant, num_blocks, intra_only):
+    """Under T.no_grad the same numpy ops run in the same order, so inputs,
+    predict and forward_hidden are byte-equal to the graph-building forward,
+    and no output holds a parent or a backward function."""
+    m = CtrModel(field_num_ids=[5, 7, 4], embed_dim=8, num_blocks=num_blocks,
+                 num_heads=2, mlp_ratio=2, variant=variant, intra_only=intra_only,
+                 seed=3)
+    rng = np.random.default_rng(37)
+    for p in m.parameters():
+        p.data = p.data + rng.normal(0, 0.3, size=p.data.shape)
+    x, mask, raw = random_batch(m, rng, b=4, k=4, n_pad=3)
+    graph = (x, m.predict(x, mask), m.forward_hidden(x, mask))
+    with T.no_grad():
+        x_free, _ = build_input_batch(m.emb, *raw)
+        free = (x_free, m.predict(x_free, mask), m.forward_hidden(x_free, mask))
+    assert np.ptp(graph[1].data) > 1e-3  # the predictions are not trivially equal
+    for g, f in zip(graph, free):
+        assert g._parents and g._backward_fn is not None
+        assert f.data.tobytes() == g.data.tobytes()
+        assert not f.requires_grad and f._parents == () and f._backward_fn is None
+
+
 # ---------------------------------------------------------------- structure
 
 def test_zeroed_output_projections_make_blocks_identity():

@@ -337,3 +337,21 @@ def test_python_scalars_promote():
     assert np.array_equal(out.data, [2.5, 4.5])
     T.tsum(out).backward()
     assert np.array_equal(x.grad, [2.0, 2.0])
+
+
+def test_no_grad_builds_no_node_and_restores_state():
+    x = T.Tensor([1.0, 2.0], requires_grad=True)
+    with T.no_grad():
+        with T.no_grad():
+            inner = T.mul(x, 2.0)
+        outer = T.mul(x, 2.0)  # leaving the inner block keeps the outer one off
+    for out in (inner, outer):
+        assert not out.requires_grad and out._parents == () and out._backward_fn is None
+        assert np.array_equal(out.data, [2.0, 4.0])
+    with pytest.raises(RuntimeError, match="inside"):
+        with T.no_grad():
+            raise RuntimeError("inside")
+    after = T.mul(x, 2.0)
+    assert after.requires_grad and after._parents and after._backward_fn is not None
+    T.tsum(after).backward()
+    assert np.array_equal(x.grad, [2.0, 2.0])

@@ -1,14 +1,17 @@
 """Metrics, the optimizer, the train loop, evaluation segments, ablation."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ractr import tensor as T
+from ractr import training
 from ractr.data import Dataset, FieldSchema
 from ractr.errors import DataError, UsageError
-from ractr.model import CtrModel
+from ractr.model import CtrModel, build_input_batch
 from ractr.retrieval import build_index, index_from_dataset
 from ractr.synthetic import majority_task
 from ractr.training import (
@@ -149,14 +152,33 @@ def test_train_config_rejects_unknown_keys():
 
 # ---------------------------------------------------------------- neighbors
 
+# what each non-integer setting must be, as its error message says
+MUST_BE = {"intra_only": "true or false", "learning_rate": "a finite number >= 0",
+           "adam_beta1": "a finite number in [0, 1)", "adam_beta2": "a finite number in [0, 1)",
+           "adam_eps": "a finite number > 0", "logloss_clip_eps": "a finite number in (0, 0.5)"}
+
+
 @pytest.mark.parametrize("key,value", [
     ("embed_dim", 0), ("num_heads", 0), ("mlp_ratio", 0), ("batch_size", 0),
     ("max_epochs", 0), ("k", -1), ("num_blocks", -1), ("embed_dim", 8.0),
     ("batch_size", True), ("k", "5"),
+    ("seed", "x"), ("seed", -1), ("seed", 1.0), ("early_stop_patience", "2"),
+    ("early_stop_patience", -1), ("intra_only", "no"), ("intra_only", 1),
+    ("learning_rate", "0.01"), ("learning_rate", math.nan), ("learning_rate", -1e-3),
+    ("learning_rate", True), ("adam_beta1", 2), ("adam_beta1", 1.0), ("adam_beta2", -0.1),
+    ("adam_beta2", math.inf), ("adam_eps", 0.0), ("adam_eps", None),
+    ("logloss_clip_eps", 0.5), ("logloss_clip_eps", 0),
 ])
 def test_train_config_rejects_bad_sizes(key, value):
-    with pytest.raises(UsageError, match=f"'{key}' must be an integer >= "):
+    must = re.escape(MUST_BE.get(key, "an integer >= "))
+    with pytest.raises(UsageError, match=f"'{key}' must be {must}"):
         TrainConfig.from_dict({key: value})
+
+
+def test_train_config_accepts_the_edges():
+    edges = {"seed": 0, "early_stop_patience": 0, "learning_rate": 0, "adam_beta1": 0,
+             "adam_beta2": 0.0, "adam_eps": 1e-300, "logloss_clip_eps": 0.4999, "intra_only": True}
+    assert TrainConfig.from_dict(edges).to_dict() == {**TrainConfig().to_dict(), **edges}
 
 
 def test_precomputed_neighbors_respect_time():
@@ -171,6 +193,18 @@ def test_precomputed_neighbors_respect_time():
     held = np.arange(ds.train_end, len(ds))
     assert neigh[held][mask[held]].max() < ds.train_end
     assert (neigh[~mask] == -1).all()
+
+
+def test_precompute_covers_the_rows_asked_for():
+    """Each row keeps its split's eligibility, whatever rows come with it."""
+    ds = tiny_task()
+    index = index_from_dataset(ds)
+    full = precompute_neighbors(ds, index, k=5)
+    rows = np.array([len(ds) - 1, 0, ds.train_end - 1, ds.train_end, 3])
+    neigh, mask = precompute_neighbors(ds, index, 5, rows)
+    assert np.array_equal(neigh, full[0][rows]) and np.array_equal(mask, full[1][rows])
+    neigh, mask = precompute_neighbors(ds, index, 5, rows[:0])
+    assert neigh.shape == mask.shape == (0, 5)
 
 
 def test_precompute_k_zero():
@@ -266,6 +300,58 @@ def test_predict_rows_chunking_invariant():
     assert np.array_equal(a, b)
 
 
+def test_predict_rows_holds_no_graph():
+    """Scoring builds no autodiff graph, so a chunk's intermediates are freed
+    as the forward goes: predict_rows peaks at under half the memory of a
+    graph-building predict on the same cascade batch of 128."""
+    ds = majority_task(n_history_groups=60, n_eval_groups=40, seed=3)
+    index = index_from_dataset(ds)
+    neigh, mask = precompute_neighbors(ds, index, k=5)
+    model = CtrModel([fs.num_ids for fs in ds.schema], variant="cascade", seed=0)
+    rows = np.arange(128)
+    assert ds.train_end >= 128
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            out = run()
+            return tracemalloc.get_traced_memory()[1], out
+        finally:
+            tracemalloc.stop()
+
+    def graph():
+        x, m = build_input_batch(model.emb, ds.field_ids[rows], neigh[rows], mask[rows],
+                                 ds.field_ids[:ds.train_end], ds.labels[:ds.train_end])
+        return model.predict(x, m)
+
+    graph_peak, p = peak(graph)
+    free_peak, q = peak(lambda: predict_rows(model, ds, rows, neigh, mask, batch_size=128))
+    assert p._backward_fn is not None and np.array_equal(p.data, q)
+    assert free_peak < 0.5 * graph_peak, (free_peak, graph_peak)
+
+
+def test_training_step_after_no_grad_fills_every_grad():
+    ds = tiny_task()
+    neigh, mask = precompute_neighbors(ds, index_from_dataset(ds), k=5)
+    model = CtrModel([fs.num_ids for fs in ds.schema], embed_dim=8, num_blocks=2,
+                     num_heads=2, seed=0)
+    rows = np.arange(16)
+
+    def grads():
+        x, m = training._inputs(model, ds, rows, neigh, mask)
+        T.tmean(model.predict(x, m)).backward()
+        out = [p.grad for p in model.parameters()]
+        T.zero_grads(model.parameters())
+        return out
+
+    before = grads()
+    predict_rows(model, ds, ds.slice_indices("valid"), neigh, mask)
+    after = grads()
+    assert all(g is not None for g in after)
+    for a, b in zip(before, after):
+        assert np.array_equal(a, b)
+
+
 # ---------------------------------------------------------------- evaluation
 
 def segment_dataset():
@@ -308,6 +394,28 @@ def test_evaluate_reports_segments():
     assert full["n"] == 2 and full["auc"] == 0.5
     d = rep.to_dict()
     assert set(d) == {"auc", "logloss", "n", "segments"}
+
+
+def test_evaluate_retrieves_only_its_split(monkeypatch):
+    """Without a neighbor table, evaluate retrieves for its split's rows alone,
+    with that split's eligibility, and reports what the full table gives."""
+    ds = tiny_task()
+    index = index_from_dataset(ds)
+    cfg = tiny_cfg(max_epochs=1)
+    res = train(ds, index, cfg)
+    queried = []
+    real = training.retrieve_batch
+
+    def counting(index, query_ids, k, eligibility, **kw):
+        queried.append((eligibility, list(kw["query_index"])))
+        return real(index, query_ids, k, eligibility, **kw)
+
+    monkeypatch.setattr(training, "retrieve_batch", counting)
+    for split, eligibility in (("test", "all"), ("valid", "all"), ("train", "earlier")):
+        queried.clear()
+        got = evaluate(res.model, ds, index, cfg, split=split)
+        assert queried == [(eligibility, list(ds.slice_indices(split)))]
+        assert got == evaluate(res.model, ds, index, cfg, split=split, neighbors=res.neighbors)
 
 
 def test_evaluate_segment_validation():
