@@ -48,11 +48,17 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
+            cfg = json.load(f)
     except OSError as e:
         raise UsageError(f"cannot read config {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise UsageError(f"config {path} is not valid JSON: {e}") from None
+    if not isinstance(cfg, dict):
+        raise UsageError(f"config {path} must be a JSON object")
+    for section in ("data", "train"):
+        if not isinstance(cfg.get(section, {}), dict):
+            raise UsageError(f"config {path}: '{section}' must be a JSON object")
+    return cfg
 
 
 def _load_any_dataset(cfg: dict, dataset_flag: str | None = None) -> Dataset:
@@ -125,8 +131,12 @@ def _encode_query(ds: Dataset, fields: dict) -> np.ndarray:
     for name, value in fields.items():
         if name not in by_name:
             raise DataError(f"query field {name!r} not in dataset schema")
+        if isinstance(value, (list, dict)):
+            raise DataError(f"query field {name!r}: expected a string, number or null, "
+                            f"got {json.dumps(value)}")
+        # null is a missing cell: id 0, which matches nothing
         f = by_name[name]
-        ids[f] = ds.schema[f].id_for(str(value))
+        ids[f] = ds.schema[f].id_for(None if value is None else str(value))
     return ids
 
 
@@ -167,10 +177,8 @@ def cmd_retrieve(args) -> int:
             ids = _encode_query(ds, q["fields"])
             # ad-hoc queries score against the whole pool
             res = retrieve(index, ids, k, eligibility="all")
-            neighbors = [int(index.record_indices[p]) if p >= 0 else -1
-                         for p in res.neighbor_indices]
             rec = {
-                "neighbors": neighbors,
+                "neighbors": res.neighbor_indices.tolist(),
                 "scores": [float(s) for s in res.scores[:res.n_real]],
                 "mask": [bool(m) for m in res.mask],
             }

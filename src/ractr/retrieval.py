@@ -6,17 +6,18 @@ pool frequency of the query's (field, value). Rare matches score high,
 values in more than half the pool score negative, and negative scores are
 kept: top-k is by score with recency tie-breaks, never by threshold.
 
-The index keeps its pool in rank space: sorted by (timestamp, record index,
--position). Higher rank means more recent, so the tie order (score desc,
-timestamp desc, record index desc, position asc) is (score desc, rank desc),
-and the records strictly earlier than a query form a rank prefix found by
-binary search. Queries are scored exactly and densely, a small block at a
-time, over the longest eligible prefix in the block: for each field in
-ascending order, S += (pool column == query id) * match weight. That adds the
-same weights in the same order as the per-pair sum, so scores are bitwise
-equal to it. The cost is O(queries x eligible pool x F). Top-k is one
-partition per block for the k-th score, then one lexsort of the candidates
-at or above it.
+The pool is a chronological log: its timestamps never decrease, and a
+record's index is its position. So a later position means a more recent
+record, the tie order (score desc, timestamp desc, record index desc) is
+(score desc, position desc), and the records strictly earlier than a query
+form a prefix of the pool: every record of an earlier timestamp, then those
+of the query's own timestamp below the query's index. Queries are scored
+exactly and densely, a small block at a time, over the longest eligible
+prefix in the block: for each field in ascending order, S += (pool column ==
+query id) * match weight. That adds the same weights in the same order as
+the per-pair sum, so scores are bitwise equal to it. The cost is O(queries x
+eligible pool x F). Top-k is one partition per block for the k-th score,
+then one lexsort of the candidates at or above it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from . import binio
 from .errors import DataError
 
 INDEX_MAGIC = b"RATI"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 
 ELIGIBILITY = ("earlier", "all")
 
@@ -44,8 +45,9 @@ QUERY_BLOCK = 8
 class RetrievalResult:
     """Top-k neighbors for one query, padded to exactly k slots.
 
-    neighbor_indices holds pool positions, -1 on padded slots; scores are 0.0
-    on padded slots; mask marks real neighbors, which always precede padding.
+    neighbor_indices holds record indices (pool positions), -1 on padded
+    slots; scores are 0.0 on padded slots; mask marks real neighbors, which
+    always precede padding.
     """
     neighbor_indices: np.ndarray
     scores: np.ndarray
@@ -57,23 +59,18 @@ class RetrievalResult:
 
 
 class RetrievalIndex:
-    """A fixed pool of encoded records, kept once in rank space, with per-field
-    term and weight tables derived from its ids."""
+    """A fixed pool of encoded records in time order, record index = position,
+    with per-field term and weight tables derived from its ids."""
 
-    def __init__(self, pool_field_ids: np.ndarray, timestamps: np.ndarray,
-                 record_indices: np.ndarray):
+    def __init__(self, pool_field_ids: np.ndarray, timestamps: np.ndarray):
         self.pool_size, self.num_fields = pool_field_ids.shape
         self.pool_field_ids = pool_field_ids
         self.timestamps = timestamps
-        self.record_indices = record_indices
         n = self.pool_size
-        # rank -> pool position, ascending (timestamp, record index, -position)
-        self._rank_pos = np.lexsort((-np.arange(n), record_indices, timestamps))
-        self._rank_ts = timestamps[self._rank_pos]
-        self._rank_ridx = record_indices[self._rank_pos]
-        self._rank_cols = np.ascontiguousarray(pool_field_ids[self._rank_pos].T)
+        self.record_indices = np.arange(n)       # row p is record p
+        self._cols = np.ascontiguousarray(pool_field_ids.T)
         # flat term tables, field-major then value-ascending; id 0 is never a term
-        per_field = [np.unique(col[col != 0], return_counts=True) for col in self._rank_cols]
+        per_field = [np.unique(col[col != 0], return_counts=True) for col in self._cols]
         self._term_field = np.repeat(np.arange(self.num_fields), [v.size for v, _ in per_field])
         self._term_value = np.concatenate([np.empty(0, np.int64)] + [v for v, _ in per_field])
         df = np.concatenate([np.empty(0, np.int64)] + [d for _, d in per_field])
@@ -106,32 +103,17 @@ class RetrievalIndex:
         hit = (self._term_key[term] == key) & (self._vocab[slot] == query_ids)
         return np.where(hit, self._term_weight[term], 0.0)
 
-    def _earlier_prefix(self, query_ts: np.ndarray, query_index: np.ndarray) -> np.ndarray:
-        """Per query, how many pool records are strictly earlier by (timestamp,
-        record index): the length of its eligible rank prefix."""
-        lo = np.searchsorted(self._rank_ts, query_ts, "left")
-        hi = np.searchsorted(self._rank_ts, query_ts, "right")
-        # bisect on record index inside each query's run of equal timestamps
-        while (open_ := lo < hi).any():
-            mid = (lo + hi) // 2
-            below = self._rank_ridx[np.minimum(mid, self.pool_size - 1)] < query_index
-            lo = np.where(open_ & below, mid + 1, lo)
-            hi = np.where(open_ & ~below, mid, hi)
-        return lo
 
-
-def build_index(pool_field_ids: np.ndarray, timestamps: np.ndarray,
-                record_indices: np.ndarray | None = None) -> RetrievalIndex:
-    """Index a pool. id 0 (missing/OOV) is never indexed and never matches."""
+def build_index(pool_field_ids: np.ndarray, timestamps: np.ndarray) -> RetrievalIndex:
+    """Index a pool in time order; record i is row i. id 0 (missing/OOV) is
+    never indexed and never matches."""
     pool_field_ids = np.asarray(pool_field_ids, dtype=np.int64)
     timestamps = np.asarray(timestamps, dtype=np.int64)
     if len(pool_field_ids) == 0:
         raise DataError("cannot build a retrieval index over an empty pool")
-    if record_indices is None:
-        record_indices = np.arange(len(pool_field_ids), dtype=np.int64)
-    else:
-        record_indices = np.asarray(record_indices, dtype=np.int64)
-    return RetrievalIndex(pool_field_ids, timestamps, record_indices)
+    if np.any(timestamps[1:] < timestamps[:-1]):
+        raise DataError("pool timestamps are not sorted")
+    return RetrievalIndex(pool_field_ids, timestamps)
 
 
 def bm25_score(index: RetrievalIndex, query_ids: np.ndarray, cand_ids: np.ndarray) -> float:
@@ -162,15 +144,18 @@ def _eligible_prefix(index: RetrievalIndex, eligibility: str, n_queries: int,
         raise ValueError(f"strictly-earlier eligibility needs one timestamp and one index per "
                          f"query: got {query_ts.shape} and {query_index.shape} for "
                          f"{n_queries} queries")
-    return index._earlier_prefix(query_ts, query_index)
+    # every earlier timestamp, then the query's own timestamp below its index
+    ts = index.timestamps
+    return np.clip(query_index, np.searchsorted(ts, query_ts, "left"),
+                   np.searchsorted(ts, query_ts, "right"))
 
 
 def _top_k(index: RetrievalIndex, query_ids: np.ndarray, k: int, prefix: np.ndarray,
            block: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k ranks (-1 on padding) and scores per query over its rank prefix,
-    by score desc then rank desc."""
+    """Top-k positions (-1 on padding) and scores per query over its eligible
+    prefix, by score desc then position desc."""
     nq = len(query_ids)
-    ranks = np.full((nq, k), -1, dtype=np.int64)
+    positions = np.full((nq, k), -1, dtype=np.int64)
     scores = np.zeros((nq, k))
     n_real = np.minimum(prefix, k)
     weights = index._query_weights(query_ids)
@@ -188,7 +173,7 @@ def _top_k(index: RetrievalIndex, query_ids: np.ndarray, k: int, prefix: np.ndar
         s.fill(0.0)
         # a field no query in the block can match would add only zeros
         for f in np.flatnonzero(w.any(axis=0)):
-            np.equal(index._rank_cols[f, :m], q[:, f, None], out=eq)
+            np.equal(index._cols[f, :m], q[:, f, None], out=eq)
             np.multiply(eq, w[:, f, None], out=t)
             s += t
         for r in np.flatnonzero(p < m):
@@ -205,9 +190,9 @@ def _top_k(index: RetrievalIndex, query_ids: np.ndarray, k: int, prefix: np.ndar
         slot = np.arange(r.size) - np.searchsorted(r, r)
         keep = slot < n_real[rows][r]
         dest = rows[r[keep]], slot[keep]
-        ranks[dest] = c[keep]
+        positions[dest] = c[keep]
         scores[dest] = sc[keep]
-    return ranks, scores
+    return positions, scores
 
 
 def retrieve(index: RetrievalIndex, query_ids: np.ndarray, k: int,
@@ -216,9 +201,8 @@ def retrieve(index: RetrievalIndex, query_ids: np.ndarray, k: int,
     """Top-k pool neighbors for one query: a one-row retrieve_batch.
 
     eligibility "earlier" keeps the records strictly earlier than the query
-    by (timestamp, record index), a prefix of the index's rank space; "all"
-    keeps the whole pool. Ties go to the newer timestamp, then the higher
-    record index, then the lower pool position.
+    by (timestamp, record index), a prefix of the pool; "all" keeps the whole
+    pool. Ties go to the newer timestamp, then the higher record index.
     """
     query_ids = np.asarray(query_ids, dtype=np.int64)
     if query_ids.shape != (index.num_fields,):
@@ -247,9 +231,8 @@ def retrieve_batch(index: RetrievalIndex, query_ids: np.ndarray, k: int,
         raise ValueError(f"query_ids must have shape (queries, {index.num_fields}), "
                          f"got {query_ids.shape}")
     prefix = _eligible_prefix(index, eligibility, len(query_ids), query_ts, query_index)
-    ranks, scores = _top_k(index, query_ids, k, prefix, chunk_size)
-    mask = ranks >= 0
-    neighbors = np.where(mask, index._rank_pos[ranks], -1)
+    neighbors, scores = _top_k(index, query_ids, k, prefix, chunk_size)
+    mask = neighbors >= 0
     return [RetrievalResult(neighbors[i], scores[i], mask[i]) for i in range(len(query_ids))]
 
 
@@ -257,8 +240,8 @@ def brute_force_retrieve(index: RetrievalIndex, query_ids: np.ndarray, k: int,
                          eligibility: str = "all", query_ts: int | None = None,
                          query_index: int | None = None) -> RetrievalResult:
     """Reference oracle: score every eligible candidate pairwise and sort by
-    (score, timestamp, record index) descending, full ties by position.
-    Independent of the rank-space scorer."""
+    (score, timestamp, record index) descending. Independent of the prefix
+    scorer: it assumes nothing of the pool's order."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if eligibility == "all":
@@ -285,7 +268,7 @@ def brute_force_retrieve(index: RetrievalIndex, query_ids: np.ndarray, k: int,
 
 
 def save_index(index: RetrievalIndex, path: str) -> None:
-    """Serialize the pool to the RATI v2 container, little-endian; every table
+    """Serialize the pool to the RATI v3 container, little-endian; every table
     scoring reads derives from it on load."""
     with binio.atomic_open(path) as f:
         f.write(INDEX_MAGIC)
@@ -293,12 +276,11 @@ def save_index(index: RetrievalIndex, path: str) -> None:
         binio.write_u32(f, index.num_fields)
         binio.write_u64(f, index.pool_size)
         binio.write_array(f, index.timestamps, "<i8")
-        binio.write_array(f, index.record_indices, "<u8")
         binio.write_array(f, index.pool_field_ids, "<u4")
 
 
 def load_index(path: str) -> RetrievalIndex:
-    """Read a RATI v2 file and index its pool exactly as build_index does."""
+    """Read a RATI v3 file and index its pool exactly as build_index does."""
     try:
         fh = open(path, "rb")
     except OSError as e:
@@ -314,27 +296,25 @@ def load_index(path: str) -> RetrievalIndex:
         nf = binio.read_u32(fh)
         n = binio.read_u64(fh)
         timestamps = binio.read_array(fh, n, "<i8")
-        record_indices = binio.read_array(fh, n, "<u8")
         pool_field_ids = binio.read_array(fh, n * nf, "<u4").reshape(n, nf)
         if fh.read(1):
             raise DataError(f"{path}: trailing bytes after index payload")
-    return build_index(pool_field_ids, timestamps, record_indices)
+    return build_index(pool_field_ids, timestamps)
 
 
 def index_from_dataset(ds) -> RetrievalIndex:
     """Index the train slice: the only leakage-safe reference pool."""
     te = ds.train_end
-    return build_index(ds.field_ids[:te], ds.timestamps[:te], np.arange(te, dtype=np.int64))
+    return build_index(ds.field_ids[:te], ds.timestamps[:te])
 
 
 def check_train_index(index: RetrievalIndex, ds) -> None:
     """DataError unless index is ds's train slice as index_from_dataset builds
-    it: the same ids and timestamps, with record indices 0..train_end-1."""
+    it: the same ids and timestamps."""
     te = ds.train_end
     if index.pool_size != te:
         raise DataError(f"index covers {index.pool_size} records, train slice has {te}")
     if not (np.array_equal(index.pool_field_ids, ds.field_ids[:te])
-            and np.array_equal(index.timestamps, ds.timestamps[:te])
-            and np.array_equal(index.record_indices, np.arange(te))):
+            and np.array_equal(index.timestamps, ds.timestamps[:te])):
         raise DataError("index was built from a different train slice; "
                         "rebuild it with `ractr build-index`")

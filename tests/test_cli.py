@@ -118,6 +118,32 @@ def test_retrieve_jsonl_conventions(ws, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_retrieve_null_is_a_missing_cell(tmp_path, capsys):
+    """JSON null is a missing cell (id 0, matches nothing), as if the field
+    were left out; it is not the string "None"."""
+    csv_path = tmp_path / "d.csv"
+    keys = ["None", "a", "b", "None", "a", "b", "a", "b", "a", "b"]
+    csv_path.write_text("ts,key,label\n" + "".join(
+        f"{i},{key},{i % 2}\n" for i, key in enumerate(keys)))
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as f:
+        json.dump({"data": {"path": str(csv_path), "label_col": "label",
+                            "timestamp_col": "ts", "feature_cols": ["key"]}}, f)
+    idx = str(tmp_path / "i.rati")
+    assert main(["build-index", "--config", cfg_path, "--out", idx]) == 0
+    capsys.readouterr()
+    q = queries_file(tmp_path / "q.jsonl", [json.dumps({"fields": {"key": None}}),
+                                            json.dumps({"fields": {}}),
+                                            json.dumps({"fields": {"key": "None"}})])
+    assert main(["retrieve", "--config", cfg_path, "--index", idx, "--queries", q,
+                 "--k", "3"]) == 0
+    null, omitted, literal = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert null == omitted
+    assert null["scores"] == [0.0, 0.0, 0.0]
+    # the literal string still matches the two rows that hold it
+    assert literal["neighbors"][:2] == [3, 0] and literal["scores"][0] > 0.0
+
+
 def test_retrieve_k_defaults_to_config(ws, tmp_path, capsys, monkeypatch):
     idx = str(ws["base"] / "i1.rati")
     monkeypatch.setattr(sys, "stdin", io.StringIO(
@@ -150,6 +176,14 @@ def test_retrieve_error_reporting(ws, tmp_path, capsys):
         not_object = queries_file(tmp_path / "no.jsonl", [json.dumps({"fields": fields})])
         assert main(base + [not_object]) == 2
         assert "queries line 1: 'fields' must be a JSON object" in capsys.readouterr().err
+
+    # a value is one cell: a list or an object is not one
+    for value in (["g3"], {"v": "g3"}):
+        nested = queries_file(tmp_path / "nv.jsonl", [json.dumps({"fields": {"key": value}})])
+        assert main(base + [nested]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert "query field 'key': expected a string, number or null" in err
 
     assert main(["retrieve", "--queries", bad_json]) == 1
     assert "no index" in capsys.readouterr().err
@@ -300,16 +334,24 @@ def test_index_of_another_dataset_or_format_exits_2(ws, trained, tmp_path, capsy
 
     with open(str(ws["base"] / "i1.rati"), "rb") as f:
         blob = f.read()
-    v1 = str(tmp_path / "v1.rati")
-    with open(v1, "wb") as f:
-        f.write(blob[:4] + (1).to_bytes(2, "little") + blob[6:])
+    v1, v2 = str(tmp_path / "v1.rati"), str(tmp_path / "v2.rati")
+    for version, path in ((1, v1), (2, v2)):
+        with open(path, "wb") as f:
+            f.write(blob[:4] + version.to_bytes(2, "little") + blob[6:])
     empty = str(tmp_path / "empty.rati")
     with open(empty, "wb") as f:
         f.write(blob[:10] + (0).to_bytes(8, "little"))
+    n = int.from_bytes(blob[10:18], "little")
+    unsorted = str(tmp_path / "unsorted.rati")
+    with open(unsorted, "wb") as f:
+        ts = np.frombuffer(blob[18:18 + 8 * n], dtype="<i8")
+        f.write(blob[:18] + ts[::-1].tobytes() + blob[18 + 8 * n:])
 
     queries = queries_file(tmp_path / "q.jsonl", [json.dumps({"fields": {"key": "g3"}})])
     for idx, msg in ((same_size, "different train slice"),
-                     (v1, "rebuild it with `ractr build-index`"), (empty, "empty pool")):
+                     (v1, "rebuild it with `ractr build-index`"),
+                     (v2, "rebuild it with `ractr build-index`"), (empty, "empty pool"),
+                     (unsorted, "timestamps are not sorted")):
         for argv in (["evaluate", "--checkpoint", ckpt], ["retrieve", "--queries", queries]):
             rc = main(argv + ["--config", ws["cfg_path"], "--index", idx])
             err = capsys.readouterr().err
@@ -395,6 +437,18 @@ def test_usage_errors_exit_1(ws, tmp_path, capsys):
                    "train": {"dropout": 0.5}}, f)
     assert main(["train", "--config", unknown_key]) == 1
     assert "unknown train config keys" in capsys.readouterr().err
+
+    # the top level, `data` and `train` must be JSON objects
+    for cfg, what in (([1], "must be a JSON object"),
+                      (dict(ws["cfg"], train=[1, 2]), "'train' must be a JSON object"),
+                      (dict(ws["cfg"], data="path"), "'data' must be a JSON object")):
+        shape = str(tmp_path / "shape.json")
+        with open(shape, "w") as f:
+            json.dump(cfg, f)
+        assert main(["train", "--config", shape, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config ") and what in err
+    assert not os.path.exists(tmp_path / "o")
 
     no_out = str(tmp_path / "no_out.json")
     with open(no_out, "w") as f:

@@ -107,14 +107,28 @@ def test_empty_pool_rejected():
         build_index(np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64))
 
 
+def test_build_index_rejects_unsorted_timestamps():
+    # a pool is a chronological log: record i is row i, timestamps never decrease
+    rng = np.random.default_rng(0)
+    ids = rng.integers(0, 7, size=(120, 4))
+    with pytest.raises(DataError, match="timestamps are not sorted"):
+        build_index(ids, rng.integers(0, 40, size=120))
+    with pytest.raises(DataError, match="timestamps are not sorted"):
+        build_index(ids[:3], np.array([4, 4, 3]))
+    assert build_index(ids[:3], np.array([3, 4, 4])).pool_size == 3
+
+
 # ---------------------------------------------------------------- top-k
 
 def test_tie_breaks_prefer_recent_then_higher_index():
     # all four records identical, so scores tie; ts ties split by record index
     ids = np.ones((4, 1), dtype=np.int64)
-    idx = build_index(ids, np.array([5, 7, 7, 3]))
+    idx = build_index(ids, np.array([3, 5, 7, 7]))
     res = retrieve(idx, np.array([1]), k=4)
-    assert res.neighbor_indices.tolist() == [2, 1, 0, 3]
+    assert res.neighbor_indices.tolist() == [3, 2, 1, 0]
+    # inside the ts-7 run, only the lower record index is strictly earlier
+    res = retrieve(idx, np.array([1]), k=4, eligibility="earlier", query_ts=7, query_index=3)
+    assert res.neighbor_indices.tolist() == [2, 1, 0, -1]
 
 
 def test_padding_when_pool_smaller_than_k():
@@ -175,7 +189,7 @@ def test_partition_narrowing_agrees_with_full_sort():
     # big pool with many score ties so the argpartition boundary is crowded
     rng = np.random.default_rng(3)
     ids = rng.integers(1, 4, size=(1000, 2))
-    idx = build_index(ids, rng.integers(0, 50, size=1000))
+    idx = build_index(ids, np.sort(rng.integers(0, 50, size=1000)))
     for _ in range(10):
         q = rng.integers(1, 4, size=2)
         fast = retrieve(idx, q, k=10)
@@ -242,11 +256,10 @@ def test_index_file_round_trip(tmp_path):
     assert got.num_fields == idx.num_fields
     assert got.pool_size == idx.pool_size
     np.testing.assert_array_equal(got.timestamps, idx.timestamps)
-    np.testing.assert_array_equal(got.record_indices, idx.record_indices)
     np.testing.assert_array_equal(got.pool_field_ids, idx.pool_field_ids)
     assert got.num_terms == idx.num_terms
-    # v2 holds the pool and nothing else: header, then 8 + 8 + 4F bytes a record
-    assert os.path.getsize(p) == 18 + idx.pool_size * (16 + 4 * idx.num_fields)
+    # v3 holds the pool and nothing else: header, then 8 + 4F bytes a record
+    assert os.path.getsize(p) == 18 + idx.pool_size * (8 + 4 * idx.num_fields)
     # loaded index retrieves identically, bit for bit
     q = rng.integers(0, 10, size=(20, 4))
     for elig, ts, ri in (("all", None, None), ("earlier", rng.integers(0, 80, 20), np.arange(20))):
@@ -287,12 +300,23 @@ def test_index_file_errors(tmp_path):
     with pytest.raises(DataError, match="unsupported index version 9"):
         load_index(ver)
 
-    # v1 files carried postings; they are rebuilt, not read
-    v1 = str(tmp_path / "v1.rati")
-    with open(v1, "wb") as f:
-        f.write(blob[:4] + (1).to_bytes(2, "little") + blob[6:])
-    with pytest.raises(DataError, match="version 1 .*rebuild it with `ractr build-index`"):
-        load_index(v1)
+    # v1 files carried postings and v2 files record indices; they are rebuilt, not read
+    for version in (1, 2):
+        old = str(tmp_path / f"v{version}.rati")
+        with open(old, "wb") as f:
+            f.write(blob[:4] + version.to_bytes(2, "little") + blob[6:])
+        with pytest.raises(DataError,
+                           match=f"version {version} .*rebuild it with `ractr build-index`"):
+            load_index(old)
+
+    # a file whose timestamps run backwards is no chronological pool
+    n = idx.pool_size
+    ts = np.frombuffer(blob[18:18 + 8 * n], dtype="<i8")
+    unsorted = str(tmp_path / "unsorted.rati")
+    with open(unsorted, "wb") as f:
+        f.write(blob[:18] + ts[::-1].tobytes() + blob[18 + 8 * n:])
+    with pytest.raises(DataError, match="timestamps are not sorted"):
+        load_index(unsorted)
 
     # an empty pool from a file is rejected exactly as at build time
     empty = str(tmp_path / "empty.rati")
@@ -382,7 +406,7 @@ def check_against_oracle(idx, queries, k, query_ts, query_index):
                     assert_same_as_oracle(retrieve(idx, queries[i], k, elig, **pos), ref)
 
 
-ORACLE_CASES = ("unsorted_ts", "duplicate_keys", "all_tied", "big_k")
+ORACLE_CASES = ("ts_ties", "heavy_ts_ties", "all_tied", "big_k")
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
@@ -390,24 +414,22 @@ def test_scores_bitwise_equal_to_oracle(case):
     rng = np.random.default_rng(ORACLE_CASES.index(case))
     n, nf, vocab = 120, 4, 6
     ids = rng.integers(0, vocab + 1, size=(n, nf))
-    ts = rng.integers(0, 40, size=n)           # unsorted, with ties
-    ridx = None
+    ts = np.sort(rng.integers(0, 40, size=n))  # with ties
     k = 5
-    if case == "duplicate_keys":
-        ts = rng.integers(0, 5, size=n)
-        ridx = rng.integers(0, 10, size=n)      # many equal (ts, record index) pairs
+    if case == "heavy_ts_ties":
+        ts = np.sort(rng.integers(0, 5, size=n))   # ~24 records a timestamp
     elif case == "all_tied":
         ids = np.ones((n, nf), dtype=np.int64)
     elif case == "big_k":
         n, k = 9, 12                            # k > pool
         ids, ts = ids[:n], ts[:n]
-    idx = build_index(ids, ts, ridx)
+    idx = build_index(ids, ts)
     nq = 30
     queries = rng.integers(0, vocab + 1, size=(nq, nf))
     queries[:3] = 0                             # all-missing queries match nothing
     queries[3:6, 1] = vocab + 50                # unseen ids
     queries[6:10] = ids[rng.integers(0, n, size=4)]
-    q_ts = rng.integers(-2, 45, size=nq)
+    q_ts = rng.integers(ts.min() - 2, ts.max() + 3, size=nq)
     q_ts[10] = ts.min() - 1                     # nothing eligible
     q_idx = rng.integers(0, n + 2, size=nq)
     q_idx[11] = 0
@@ -418,7 +440,7 @@ def test_scores_bitwise_equal_to_oracle(case):
 def test_zero_eligible_rows_are_all_padding():
     rng = np.random.default_rng(9)
     ids = rng.integers(1, 4, size=(50, 3))
-    idx = build_index(ids, rng.integers(10, 20, size=50))
+    idx = build_index(ids, np.sort(rng.integers(10, 20, size=50)))
     res = retrieve_batch(idx, ids[:4], 3, "earlier", query_ts=np.full(4, 10),
                          query_index=np.zeros(4, dtype=np.int64), chunk_size=2)
     for r in res:

@@ -12,8 +12,8 @@ from ractr import training
 from ractr.data import Dataset, FieldSchema
 from ractr.errors import DataError, UsageError
 from ractr.model import CtrModel, build_input_batch
-from ractr.retrieval import build_index, index_from_dataset
-from ractr.synthetic import majority_task
+from ractr.retrieval import brute_force_retrieve, build_index, index_from_dataset
+from ractr.synthetic import majority_task, random_dataset
 from ractr.training import (
     ABLATION_ORDER,
     Adam,
@@ -193,6 +193,24 @@ def test_precomputed_neighbors_respect_time():
     held = np.arange(ds.train_end, len(ds))
     assert neigh[held][mask[held]].max() < ds.train_end
     assert (neigh[~mask] == -1).all()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_precomputed_neighbors_equal_the_oracle(seed):
+    """Every row's neighbors and mask match brute_force_retrieve: "earlier"
+    for train rows, "all" for the rest, over a pool with many timestamp ties."""
+    ds = random_dataset(seed=seed, n=160, n_fields=3, vocab=4)
+    assert len(np.unique(ds.timestamps)) < len(ds)
+    index = index_from_dataset(ds)
+    neigh, mask = precompute_neighbors(ds, index, k=6)
+    for i in range(len(ds)):
+        if i < ds.train_end:
+            ref = brute_force_retrieve(index, ds.field_ids[i], 6, "earlier",
+                                       query_ts=int(ds.timestamps[i]), query_index=i)
+        else:
+            ref = brute_force_retrieve(index, ds.field_ids[i], 6, "all")
+        assert neigh[i].tolist() == ref.neighbor_indices.tolist(), i
+        assert mask[i].tolist() == ref.mask.tolist(), i
 
 
 def test_precompute_covers_the_rows_asked_for():
