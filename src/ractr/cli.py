@@ -61,16 +61,26 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _path(flag: str | None, section: dict, key: str) -> str | None:
+    """A path from its flag, else from the config; a config path must be a string."""
+    if flag:
+        return flag
+    value = section.get(key)
+    if value is not None and not isinstance(value, str):
+        raise UsageError(f"config '{key}' must be a string path, got {json.dumps(value)}")
+    return value
+
+
 def _load_any_dataset(cfg: dict, dataset_flag: str | None = None) -> Dataset:
-    if dataset_flag:
-        return load_dataset(dataset_flag)
-    if "dataset" in cfg:
-        return load_dataset(cfg["dataset"])
+    dataset = _path(dataset_flag, cfg, "dataset")
+    if dataset is not None:
+        return load_dataset(dataset)
     if "data" in cfg:
         d = cfg["data"]
-        if "path" not in d:
+        path = _path(None, d, "path")
+        if path is None:
             raise UsageError("config data section needs a 'path'")
-        return load_csv(d["path"], CsvSpec.from_dict(d))
+        return load_csv(path, CsvSpec.from_dict(d))
     raise UsageError("config needs a 'data' or 'dataset' entry")
 
 
@@ -87,7 +97,7 @@ def _resolve_train_cfg(cfg: dict, args, base: dict | None = None) -> TrainConfig
 
 
 def _out_dir(cfg: dict, args) -> str:
-    out = getattr(args, "out", None) or cfg.get("out_dir")
+    out = _path(getattr(args, "out", None), cfg, "out_dir")
     if not out:
         raise UsageError("no output directory: pass --out or set out_dir in the config")
     os.makedirs(out, exist_ok=True)
@@ -113,7 +123,7 @@ def _segments_list(args) -> list[str] | None:
 def cmd_build_index(args) -> int:
     cfg = _load_config(args.config)
     ds = _load_any_dataset(cfg, args.dataset)
-    out = args.out or os.path.join(cfg.get("out_dir", "."), "index.rati")
+    out = args.out or os.path.join(_path(None, cfg, "out_dir") or ".", "index.rati")
     t0 = time.perf_counter()
     index = index_from_dataset(ds)
     build_ms = (time.perf_counter() - t0) * 1000.0
@@ -142,7 +152,7 @@ def _encode_query(ds: Dataset, fields: dict) -> np.ndarray:
 
 def cmd_retrieve(args) -> int:
     cfg = _load_config(args.config)
-    index_path = args.index or cfg.get("index")
+    index_path = _path(args.index, cfg, "index")
     if not index_path:
         raise UsageError("no index: pass --index or set 'index' in the config")
     index = load_index(index_path)
@@ -241,13 +251,13 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args.config)
-    ckpt_path = args.checkpoint or cfg.get("checkpoint")
+    ckpt_path = _path(args.checkpoint, cfg, "checkpoint")
     if not ckpt_path:
         raise UsageError("no checkpoint: pass --checkpoint or set 'checkpoint' in the config")
     model, ckpt_cfg = load_checkpoint(ckpt_path)
     tcfg = _resolve_train_cfg(cfg, args, base=ckpt_cfg.get("train"))
     ds = _load_any_dataset(cfg)
-    index_path = args.index or cfg.get("index")
+    index_path = _path(args.index, cfg, "index")
     index = load_index(index_path) if index_path else index_from_dataset(ds)
 
     segments = _segments_list(args)

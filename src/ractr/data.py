@@ -27,15 +27,6 @@ class FieldSchema:
         self.values: list[str] = list(values) if values else []
         self._ids: dict[str, int] = {v: i + 1 for i, v in enumerate(self.values)}
 
-    def add(self, value: str) -> int:
-        got = self._ids.get(value)
-        if got is not None:
-            return got
-        self.values.append(value)
-        vid = len(self.values)
-        self._ids[value] = vid
-        return vid
-
     def id_for(self, value: str | None) -> int:
         """Encode a raw value; missing or unseen values map to 0."""
         if value is None or value == "":
@@ -64,6 +55,9 @@ class Dataset:
 
     Storage is columnar. split_marks = (train_end, valid_end): train is
     [0, train_end), validation [train_end, valid_end), test [valid_end, n).
+    raw_values (each record's cells) is set only by the synthetic generators,
+    for write_csv; a Dataset loaded from CSV or .ratd keeps no raw strings, so
+    re-splitting means reloading the CSV with other ratios.
     """
     schema: list[FieldSchema]
     field_ids: np.ndarray      # (n, F) int64
@@ -118,20 +112,39 @@ class CsvSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "CsvSpec":
         try:
-            return cls(
+            spec = cls(
                 label_col=d["label_col"],
-                feature_cols=list(d["feature_cols"]),
+                feature_cols=d["feature_cols"],
                 timestamp_col=d.get("timestamp_col"),
                 delimiter=d.get("delimiter", ","),
-                ratios=tuple(d["ratios"]) if d.get("ratios") else None,
+                ratios=d.get("ratios"),
             )
         except KeyError as e:
             raise DataError(f"csv spec missing key {e}") from None
+        checks = (
+            ("label_col", isinstance(spec.label_col, str), "a string"),
+            ("timestamp_col", spec.timestamp_col is None or isinstance(spec.timestamp_col, str),
+             "a string"),
+            ("feature_cols", isinstance(spec.feature_cols, (list, tuple))
+             and all(isinstance(c, str) for c in spec.feature_cols), "a list of strings"),
+            ("delimiter", isinstance(spec.delimiter, str) and len(spec.delimiter) == 1,
+             "a one-character string"),
+            ("ratios", spec.ratios is None or isinstance(spec.ratios, (list, tuple))
+             and len(spec.ratios) == 3 and all(type(r) in (int, float) for r in spec.ratios),
+             "a list of three numbers"),
+        )
+        for key, ok, must in checks:
+            if not ok:
+                raise DataError(f"csv spec {key!r} must be {must}, got {d[key]!r}")
+        spec.feature_cols = list(spec.feature_cols)
+        if spec.ratios is not None:
+            spec.ratios = tuple(spec.ratios)
+        return spec
 
 
 def _split_bounds(n: int, ratios) -> tuple[int, int]:
     ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
+    if len(ratios) != 3 or not all(r > 0 for r in ratios):
         raise DataError(f"need three positive split ratios, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise DataError(f"split ratios sum to {sum(ratios)}, expected 1")
@@ -173,31 +186,30 @@ def load_csv(path: str, spec: CsvSpec | dict) -> Dataset:
         ti = col_idx[spec.timestamp_col] if spec.timestamp_col else None
         fi = [col_idx[c] for c in spec.feature_cols]
 
-        rows: list[tuple[int, int, int, list[str]]] = []  # (ts, arrival, label, values)
+        labels, stamps, rows = [], [], []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise DataError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
             raw_label = row[li].strip()
-            if raw_label == "1":
-                label = 1
-            elif raw_label == "0":
-                label = 0
-            else:
+            if raw_label not in ("0", "1"):
                 raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {raw_label!r}")
             if ti is not None:
                 try:
                     ts = int(row[ti].strip())
                 except ValueError:
                     raise DataError(f"{path}:{lineno}: timestamp {row[ti]!r} is not an integer") from None
-            else:
-                ts = len(rows)
-            rows.append((ts, len(rows), label, [row[j] for j in fi]))
+                if not -2**63 <= ts < 2**63:
+                    raise DataError(f"{path}:{lineno}: timestamp {ts} does not fit in 64 bits")
+                stamps.append(ts)
+            labels.append(raw_label == "1")
+            rows.append([row[j] for j in fi])
 
     if not rows:
         raise DataError(f"{path}: no data rows")
 
-    rows.sort(key=lambda r: (r[0], r[1]))
     n = len(rows)
+    timestamps = np.asarray(stamps, dtype=np.int64) if ti is not None else np.arange(n, dtype=np.int64)
+    order = np.argsort(timestamps, kind="stable")
     if spec.ratios is not None:
         train_end, valid_end = _split_bounds(n, spec.ratios)
     else:
@@ -205,36 +217,32 @@ def load_csv(path: str, spec: CsvSpec | dict) -> Dataset:
 
     return _encode(
         schema_names=spec.feature_cols,
-        sorted_values=[r[3] for r in rows],
-        labels=np.asarray([r[2] for r in rows], dtype=np.int64),
-        timestamps=np.asarray([r[0] for r in rows], dtype=np.int64),
+        rows=[rows[i] for i in order.tolist()],
+        labels=np.asarray(labels, dtype=np.int64)[order],
+        timestamps=timestamps[order],
         train_end=train_end,
         valid_end=valid_end,
         has_timestamp_column=spec.timestamp_col is not None,
     )
 
 
-def _encode(schema_names, sorted_values, labels, timestamps, train_end, valid_end,
+def _encode(schema_names, rows, labels, timestamps, train_end, valid_end,
             has_timestamp_column) -> Dataset:
-    n, nf = len(sorted_values), len(schema_names)
-    schema = [FieldSchema(name) for name in schema_names]
-    for vals in sorted_values[:train_end]:
-        for f_i, v in enumerate(vals):
-            if v != "":
-                schema[f_i].add(v)
+    """Encode each record's raw cells (in time order) one column at a time.
 
-    ids = np.zeros((n, nf), dtype=np.int64)
+    A field's vocabulary is its non-empty train-slice values in first-appearance
+    order; empty cells and values unseen in train get id 0.
+    """
+    schema = []
+    ids = np.zeros((len(rows), len(schema_names)), dtype=np.int64)
     missing = 0
-    oov = 0
-    for i, vals in enumerate(sorted_values):
-        for f_i, v in enumerate(vals):
-            if v == "":
-                missing += 1
-            else:
-                vid = schema[f_i].id_for(v)
-                if vid == 0:
-                    oov += 1
-                ids[i, f_i] = vid
+    for f, (name, col) in enumerate(zip(schema_names, zip(*rows))):
+        vocab = dict.fromkeys(col[:train_end])
+        vocab.pop("", None)
+        fs = FieldSchema(name, vocab)
+        ids[:, f] = [fs._ids.get(v, 0) for v in col]
+        schema.append(fs)
+        missing += col.count("")
 
     return Dataset(
         schema=schema,
@@ -244,39 +252,8 @@ def _encode(schema_names, sorted_values, labels, timestamps, train_end, valid_en
         train_end=train_end,
         valid_end=valid_end,
         missing_cells=missing,
-        oov_cells=oov,
+        oov_cells=int(np.count_nonzero(ids == 0)) - missing,
         has_timestamp_column=has_timestamp_column,
-        raw_values=sorted_values,
-    )
-
-
-def chronological_split(ds: Dataset, ratios) -> Dataset:
-    """Re-mark split boundaries on the sorted order and rebuild vocabularies
-    from the new train portion.
-
-    Re-encoding decodes through the existing vocabulary, so cells that were
-    already collapsed to id 0 stay id 0 even if the train window widens; the
-    normal path (ratios passed to load_csv) splits before encoding and never
-    hits that edge.
-    """
-    n = len(ds)
-    train_end, valid_end = _split_bounds(n, ratios)
-
-    if ds.raw_values is not None:
-        values = ds.raw_values
-    else:
-        values = [[ds.schema[f].value_for(int(ds.field_ids[i, f])) or ""
-                   for f in range(ds.num_fields)]
-                  for i in range(n)]
-
-    return _encode(
-        schema_names=[fs.name for fs in ds.schema],
-        sorted_values=values,
-        labels=ds.labels.copy(),
-        timestamps=ds.timestamps.copy(),
-        train_end=train_end,
-        valid_end=valid_end,
-        has_timestamp_column=ds.has_timestamp_column,
     )
 
 

@@ -27,6 +27,13 @@ from .binio import atomic_open
 from .data import Dataset, _encode
 
 
+def _generated(names, rows, labels, timestamps, train_end, valid_end) -> Dataset:
+    """Encode generated rows and keep their raw cells, which write_csv emits."""
+    ds = _encode(names, rows, labels, timestamps, train_end, valid_end, has_timestamp_column=True)
+    ds.raw_values = rows
+    return ds
+
+
 def _interleave(rng, group_sizes: list[int]) -> list[tuple[int, int]]:
     """Random merge of per-group event streams preserving within-group order.
     Returns (group, seq) pairs."""
@@ -96,15 +103,8 @@ def majority_task(n_history_groups: int = 320, n_eval_groups: int = 320,
 
     train_end = n_history_groups * history_size + eval_train_records * n_eval_groups
     valid_end = train_end + 2 * n_eval_groups
-    return _encode(
-        schema_names=["key"] + [f"noise{j}" for j in range(n_noise_fields)],
-        sorted_values=rows,
-        labels=out_labels,
-        timestamps=np.arange(n, dtype=np.int64),
-        train_end=train_end,
-        valid_end=valid_end,
-        has_timestamp_column=True,
-    )
+    return _generated(["key"] + [f"noise{j}" for j in range(n_noise_fields)], rows,
+                      out_labels, np.arange(n, dtype=np.int64), train_end, valid_end)
 
 
 def singleton_pool(n: int = 8000, n_noise_fields: int = 17, noise_vocab: int = 2,
@@ -118,15 +118,8 @@ def singleton_pool(n: int = 8000, n_noise_fields: int = 17, noise_vocab: int = 2
             for i in range(n)]
     c1 = int(round(n * ratios[0]))
     c2 = int(round(n * (ratios[0] + ratios[1])))
-    return _encode(
-        schema_names=["key"] + [f"noise{j}" for j in range(n_noise_fields)],
-        sorted_values=rows,
-        labels=labels,
-        timestamps=np.arange(n, dtype=np.int64),
-        train_end=c1,
-        valid_end=c2,
-        has_timestamp_column=True,
-    )
+    return _generated(["key"] + [f"noise{j}" for j in range(n_noise_fields)], rows,
+                      labels, np.arange(n, dtype=np.int64), c1, c2)
 
 
 def random_dataset(seed: int, n: int, n_fields: int, vocab: int,
@@ -151,15 +144,7 @@ def random_dataset(seed: int, n: int, n_fields: int, vocab: int,
     c1 = max(1, int(round(n * ratios[0])))
     c2 = max(c1 + 1, int(round(n * (ratios[0] + ratios[1]))))
     c2 = min(c2, n - 1) if n > 2 else c2
-    return _encode(
-        schema_names=[f"f{f}" for f in range(n_fields)],
-        sorted_values=rows,
-        labels=labels,
-        timestamps=ts,
-        train_end=c1,
-        valid_end=c2,
-        has_timestamp_column=True,
-    )
+    return _generated([f"f{f}" for f in range(n_fields)], rows, labels, ts, c1, c2)
 
 
 def write_csv(ds: Dataset, path: str) -> None:

@@ -483,6 +483,41 @@ def test_data_errors_exit_2(ws, tmp_path, capsys):
     assert err.startswith("data error:")
     assert missing_csv in err
 
+    idx = tmp_path / "i.rati"
+    for key, value, must in (("delimiter", 5, "a one-character string"),
+                             ("delimiter", ";;", "a one-character string"),
+                             ("ratios", "abc", "a list of three numbers"),
+                             ("feature_cols", "key", "a list of strings")):
+        with open(cfg_path, "w") as f:
+            json.dump({"data": dict(ws["cfg"]["data"], **{key: value})}, f)
+        assert main(["build-index", "--config", cfg_path, "--out", str(idx)]) == 2
+        assert f"data error: csv spec '{key}' must be {must}" in capsys.readouterr().err
+        assert not idx.exists()
+
+
+@pytest.mark.parametrize("key,value,command", [
+    ("data.path", 0, ["build-index", "--out", "i.rati"]),
+    ("dataset", 0, ["build-index", "--out", "i.rati"]),
+    ("out_dir", 3, ["build-index"]),
+    ("index", 7, ["retrieve", "--queries", "q.jsonl"]),
+    ("checkpoint", 7, ["evaluate"]),
+], ids=("data.path", "dataset", "out_dir", "index", "checkpoint"))
+def test_config_paths_must_be_strings(ws, tmp_path, capsys, monkeypatch, key, value, command):
+    """A number would reach open() as a file descriptor (0 is stdin)."""
+    monkeypatch.chdir(tmp_path)
+    queries_file(tmp_path / "q.jsonl", [json.dumps({"fields": {"key": "g1"}})])
+    cfg = dict(ws["cfg"])
+    if key == "data.path":
+        cfg["data"] = dict(cfg["data"], path=value)
+    else:
+        cfg[key] = value
+    with open("cfg.json", "w") as f:
+        json.dump(cfg, f)
+    assert main(command[:1] + ["--config", "cfg.json"] + command[1:]) == 1
+    name = key.split(".")[-1]
+    assert f"error: config '{name}' must be a string path, got {value}" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "q.jsonl"]
+
 
 @pytest.mark.parametrize("key,value,must", [
     ("embed_dim", 0, None), ("mlp_ratio", 0, None), ("k", -1, None),

@@ -10,7 +10,6 @@ from ractr.data import (
     Dataset,
     FieldSchema,
     _split_bounds,
-    chronological_split,
     load_csv,
     load_dataset,
     save_dataset,
@@ -154,6 +153,9 @@ def test_bad_timestamp_reports_lineno(tmp_path):
     p = write(tmp_path / "a.csv", "ts,city,device,label\n0,a,x,0\nsoon,b,y,1\n")
     with pytest.raises(DataError, match=r"a\.csv:3: timestamp 'soon' is not an integer"):
         load_csv(p, SPEC)
+    p = write(tmp_path / "a.csv", f"ts,city,device,label\n0,a,x,0\n{2**63},b,y,1\n")
+    with pytest.raises(DataError, match=r"a\.csv:3: timestamp \d+ does not fit in 64 bits"):
+        load_csv(p, SPEC)
 
 
 def test_split_bounds_errors():
@@ -163,6 +165,8 @@ def test_split_bounds_errors():
         _split_bounds(10, (0.5, 0.5, 0.0))
     with pytest.raises(DataError, match="sum to"):
         _split_bounds(10, (0.5, 0.3, 0.3))
+    with pytest.raises(DataError, match="need three positive split ratios"):
+        _split_bounds(10, (0.5, float("nan"), 0.5))
     with pytest.raises(DataError, match="leaves an empty split"):
         _split_bounds(2, (0.4, 0.3, 0.3))
 
@@ -172,8 +176,24 @@ def test_csvspec_from_dict():
                               "path": "ignored.csv", "ratios": [0.8, 0.1, 0.1]})
     assert spec.label_col == "y"
     assert spec.ratios == (0.8, 0.1, 0.1)
+    assert spec.timestamp_col is None and spec.delimiter == ","
+    assert CsvSpec.from_dict({"label_col": "y", "feature_cols": [], "ratios": None}).ratios is None
     with pytest.raises(DataError, match="csv spec missing key"):
         CsvSpec.from_dict({"feature_cols": ["a"]})
+    for key, value, must in (
+            ("label_col", 3, "a string"),
+            ("timestamp_col", ["ts"], "a string"),
+            ("feature_cols", "key", "a list of strings"),  # not split into characters
+            ("feature_cols", ["a", 1], "a list of strings"),
+            ("delimiter", 5, "a one-character string"),
+            ("delimiter", ";;", "a one-character string"),
+            ("delimiter", "", "a one-character string"),
+            ("ratios", "abc", "a list of three numbers"),
+            ("ratios", [0.5, 0.5], "a list of three numbers"),
+            ("ratios", [0.5, "0.3", 0.2], "a list of three numbers"),
+            ("ratios", [True, 0.3, 0.2], "a list of three numbers")):
+        with pytest.raises(DataError, match=f"csv spec '{key}' must be {must}, got "):
+            CsvSpec.from_dict({"label_col": "y", "feature_cols": ["a"], key: value})
 
 
 def test_bad_split_marks_rejected():
@@ -324,38 +344,6 @@ def test_dataset_invalid_utf8_name_is_data_error(tmp_path):
         load_dataset(bad)
 
 
-# ---------------------------------------------------------------- re-splitting
-
-def test_chronological_split_re_marks_and_rebuilds_vocab(tmp_path):
-    p = write(tmp_path / "a.csv",
-              "ts,city,device,label\n"
-              + "".join(f"{i},c{i % 5},d{i % 2},{i % 2}\n" for i in range(10)))
-    ds = load_csv(p, SPEC)  # no ratios: all train
-    assert ds.split_marks == (10, 10)
-    out = chronological_split(ds, (0.6, 0.2, 0.2))
-    assert out.split_marks == (6, 8)
-    np.testing.assert_array_equal(out.labels, ds.labels)
-    np.testing.assert_array_equal(out.timestamps, ds.timestamps)
-    # c4 first appears at row 4 (inside the new train window), c3 at row 3
-    assert out.schema[0].id_for("c3") > 0
-    # decoded values must agree wherever both encodings are in-vocab
-    for i in range(6):
-        v_old = ds.schema[0].value_for(int(ds.field_ids[i, 0]))
-        v_new = out.schema[0].value_for(int(out.field_ids[i, 0]))
-        assert v_old == v_new
-
-
-def test_chronological_split_without_raw_values(tmp_path):
-    ds0 = random_dataset(seed=9, n=30, n_fields=3, vocab=5)
-    p = str(tmp_path / "d.ratd")
-    save_dataset(ds0, p)
-    ds = load_dataset(p)  # raw_values lost on disk; decode path must kick in
-    assert ds.raw_values is None
-    out = chronological_split(ds, (0.5, 0.25, 0.25))
-    assert out.split_marks == _split_bounds(30, (0.5, 0.25, 0.25))
-    np.testing.assert_array_equal(out.labels, ds.labels)
-
-
 # ---------------------------------------------------------------- property
 
 def test_random_csv_round_trips_keep_time_order():
@@ -393,3 +381,36 @@ def test_write_csv_then_load_matches(tmp_path):
     np.testing.assert_array_equal(got.field_ids, ds.field_ids)
     assert got.missing_cells == ds.missing_cells
     assert got.oov_cells == ds.oov_cells
+
+
+def test_ids_follow_time_order_not_file_order(tmp_path):
+    """A row-shuffled copy of a CSV encodes exactly like the time-sorted file.
+
+    Rows that share a timestamp keep their relative order in the copy: within
+    a tie, file order is the order (and it decides which tied rows fall on
+    either side of a split mark).
+    """
+    ds = random_dataset(seed=21, n=300, n_fields=4, vocab=150, missing_rate=0.15, max_ts=40)
+    sorted_csv = str(tmp_path / "sorted.csv")
+    write_csv(ds, sorted_csv)
+    with open(sorted_csv) as f:
+        header, *lines = f.read().splitlines()
+    perm = np.random.default_rng(5).permutation(len(lines))
+    ts = ds.timestamps[perm]
+    for t in np.unique(ts):
+        perm[ts == t] = np.sort(perm[ts == t])
+    assert not np.array_equal(perm, np.arange(len(lines)))
+    shuffled_csv = write(tmp_path / "shuffled.csv",
+                         "\n".join([header] + [lines[i] for i in perm]) + "\n")
+
+    names = [fs.name for fs in ds.schema]
+    for ratios in ((0.7, 0.2, 0.1), None):
+        spec = CsvSpec(label_col="label", feature_cols=names, timestamp_col="ts", ratios=ratios)
+        want, got = load_csv(sorted_csv, spec), load_csv(shuffled_csv, spec)
+        assert want.raw_values is None and got.raw_values is None
+        np.testing.assert_array_equal(got.field_ids, want.field_ids)
+        np.testing.assert_array_equal(got.labels, want.labels)
+        np.testing.assert_array_equal(got.timestamps, want.timestamps)
+        assert [fs.values for fs in got.schema] == [fs.values for fs in want.schema]
+        assert (got.missing_cells, got.oov_cells) == (want.missing_cells, want.oov_cells)
+        assert got.missing_cells > 0 and (ratios is None or got.oov_cells > 0)
