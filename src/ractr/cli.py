@@ -31,7 +31,8 @@ from .binio import atomic_open
 from .data import CsvSpec, Dataset, load_csv, load_dataset
 from .errors import DataError, UsageError
 from .model import VARIANTS, load_checkpoint, save_checkpoint
-from .retrieval import check_train_index, index_from_dataset, load_index, retrieve, save_index
+from .retrieval import (check_train_index, index_from_dataset, load_index, retrieve_batch,
+                        save_index)
 from .synthetic import majority_task, singleton_pool, write_csv
 from .training import TrainConfig, ablate, evaluate, train, write_ablation_csv
 
@@ -150,6 +151,45 @@ def _encode_query(ds: Dataset, fields: dict) -> np.ndarray:
     return ids
 
 
+# queries scored by one retrieve_batch call in `ractr retrieve`
+RETRIEVE_GROUP = 256
+
+
+def _query_lines(f):
+    """The lines of a text stream as str.splitlines gives them for the whole
+    text: each line the stream yields ends at a "\n", which splitlines also
+    breaks at, and no break ("\r\n" included) spans two of them."""
+    for physical in f:
+        yield from physical.splitlines()
+
+
+def _parse_query(ds: Dataset, line: str, lineno: int) -> np.ndarray:
+    try:
+        q = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise DataError(f"queries line {lineno}: invalid JSON: {e}") from None
+    if not isinstance(q, dict) or "fields" not in q:
+        raise DataError(f"queries line {lineno}: expected an object with a 'fields' key")
+    if not isinstance(q["fields"], dict):
+        raise DataError(f"queries line {lineno}: 'fields' must be a JSON object")
+    return _encode_query(ds, q["fields"])
+
+
+def _write_neighbors(index, group: list[np.ndarray], k: int, out_f) -> None:
+    """Score a group of encoded queries in one batch and write one JSON
+    record each, in input order."""
+    if not group:
+        return
+    # ad-hoc queries score against the whole pool
+    for res in retrieve_batch(index, np.stack(group), k, eligibility="all"):
+        rec = {
+            "neighbors": res.neighbor_indices.tolist(),
+            "scores": [float(s) for s in res.scores[:res.n_real]],
+            "mask": [bool(m) for m in res.mask],
+        }
+        out_f.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
 def cmd_retrieve(args) -> int:
     cfg = _load_config(args.config)
     index_path = _path(args.index, cfg, "index")
@@ -163,36 +203,29 @@ def cmd_retrieve(args) -> int:
         raise UsageError(f"k must be an integer >= 1, got {k!r}")
 
     if args.queries == "-":
-        lines = sys.stdin.read().splitlines()
+        queries = nullcontext(sys.stdin)
     else:
         try:
-            with open(args.queries, "r", encoding="utf-8") as f:
-                lines = f.read().splitlines()
+            queries = open(args.queries, "r", encoding="utf-8")
         except OSError as e:
             raise UsageError(f"cannot read queries {args.queries}: {e}") from None
 
     out = atomic_open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
-    with out as out_f:
-        for lineno, line in enumerate(lines, start=1):
+    with queries as q_f, out as out_f:
+        group = []
+        for lineno, line in enumerate(_query_lines(q_f), start=1):
             if not line.strip():
                 continue
             try:
-                q = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"queries line {lineno}: invalid JSON: {e}") from None
-            if not isinstance(q, dict) or "fields" not in q:
-                raise DataError(f"queries line {lineno}: expected an object with a 'fields' key")
-            if not isinstance(q["fields"], dict):
-                raise DataError(f"queries line {lineno}: 'fields' must be a JSON object")
-            ids = _encode_query(ds, q["fields"])
-            # ad-hoc queries score against the whole pool
-            res = retrieve(index, ids, k, eligibility="all")
-            rec = {
-                "neighbors": res.neighbor_indices.tolist(),
-                "scores": [float(s) for s in res.scores[:res.n_real]],
-                "mask": [bool(m) for m in res.mask],
-            }
-            out_f.write(json.dumps(rec, sort_keys=True) + "\n")
+                group.append(_parse_query(ds, line, lineno))
+            except DataError:
+                # the records of the good lines before it come out first
+                _write_neighbors(index, group, k, out_f)
+                raise
+            if len(group) == RETRIEVE_GROUP:
+                _write_neighbors(index, group, k, out_f)
+                group = []
+        _write_neighbors(index, group, k, out_f)
     return 0
 
 

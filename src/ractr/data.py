@@ -160,8 +160,9 @@ def load_csv(path: str, spec: CsvSpec | dict) -> Dataset:
     """Read a UTF-8 CSV with a header row into an encoded Dataset.
 
     Vocabularies are built from the train portion only (everything, when the
-    spec has no ratios). Without a timestamp column the file's row order is
-    taken as chronological order.
+    spec has no ratios). Without a timestamp column (timestamp_col None; any
+    string, "" too, names a header column) the file's row order is taken as
+    chronological order.
     """
     if isinstance(spec, dict):
         spec = CsvSpec.from_dict(spec)
@@ -179,11 +180,12 @@ def load_csv(path: str, spec: CsvSpec | dict) -> Dataset:
             raise DataError(f"{path}: empty file (no header)") from None
 
         col_idx = {name: i for i, name in enumerate(header)}
-        for col in [spec.label_col, *spec.feature_cols] + ([spec.timestamp_col] if spec.timestamp_col else []):
+        has_ts = spec.timestamp_col is not None
+        for col in [spec.label_col, *spec.feature_cols] + ([spec.timestamp_col] if has_ts else []):
             if col not in col_idx:
                 raise DataError(f"{path}: column {col!r} not in header {header}")
         li = col_idx[spec.label_col]
-        ti = col_idx[spec.timestamp_col] if spec.timestamp_col else None
+        ti = col_idx[spec.timestamp_col] if has_ts else None
         fi = [col_idx[c] for c in spec.feature_cols]
 
         labels, stamps, rows = [], [], []
@@ -222,7 +224,7 @@ def load_csv(path: str, spec: CsvSpec | dict) -> Dataset:
         timestamps=timestamps[order],
         train_end=train_end,
         valid_end=valid_end,
-        has_timestamp_column=spec.timestamp_col is not None,
+        has_timestamp_column=has_ts,
     )
 
 

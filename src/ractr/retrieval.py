@@ -18,12 +18,20 @@ query id) * match weight. That adds the same weights in the same order as
 the per-pair sum, so scores are bitwise equal to it. The cost is O(queries x
 eligible pool x F). Top-k is one partition per block for the k-th score,
 then one lexsort of the candidates at or above it.
+
+Each pool column is stored in the narrowest unsigned dtype that holds its
+field's ids, so the compares read 1-4 bytes a row instead of 8. Blocks are
+independent: they are dealt round-robin to one worker thread per usable core
+(numpy's loops release the GIL), and each row's result is the same whichever
+worker scores it.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -36,9 +44,13 @@ INDEX_VERSION = 3
 ELIGIBILITY = ("earlier", "all")
 
 # queries scored together. A block's score, product and match buffers take
-# 17 bytes per query per pool row; with a 13,600-row pool, blocks of 6-8 were
-# fastest on a Xeon with 2 MB of L2 per core (16 ran 10-20% slower, 32 ~50%).
+# 17 bytes per query per pool row, in each worker; with a 13,600-row pool,
+# blocks of 6-8 were fastest on a Xeon with 2 MB of L2 per core (16 ran
+# 10-20% slower, 32 ~50%).
 QUERY_BLOCK = 8
+
+# pool column dtypes, narrowest first, with the largest id each holds
+COLUMN_DTYPES = tuple((d, int(np.iinfo(d).max)) for d in (np.uint8, np.uint16, np.uint32))
 
 
 @dataclass
@@ -68,9 +80,10 @@ class RetrievalIndex:
         self.timestamps = timestamps
         n = self.pool_size
         self.record_indices = np.arange(n)       # row p is record p
-        self._cols = np.ascontiguousarray(pool_field_ids.T)
+        cols = np.ascontiguousarray(pool_field_ids.T)
         # flat term tables, field-major then value-ascending; id 0 is never a term
-        per_field = [np.unique(col[col != 0], return_counts=True) for col in self._cols]
+        per_field = [np.unique(col[col != 0], return_counts=True) for col in cols]
+        self._cols = [col.astype(_column_dtype(v)) for col, (v, _) in zip(cols, per_field)]
         self._term_field = np.repeat(np.arange(self.num_fields), [v.size for v, _ in per_field])
         self._term_value = np.concatenate([np.empty(0, np.int64)] + [v for v, _ in per_field])
         df = np.concatenate([np.empty(0, np.int64)] + [d for _, d in per_field])
@@ -102,6 +115,13 @@ class RetrievalIndex:
         term = np.searchsorted(self._term_key, key)
         hit = (self._term_key[term] == key) & (self._vocab[slot] == query_ids)
         return np.where(hit, self._term_weight[term], 0.0)
+
+
+def _column_dtype(terms: np.ndarray) -> type:
+    """The narrowest unsigned dtype that holds a field's ids, given its sorted
+    non-zero ids; int64 when one is negative or past uint32."""
+    lo, hi = (int(terms[0]), int(terms[-1])) if terms.size else (0, 0)
+    return next((d for d, top in COLUMN_DTYPES if lo >= 0 and hi <= top), np.int64)
 
 
 def build_index(pool_field_ids: np.ndarray, timestamps: np.ndarray) -> RetrievalIndex:
@@ -150,35 +170,59 @@ def _eligible_prefix(index: RetrievalIndex, eligibility: str, n_queries: int,
                    np.searchsorted(ts, query_ts, "right"))
 
 
-def _top_k(index: RetrievalIndex, query_ids: np.ndarray, k: int, prefix: np.ndarray,
-           block: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k positions (-1 on padding) and scores per query over its eligible
-    prefix, by score desc then position desc."""
-    nq = len(query_ids)
-    positions = np.full((nq, k), -1, dtype=np.int64)
-    scores = np.zeros((nq, k))
-    n_real = np.minimum(prefix, k)
-    weights = index._query_weights(query_ids)
-    order = np.argsort(prefix, kind="stable")     # similar prefixes share a block
-    size = min(block, nq) * int(prefix.max(initial=0))
+_executor: ThreadPoolExecutor | None = None
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:                      # not on this platform
+        return os.cpu_count() or 1
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The process's block workers, started on first use."""
+    global _executor
+    if _executor is None:
+        _executor = ThreadPoolExecutor(thread_name_prefix="ractr-retrieval")
+    return _executor
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the executor but none of its threads
+    global _executor
+    _executor = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _score_blocks(index: RetrievalIndex, query_cols: list[np.ndarray], weights: np.ndarray,
+                  prefix: np.ndarray, n_real: np.ndarray, positions: np.ndarray,
+                  scores: np.ndarray, blocks: list[np.ndarray]) -> None:
+    """Score each block of query rows (ascending prefix, longest last) with
+    this worker's own buffers, writing only those rows of positions/scores."""
+    size = max(rows.size * int(prefix[rows[-1]]) for rows in blocks)
     s_buf, t_buf, eq_buf = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
-    for lo in range(0, nq, block):
-        rows = order[lo:lo + block]
+    for rows in blocks:
         p = prefix[rows]
         m = int(p[-1])
-        if m == 0:
-            continue
-        q, w = query_ids[rows], weights[rows]
+        w = weights[rows]
         s, t, eq = (buf[:rows.size * m].reshape(rows.size, m) for buf in (s_buf, t_buf, eq_buf))
         s.fill(0.0)
         # a field no query in the block can match would add only zeros
         for f in np.flatnonzero(w.any(axis=0)):
-            np.equal(index._cols[f, :m], q[:, f, None], out=eq)
+            # A query id the column's dtype cannot hold wrapped in the cast and
+            # may "match" a pool id here. It is in no pool record, so its
+            # weight is +0.0, and a match adds 1 * +0.0, exactly what a
+            # mismatch adds (0 * +0.0): the scores are unchanged.
+            np.equal(index._cols[f][:m], query_cols[f][rows, None], out=eq)
             np.multiply(eq, w[:, f, None], out=t)
             s += t
         for r in np.flatnonzero(p < m):
             s[r, p[r]:] = -np.inf
-        kk = min(k, m)
+        kk = min(positions.shape[1], m)
         tau = np.partition(s, m - kk, axis=1)[:, m - kk]
         # every candidate at or above the k-th score, ties included, in exact order
         np.greater_equal(s, tau[:, None], out=eq)
@@ -192,6 +236,36 @@ def _top_k(index: RetrievalIndex, query_ids: np.ndarray, k: int, prefix: np.ndar
         dest = rows[r[keep]], slot[keep]
         positions[dest] = c[keep]
         scores[dest] = sc[keep]
+
+
+def _top_k(index: RetrievalIndex, query_ids: np.ndarray, k: int, prefix: np.ndarray,
+           block: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k positions (-1 on padding) and scores per query over its eligible
+    prefix, by score desc then position desc.
+
+    Queries are ordered by prefix, so similar prefixes share a block, and the
+    blocks are dealt round-robin to min(usable cores, blocks) workers, which
+    gives each a share of the short and the long prefixes. A lone worker runs
+    inline on the calling thread and starts none.
+    """
+    nq = len(query_ids)
+    positions = np.full((nq, k), -1, dtype=np.int64)
+    scores = np.zeros((nq, k))
+    order = np.argsort(prefix, kind="stable")
+    # a block with nothing eligible is all padding already
+    blocks = [rows for rows in (order[lo:lo + block] for lo in range(0, nq, block))
+              if prefix[rows[-1]] > 0]
+    if not blocks:
+        return positions, scores
+    query_cols = [query_ids[:, f].astype(col.dtype) for f, col in enumerate(index._cols)]
+    work = partial(_score_blocks, index, query_cols, index._query_weights(query_ids), prefix,
+                   np.minimum(prefix, k), positions, scores)
+    workers = min(_usable_cores(), len(blocks))
+    if workers == 1:
+        work(blocks)
+    else:
+        # reading every result re-raises a worker's exception here
+        list(_pool().map(work, [blocks[i::workers] for i in range(workers)]))
     return positions, scores
 
 
@@ -219,8 +293,9 @@ def retrieve_batch(index: RetrievalIndex, query_ids: np.ndarray, k: int,
     """Top-k pool neighbors for each row of query_ids, (queries, F).
 
     Queries are ordered by eligible prefix length and scored chunk_size at a
-    time over the block's longest prefix, at O(queries x eligible pool x F).
-    Results are bit-identical to per-query retrieve in any chunking.
+    time over the block's longest prefix, at O(queries x eligible pool x F),
+    on the usable cores. Results are bit-identical to per-query retrieve in
+    any chunking and on any number of cores.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -10,9 +10,10 @@ import sys
 import numpy as np
 import pytest
 
-from ractr.cli import _write_json, main
+from ractr.cli import RETRIEVE_GROUP, _encode_query, _query_lines, _write_json, main
 from ractr.data import CsvSpec, load_csv, save_dataset
 from ractr.model import load_checkpoint
+from ractr.retrieval import load_index, retrieve
 from ractr.training import ABLATION_ORDER
 
 
@@ -187,6 +188,50 @@ def test_retrieve_error_reporting(ws, tmp_path, capsys):
 
     assert main(["retrieve", "--queries", bad_json]) == 1
     assert "no index" in capsys.readouterr().err
+
+
+def single_query_records(cfg, idx_path, lines, k):
+    """What `ractr retrieve` prints: one per-query retrieve per line."""
+    ds = load_csv(cfg["data"]["path"], CsvSpec.from_dict(cfg["data"]))
+    index = load_index(idx_path)
+    out = []
+    for line in lines:
+        res = retrieve(index, _encode_query(ds, json.loads(line)["fields"]), k, "all")
+        out.append(json.dumps({"neighbors": res.neighbor_indices.tolist(),
+                               "scores": [float(s) for s in res.scores[:res.n_real]],
+                               "mask": [bool(m) for m in res.mask]}, sort_keys=True) + "\n")
+    return "".join(out)
+
+
+def test_retrieve_groups_equal_single_queries(ws, capsys, monkeypatch):
+    idx = str(ws["base"] / "i1.rati")
+    rng = np.random.default_rng(4)
+    keys = [f"g{i}" for i in range(30)] + ["no-such-key", None]
+    lines = []
+    for i in range(2 * RETRIEVE_GROUP + 9):     # two group boundaries, a part group
+        fields = {"key": keys[int(rng.integers(len(keys)))]}
+        if i % 3:
+            fields["noise0"] = str(rng.choice(["v0", "v1", "v9"]))
+        lines.append(json.dumps({"fields": fields}))
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines[:40]) + "\n\n"
+                                                  + "\n".join(lines[40:]) + "\n"))
+    assert main(["retrieve", "--config", ws["cfg_path"], "--index", idx, "--k", "4"]) == 0
+    assert capsys.readouterr().out == single_query_records(ws["cfg"], idx, lines, 4)
+
+
+def test_retrieve_writes_good_records_before_a_bad_line(ws, capsys, monkeypatch):
+    idx = str(ws["base"] / "i1.rati")
+    good = [json.dumps({"fields": {"key": f"g{i}"}}) for i in range(5)]
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(good + ["{nope"] + good) + "\n"))
+    assert main(["retrieve", "--config", ws["cfg_path"], "--index", idx, "--k", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == single_query_records(ws["cfg"], idx, good, 3)
+    assert "queries line 6: invalid JSON" in captured.err
+
+
+def test_query_lines_split_as_splitlines():
+    text = 'a\r\nb\rc\n\nd e\x0cf\r\n\rg'
+    assert list(_query_lines(io.StringIO(text, newline="\n"))) == text.splitlines()
 
 
 # ---------------------------------------------------------------- train

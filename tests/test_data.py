@@ -40,6 +40,23 @@ def test_row_order_is_time_when_no_timestamp_column(tmp_path):
     assert ds.labels.tolist() == [0, 1, 0, 1]
 
 
+def test_empty_timestamp_col_names_a_header_column(tmp_path):
+    # only None means "no timestamp column"; "" is a column name like any other
+    spec = CsvSpec(label_col="label", feature_cols=["city"], timestamp_col="")
+    p = write(tmp_path / "a.csv", "city,,label\na,5,0\nb,3,1\n")
+    ds = load_csv(p, spec)
+    assert ds.has_timestamp_column
+    assert ds.timestamps.tolist() == [3, 5]
+    assert ds.labels.tolist() == [1, 0]
+
+
+def test_empty_timestamp_col_absent_from_header(tmp_path):
+    spec = CsvSpec(label_col="label", feature_cols=["city"], timestamp_col="")
+    p = write(tmp_path / "a.csv", "ts,city,label\n5,a,0\n3,b,1\n")
+    with pytest.raises(DataError, match="column '' not in header"):
+        load_csv(p, spec)
+
+
 def test_vocab_ids_start_at_one_and_round_trip(tmp_path):
     p = write(tmp_path / "a.csv", "ts,city,device,label\n0,a,x,0\n1,b,y,1\n2,a,z,0\n")
     ds = load_csv(p, SPEC)

@@ -2,12 +2,19 @@
 
 import math
 import os
+import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from ractr import retrieval
 from ractr.errors import DataError
 from ractr.retrieval import (
+    ELIGIBILITY,
+    _score_blocks,
     bm25_score,
     brute_force_retrieve,
     build_index,
@@ -17,7 +24,7 @@ from ractr.retrieval import (
     retrieve_batch,
     save_index,
 )
-from ractr.synthetic import random_dataset
+from ractr.synthetic import majority_task, random_dataset
 
 
 def small_index():
@@ -488,3 +495,134 @@ def test_failed_index_save_leaves_old_file(tmp_path):
         save_index(build_index(np.array([[1], [2**32]]), np.arange(2)), str(path))
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["i.rati"]
+
+
+# ---------------------------------------------------------------- workers and columns
+
+def worker_datasets():
+    # ties and missing ids in both random sets; the second has > 255 ids in a
+    # field, so its columns are not all uint8
+    return (random_dataset(seed=21, n=240, n_fields=4, vocab=5),
+            random_dataset(seed=22, n=600, n_fields=3, vocab=1000, missing_rate=0.2),
+            majority_task(12, 24, eval_train_records=3, seed=3))
+
+
+def all_bits(results):
+    return (np.array([r.neighbor_indices for r in results]), np.array([r.mask for r in results]),
+            np.array([r.scores for r in results]).view(np.int64))
+
+
+@pytest.mark.parametrize("ds", worker_datasets(), ids=("random-small", "random-wide", "majority"))
+def test_any_worker_count_gives_the_same_result(ds, monkeypatch):
+    idx = index_from_dataset(ds)
+    rows = np.arange(len(ds))
+    queries = ds.field_ids
+    calls = []
+
+    def score_blocks(*args):
+        calls.append(threading.current_thread() is threading.main_thread())
+        return _score_blocks(*args)
+
+    monkeypatch.setattr(retrieval, "_score_blocks", score_blocks)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)                 # interleave the workers finely
+    try:
+        for elig in ELIGIBILITY:
+            pos = {} if elig == "all" else {"query_ts": ds.timestamps, "query_index": rows}
+            want = None
+            for cores in (1, 2, 3):             # 3 is more workers than this machine may have
+                monkeypatch.setattr(retrieval, "_usable_cores", lambda: cores)
+                for chunk in (1, 8, 17):
+                    calls.clear()
+                    got = all_bits(retrieve_batch(idx, queries, 5, elig, chunk_size=chunk, **pos))
+                    if want is None:
+                        want = got
+                    for a, b in zip(got, want):
+                        np.testing.assert_array_equal(a, b)
+                    # one call a worker, inline only when there is one worker
+                    assert calls == ([True] if cores == 1 else [False] * cores)
+            for i in rows[::7]:
+                one = {} if elig == "all" else {"query_ts": int(ds.timestamps[i]),
+                                                "query_index": int(i)}
+                ref = brute_force_retrieve(idx, queries[i], 5, elig, **one)
+                assert want[0][i].tolist() == ref.neighbor_indices.tolist()
+                assert want[1][i].tolist() == ref.mask.tolist()
+                assert want[2][i].tolist() == ref.scores.view(np.int64).tolist()
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_column_dtype_is_the_narrowest_that_holds_the_ids():
+    for top, dtype in ((255, np.uint8), (256, np.uint16), (65_535, np.uint16),
+                       (65_536, np.uint32), (2**32 - 1, np.uint32), (2**32, np.int64)):
+        ids = np.array([[1, top], [0, 3], [7, top]])
+        idx = build_index(ids, np.arange(3))
+        assert [col.dtype for col in idx._cols] == [np.uint8, dtype]
+        for col, want in zip(idx._cols, ids.T):
+            assert col.flags.c_contiguous
+            np.testing.assert_array_equal(col, want)
+    # a negative id fits no unsigned dtype
+    assert build_index(np.array([[-1], [2]]), np.arange(2))._cols[0].dtype == np.int64
+
+
+def test_query_ids_past_a_narrow_column_add_no_weight():
+    rng = np.random.default_rng(13)
+    ids = rng.integers(1, 6, size=(90, 3))
+    ids[:, 2] = rng.integers(1, 300, size=90)
+    idx = build_index(ids, np.sort(rng.integers(0, 30, size=90)))
+    assert [col.dtype for col in idx._cols] == [np.uint8, np.uint8, np.uint16]
+    v = int(ids[0, 0])
+    # 256 + v and v - 256 wrap to v in uint8 (65,536 + w to w in uint16) and
+    # so "match" v's rows; queries with real weights there share their block
+    queries = np.array([[256 + v, v, ids[0, 2]], [v - 256, 2, 65_536 + ids[1, 2]],
+                        [v, ids[1, 1], ids[1, 2]], [v, 3, ids[2, 2]]])
+    for chunk in (1, 4):
+        for q, got in zip(queries, retrieve_batch(idx, queries, 6, chunk_size=chunk)):
+            assert_same_as_oracle(got, brute_force_retrieve(idx, q, 6))
+    # the wrapped field contributes nothing, as for any unseen id
+    unseen = queries[:2].copy()
+    unseen[0, 0], unseen[1, 0], unseen[1, 2] = 0, 0, 0
+    for a, b in zip(retrieve_batch(idx, queries, 6, chunk_size=4)[:2],
+                    retrieve_batch(idx, np.vstack([unseen, queries[2:]]), 6, chunk_size=4)[:2]):
+        assert_same_as_oracle(a, b)
+
+
+def test_single_query_runs_inline(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a single query started the worker pool")
+
+    monkeypatch.setattr(retrieval, "_executor", None)
+    monkeypatch.setattr(retrieval, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(retrieval, "_usable_cores", lambda: 4)
+    rng = np.random.default_rng(14)
+    idx = random_index(rng, 500, 4, 9)
+    threads = threading.active_count()
+    res = retrieve(idx, rng.integers(0, 10, size=4), 5)
+    assert res.n_real == 5
+    assert retrieval._executor is None
+    assert threading.active_count() == threads
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_forked_child_starts_its_own_workers(monkeypatch):
+    monkeypatch.setattr(retrieval, "_usable_cores", lambda: 2)
+    rng = np.random.default_rng(15)
+    idx = random_index(rng, 300, 3, 6)
+    queries = rng.integers(0, 7, size=(40, 3))
+    want = all_bits(retrieve_batch(idx, queries, 5))     # the parent's workers exist now
+    pid = os.fork()
+    if pid == 0:                                        # the child never returns to pytest
+        code = 1
+        try:
+            got = all_bits(retrieve_batch(idx, queries, 5))
+            code = 0 if all(np.array_equal(a, b) for a, b in zip(got, want)) else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.02)
+    if done[0] == 0:                                    # hung on the inherited executor
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
