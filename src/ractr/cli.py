@@ -156,11 +156,22 @@ RETRIEVE_GROUP = 256
 
 
 def _query_lines(f):
-    """The lines of a text stream as str.splitlines gives them for the whole
+    """The lines of a query stream as str.splitlines gives them for the whole
     text: each line the stream yields ends at a "\n", which splitlines also
-    breaks at, and no break ("\r\n" included) spans two of them."""
+    breaks at, and no break ("\r\n" included) spans two of them. A byte
+    stream is read as UTF-8, one line at a time, so the lines before one
+    that is not UTF-8 come out before its DataError."""
+    lineno = 0
     for physical in f:
-        yield from physical.splitlines()
+        if isinstance(physical, bytes):
+            try:
+                physical = physical.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise DataError(f"queries line {lineno + 1}: not UTF-8 text: {e.reason} "
+                                f"at byte {e.start}") from None
+        for line in physical.splitlines():
+            lineno += 1
+            yield line
 
 
 def _parse_query(ds: Dataset, line: str, lineno: int) -> np.ndarray:
@@ -203,28 +214,29 @@ def cmd_retrieve(args) -> int:
         raise UsageError(f"k must be an integer >= 1, got {k!r}")
 
     if args.queries == "-":
-        queries = nullcontext(sys.stdin)
+        # the bytes under a text stdin, so that they decode as a file's do
+        queries = nullcontext(getattr(sys.stdin, "buffer", sys.stdin))
     else:
         try:
-            queries = open(args.queries, "r", encoding="utf-8")
+            queries = open(args.queries, "rb")
         except OSError as e:
             raise UsageError(f"cannot read queries {args.queries}: {e}") from None
 
     out = atomic_open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
     with queries as q_f, out as out_f:
         group = []
-        for lineno, line in enumerate(_query_lines(q_f), start=1):
-            if not line.strip():
-                continue
-            try:
+        try:
+            for lineno, line in enumerate(_query_lines(q_f), start=1):
+                if not line.strip():
+                    continue
                 group.append(_parse_query(ds, line, lineno))
-            except DataError:
-                # the records of the good lines before it come out first
-                _write_neighbors(index, group, k, out_f)
-                raise
-            if len(group) == RETRIEVE_GROUP:
-                _write_neighbors(index, group, k, out_f)
-                group = []
+                if len(group) == RETRIEVE_GROUP:
+                    _write_neighbors(index, group, k, out_f)
+                    group = []
+        except DataError:
+            # the records of the good lines before a bad one come out first
+            _write_neighbors(index, group, k, out_f)
+            raise
         _write_neighbors(index, group, k, out_f)
     return 0
 

@@ -11,19 +11,27 @@ record's index is its position. So a later position means a more recent
 record, the tie order (score desc, timestamp desc, record index desc) is
 (score desc, position desc), and the records strictly earlier than a query
 form a prefix of the pool: every record of an earlier timestamp, then those
-of the query's own timestamp below the query's index. Queries are scored
-exactly and densely, a small block at a time, over the longest eligible
-prefix in the block: for each field in ascending order, S += (pool column ==
-query id) * match weight. That adds the same weights in the same order as
-the per-pair sum, so scores are bitwise equal to it. The cost is O(queries x
-eligible pool x F). Top-k is one partition per block for the k-th score,
-then one lexsort of the candidates at or above it.
+of the query's own timestamp below the query's index.
 
-Each pool column is stored in the narrowest unsigned dtype that holds its
-field's ids, so the compares read 1-4 bytes a row instead of 8. Blocks are
-independent: they are dealt round-robin to one worker thread per usable core
-(numpy's loops release the GIL), and each row's result is the same whichever
-worker scores it.
+Queries are scored a small block at a time over the longest eligible prefix
+in the block, in two passes. The first is approximate and cheap. Fields with
+at most NARROW_IDS distinct pool ids are packed into groups, and each pool
+row holds one uint8 code per group that spells its ids in the group's
+fields. A block builds, per group, a (query, code) table of the query's
+summed match weights, and a row's approximate score is one table lookup per
+group plus a dense compare pass per wider field. The lookups add the same
+weights as the formula in another order, so each approximate score is
+within 2e_q of the exact one, e_q = gamma_F * sum_f |w_qf| (Higham 2002,
+ch. 3-4). Every row of the exact top-k therefore scores at least tau - 4e_q
+approximately, where tau is the k-th largest approximate score. The second
+pass rescores just those rows exactly, adding each field's weight in
+ascending field order from +0.0 as the per-pair sum does, and sorts them by
+(score desc, position desc). Scores and neighbors are bitwise equal to the
+per-pair sum and its order.
+
+Blocks are independent: they are dealt round-robin to one worker thread per
+usable core (numpy's loops release the GIL), and each row's result is the
+same whichever worker scores it.
 """
 
 from __future__ import annotations
@@ -43,11 +51,22 @@ INDEX_VERSION = 3
 
 ELIGIBILITY = ("earlier", "all")
 
-# queries scored together. A block's score, product and match buffers take
-# 17 bytes per query per pool row, in each worker; with a 13,600-row pool,
-# blocks of 6-8 were fastest on a Xeon with 2 MB of L2 per core (16 ran
-# 10-20% slower, 32 ~50%).
-QUERY_BLOCK = 8
+# queries scored together. A block's score, lookup and match buffers take
+# 17 bytes per query per pool row, in each worker. Both eligibilities of the
+# 13,600-row, 15,600-query benchmark pool on 2 Xeon cores (2 MB of L2 each),
+# median of 8 interleaved rounds: blocks of 8 took 1.33 s, 16 1.01 s, 32
+# 0.84 s. Each doubling halves the per-block table and call overhead but
+# doubles the buffers; 16 keeps them at 3.7 MB a worker.
+QUERY_BLOCK = 16
+
+# a field with at most this many distinct pool ids is narrow: its ids and 0
+# fit one uint8 code. Narrow fields share a code in groups of at most
+# GROUP_CODES id combinations.
+NARROW_IDS = 255
+GROUP_CODES = 256
+
+# candidate rows rescored together: at most 4,096 x F terms at a time
+RESCORE_CHUNK = 4096
 
 # pool column dtypes, narrowest first, with the largest id each holds
 COLUMN_DTYPES = tuple((d, int(np.iinfo(d).max)) for d in (np.uint8, np.uint16, np.uint32))
@@ -81,12 +100,16 @@ class RetrievalIndex:
         n = self.pool_size
         self.record_indices = np.arange(n)       # row p is record p
         cols = np.ascontiguousarray(pool_field_ids.T)
+        # per field: its sorted distinct pool ids (0 too, when present) and counts
+        per_field = [np.unique(col, return_counts=True) for col in cols]
+        is_term = [v != 0 for v, _ in per_field]
+        terms = [v[t] for (v, _), t in zip(per_field, is_term)]
         # flat term tables, field-major then value-ascending; id 0 is never a term
-        per_field = [np.unique(col[col != 0], return_counts=True) for col in cols]
-        self._cols = [col.astype(_column_dtype(v)) for col, (v, _) in zip(cols, per_field)]
-        self._term_field = np.repeat(np.arange(self.num_fields), [v.size for v, _ in per_field])
-        self._term_value = np.concatenate([np.empty(0, np.int64)] + [v for v, _ in per_field])
-        df = np.concatenate([np.empty(0, np.int64)] + [d for _, d in per_field])
+        self._cols = [col.astype(_column_dtype(v)) for col, v in zip(cols, terms)]
+        self._term_field = np.repeat(np.arange(self.num_fields), [v.size for v in terms])
+        self._term_value = np.concatenate([np.empty(0, np.int64)] + terms)
+        df = np.concatenate([np.empty(0, np.int64)]
+                            + [d[t] for (_, d), t in zip(per_field, is_term)])
         self.num_terms = self._term_value.size
         self._unseen_weight = float(np.log((n + 0.5) / 0.5))
         # (field, id) -> one ascending key, so a single search finds a term in any
@@ -98,6 +121,33 @@ class RetrievalIndex:
         self._term_key = np.append(
             self._term_field * self._vocab.size + np.searchsorted(self._vocab, self._term_value),
             self.num_fields * self._vocab.size)
+        # each term's slot in its field's distinct ids; the sentinel's is 0
+        self._term_slot = np.concatenate([np.empty(0, np.int64)]
+                                         + [np.flatnonzero(t) for t in is_term] + [[0]])
+        # Narrow fields (at most NARROW_IDS terms) are packed greedily, in field
+        # order, into groups of at most GROUP_CODES id combinations. A row's
+        # group code holds its ids' slots in the group's fields as mixed-radix
+        # digits, and _digits holds each narrow field's digit of every code.
+        radix = [v.size for v, _ in per_field]
+        self._narrow = np.array([f for f, v in enumerate(terms) if v.size <= NARROW_IDS], np.int64)
+        self._wide = np.setdiff1d(np.arange(self.num_fields), self._narrow)
+        starts, width = [], GROUP_CODES + 1
+        for j, f in enumerate(self._narrow):
+            if width * radix[f] > GROUP_CODES:
+                starts.append(j)
+                width = 1
+            width *= radix[f]
+        # each group as a slice of the narrow fields, with one code per pool row
+        self._groups = [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [self._narrow.size])]
+        self._group_codes, digits = [], []
+        for group in self._groups:
+            fields = self._narrow[group]
+            r = [radix[f] for f in fields]
+            stride = np.cumprod([1] + r[:0:-1])[::-1]     # product of the radices after each
+            self._group_codes.append(sum(np.searchsorted(per_field[f][0], cols[f]) * st
+                                         for f, st in zip(fields, stride)).astype(np.uint8))
+            digits += [np.arange(GROUP_CODES) // st % rf for rf, st in zip(r, stride)]
+        self._digits = np.array(digits, np.uint8).reshape(len(digits), GROUP_CODES)
 
     def weight(self, f: int, vid: int) -> float:
         """IDF-style match weight for a (field, value) term; vid may be unseen."""
@@ -108,13 +158,18 @@ class RetrievalIndex:
         terms = zip(self._term_field.tolist(), self._term_value.tolist())
         return dict(zip(terms, self._term_weight.tolist()))
 
-    def _query_weights(self, query_ids: np.ndarray) -> np.ndarray:
-        """(queries, F) match weights; 0.0 where an id matches no pool record."""
+    def _query_terms(self, query_ids: np.ndarray) -> np.ndarray:
+        """(queries, F) flat term of each id; the sentinel where it matches no
+        pool record."""
         slot = np.minimum(np.searchsorted(self._vocab, query_ids), self._vocab.size - 1)
         key = np.arange(self.num_fields) * self._vocab.size + slot
         term = np.searchsorted(self._term_key, key)
         hit = (self._term_key[term] == key) & (self._vocab[slot] == query_ids)
-        return np.where(hit, self._term_weight[term], 0.0)
+        return np.where(hit, term, self.num_terms)
+
+    def _query_weights(self, query_ids: np.ndarray) -> np.ndarray:
+        """(queries, F) match weights; 0.0 where an id matches no pool record."""
+        return self._term_weight[self._query_terms(query_ids)]
 
 
 def _column_dtype(terms: np.ndarray) -> type:
@@ -198,37 +253,111 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _score_blocks(index: RetrievalIndex, query_cols: list[np.ndarray], weights: np.ndarray,
-                  prefix: np.ndarray, n_real: np.ndarray, positions: np.ndarray,
-                  scores: np.ndarray, blocks: list[np.ndarray]) -> None:
+@dataclass
+class _Queries:
+    """A batch's queries as the block workers read them, one row a query."""
+    ids: np.ndarray             # (queries, F) int64
+    cols: dict[int, np.ndarray]  # per wide field, its ids cast to the pool column's dtype
+    weights: np.ndarray         # (queries, F) match weights, 0.0 where nothing matches
+    digits: np.ndarray          # (queries, narrow fields) each id's slot, uint8
+    slack: np.ndarray           # (queries,) bound on |approximate - exact| score
+
+
+def _slack(weights: np.ndarray) -> np.ndarray:
+    """Per query, a bound on |approximate - exact| score over every pool row.
+
+    Both add the same at most F match weights, in different orders. Any
+    order lands within e = gamma_F * sum |w| of the real sum, gamma_n =
+    n*u / (1 - n*u) with u = 2**-53 (Higham 2002, ch. 3-4), so the two differ
+    by at most 2e. Taking gamma at F + 2 covers the rounding of this bound
+    and of the threshold built from it.
+    """
+    nu = (weights.shape[1] + 2) * 2.0 ** -53
+    return 2 * nu / (1 - nu) * np.abs(weights).sum(axis=1)
+
+
+def _approximate_scores(index: RetrievalIndex, queries: _Queries, rows: np.ndarray,
+                        s: np.ndarray, t: np.ndarray, eq: np.ndarray, match: np.ndarray,
+                        tables: np.ndarray) -> None:
+    """Fill s (rows x prefix) with the block's scores up to rounding.
+
+    Each group gets a (query, code) table, the sum of the query's weights on
+    the group's fields whose digit of the code is the query's slot, and is
+    read with one lookup of its pool codes. Wide fields add a dense pass.
+    """
+    m = s.shape[1]
+    w = queries.weights[rows]
+    w_narrow = w[:, index._narrow]
+    np.equal(index._digits, queries.digits[rows, :, None], out=match)
+    first = True
+    for g, group in enumerate(index._groups):
+        if not w_narrow[:, group].any():        # it would add only zeros
+            continue
+        np.einsum("qfc,qf->qc", match[:, group], w_narrow[:, group], out=tables[:, g])
+        np.take(tables[:, g], index._group_codes[g][:m], axis=1, out=s if first else t,
+                mode="clip")
+        if not first:
+            s += t
+        first = False
+    if first:
+        s.fill(0.0)
+    for f in index._wide[w[:, index._wide].any(axis=0)].tolist():
+        # A query id the column's dtype cannot hold wrapped in the cast and
+        # may "match" a pool id here. It is in no pool record, so its weight
+        # is +0.0, and a match adds 1 * +0.0, exactly what a mismatch adds.
+        np.equal(index._cols[f][:m], queries.cols[f][rows, None], out=eq)
+        np.multiply(eq, w[:, f, None], out=t)
+        s += t
+
+
+def _exact_scores(index: RetrievalIndex, queries: _Queries, live: np.ndarray,
+                  q: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Score query q[i] against pool row c[i] as the formula does: each live
+    field's term in ascending field order, from +0.0. A field with no weight
+    in any of these queries would add +0.0, which changes no sum that starts
+    from +0.0. Rows are scored RESCORE_CHUNK at a time, which bounds memory
+    when nearly every row ties."""
+    score = np.zeros(c.size)
+    for lo in range(0, c.size, RESCORE_CHUNK):
+        part = slice(lo, lo + RESCORE_CHUNK)
+        qq, cc = q[part, None], c[part, None]
+        terms = np.where(index.pool_field_ids[cc, live] == queries.ids[qq, live],
+                         queries.weights[qq, live], 0.0)
+        for j in range(live.size):
+            score[part] += terms[:, j]
+    return score
+
+
+def _score_blocks(index: RetrievalIndex, queries: _Queries, prefix: np.ndarray,
+                  n_real: np.ndarray, positions: np.ndarray, scores: np.ndarray,
+                  blocks: list[np.ndarray]) -> None:
     """Score each block of query rows (ascending prefix, longest last) with
     this worker's own buffers, writing only those rows of positions/scores."""
     size = max(rows.size * int(prefix[rows[-1]]) for rows in blocks)
     s_buf, t_buf, eq_buf = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+    most = max(rows.size for rows in blocks)
+    match = np.empty((most, *index._digits.shape), dtype=bool)
+    tables = np.empty((most, len(index._groups), GROUP_CODES))
     for rows in blocks:
         p = prefix[rows]
         m = int(p[-1])
-        w = weights[rows]
         s, t, eq = (buf[:rows.size * m].reshape(rows.size, m) for buf in (s_buf, t_buf, eq_buf))
-        s.fill(0.0)
-        # a field no query in the block can match would add only zeros
-        for f in np.flatnonzero(w.any(axis=0)):
-            # A query id the column's dtype cannot hold wrapped in the cast and
-            # may "match" a pool id here. It is in no pool record, so its
-            # weight is +0.0, and a match adds 1 * +0.0, exactly what a
-            # mismatch adds (0 * +0.0): the scores are unchanged.
-            np.equal(index._cols[f][:m], query_cols[f][rows, None], out=eq)
-            np.multiply(eq, w[:, f, None], out=t)
-            s += t
+        _approximate_scores(index, queries, rows, s, t, eq, match[:rows.size], tables[:rows.size])
         for r in np.flatnonzero(p < m):
             s[r, p[r]:] = -np.inf
         kk = min(positions.shape[1], m)
-        tau = np.partition(s, m - kk, axis=1)[:, m - kk]
-        # every candidate at or above the k-th score, ties included, in exact order
-        np.greater_equal(s, tau[:, None], out=eq)
-        flat = np.flatnonzero(eq)
-        r, c = np.divmod(flat, m)
-        sc = s.ravel()[flat]
+        np.copyto(t, s)
+        t.partition(m - kk, axis=1)
+        # Every row of the exact top-k scores at least this in s: a row x of
+        # it outranks some row y of the approximate top-k (or is one), so
+        # s_x >= exact_x - slack >= exact_y - slack >= s_y - 2 slack. The
+        # floor keeps ineligible rows out when fewer than kk are eligible.
+        floor = np.maximum(t[:, m - kk] - 2 * queries.slack[rows], -np.finfo(np.float64).max)
+        np.greater_equal(s, floor[:, None], out=eq)
+        r, c = np.divmod(np.flatnonzero(eq), m)
+        live = np.flatnonzero(queries.weights[rows].any(axis=0))
+        sc = _exact_scores(index, queries, live, rows[r], c)
+        # the candidates in exact order: score desc, then position desc
         o = np.lexsort((-c, -sc, r))
         r, c, sc = r[o], c[o], sc[o]
         slot = np.arange(r.size) - np.searchsorted(r, r)
@@ -257,9 +386,13 @@ def _top_k(index: RetrievalIndex, query_ids: np.ndarray, k: int, prefix: np.ndar
               if prefix[rows[-1]] > 0]
     if not blocks:
         return positions, scores
-    query_cols = [query_ids[:, f].astype(col.dtype) for f, col in enumerate(index._cols)]
-    work = partial(_score_blocks, index, query_cols, index._query_weights(query_ids), prefix,
-                   np.minimum(prefix, k), positions, scores)
+    terms = index._query_terms(query_ids)
+    weights = index._term_weight[terms]
+    queries = _Queries(query_ids, {f: query_ids[:, f].astype(index._cols[f].dtype)
+                                   for f in index._wide.tolist()},
+                       weights, index._term_slot[terms[:, index._narrow]].astype(np.uint8),
+                       _slack(weights))
+    work = partial(_score_blocks, index, queries, prefix, np.minimum(prefix, k), positions, scores)
     workers = min(_usable_cores(), len(blocks))
     if workers == 1:
         work(blocks)
@@ -293,9 +426,11 @@ def retrieve_batch(index: RetrievalIndex, query_ids: np.ndarray, k: int,
     """Top-k pool neighbors for each row of query_ids, (queries, F).
 
     Queries are ordered by eligible prefix length and scored chunk_size at a
-    time over the block's longest prefix, at O(queries x eligible pool x F),
-    on the usable cores. Results are bit-identical to per-query retrieve in
-    any chunking and on any number of cores.
+    time over the block's longest prefix, on the usable cores: a lookup per
+    field group and a compare per wide field for each eligible row, then an
+    exact rescoring of the rows near the k-th score. Results are
+    bit-identical to per-query retrieve in any chunking and on any number of
+    cores.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -263,11 +263,17 @@ def train(ds: Dataset, index: RetrievalIndex, cfg: TrainConfig,
             y = np.asarray(ds.labels[chunk], dtype=np.float64)
             nll = T.add(T.mul(y, T.tlog(pc)), T.mul(1.0 - y, T.tlog(T.sub(1.0, pc))))
             loss = T.mul(T.tmean(nll), -1.0)
+            batch_loss = float(loss.data)
+            if not math.isfinite(batch_loss):
+                raise DataError(f"training loss is {batch_loss} in epoch {epoch + 1} of "
+                                f"{cfg.max_epochs}, step {step + 1}: the model diverged "
+                                f"(learning_rate {cfg.learning_rate!r}, logloss_clip_eps "
+                                f"{cfg.logloss_clip_eps!r})")
             loss.backward()
             opt.step()
             T.zero_grads(params)
             step += 1
-            loss_sum += float(loss.data) * len(chunk)
+            loss_sum += batch_loss * len(chunk)
 
         valid_p = predict_rows(model, ds, valid_rows, neigh, neigh_mask)
         v_auc = auc(vy, valid_p)

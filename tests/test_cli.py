@@ -232,6 +232,31 @@ def test_retrieve_writes_good_records_before_a_bad_line(ws, capsys, monkeypatch)
 def test_query_lines_split_as_splitlines():
     text = 'a\r\nb\rc\n\nd e\x0cf\r\n\rg'
     assert list(_query_lines(io.StringIO(text, newline="\n"))) == text.splitlines()
+    # a byte stream splits the same way
+    assert list(_query_lines(io.BytesIO(text.encode()))) == text.splitlines()
+
+
+@pytest.mark.parametrize("source", ("file", "stdin"))
+def test_retrieve_undecodable_line_is_a_data_error(ws, tmp_path, capsys, monkeypatch, source):
+    idx = str(ws["base"] / "i1.rati")
+    good = [json.dumps({"fields": {"key": f"g{i}"}}) for i in range(3)]
+    # line 3 is blank and line 4 a "\r"-separated pair, so line numbers count
+    # logical lines; line 7 holds a byte that is no UTF-8
+    lines = [good[0], good[1], "", good[2] + "\r" + good[0]]
+    blob = "\n".join(lines).encode() + b'\n\n{"fields": {"key": "g\xff"}}\n' + good[1].encode()
+    cmd = ["retrieve", "--config", ws["cfg_path"], "--index", idx, "--k", "3"]
+    if source == "file":
+        path = tmp_path / "bytes.jsonl"
+        path.write_bytes(blob)
+        cmd += ["--queries", str(path)]
+    else:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8",
+                                                            errors="surrogateescape"))
+    assert main(cmd) == 2
+    captured = capsys.readouterr()
+    assert captured.out == single_query_records(ws["cfg"], idx, good + [good[0]], 3)
+    assert "data error: queries line 7: not UTF-8 text" in captured.err
+    assert "Traceback" not in captured.err
 
 
 # ---------------------------------------------------------------- train
@@ -581,6 +606,23 @@ def test_bad_sizes_exit_1(ws, tmp_path, capsys, key, value, must):
     assert main(["train", "--config", cfg_path]) == 1
     assert f"'{key}' must be {must or 'an integer >= '}" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_training_loss_exits_2(ws, tmp_path, capsys):
+    # an enormous step saturates p at exactly 1.0, and a clip eps below the
+    # float spacing at 1.0 leaves log(1 - p) = -inf: the loss is not finite
+    cfg = {"data": ws["cfg"]["data"], "out_dir": str(tmp_path / "o"),
+           "train": dict(ws["cfg"]["train"], learning_rate=1e3, logloss_clip_eps=1e-300)}
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as f:
+        json.dump(cfg, f)
+    assert main(["train", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: training loss is nan in epoch 1 of 2, step ")
+    assert "the model diverged (learning_rate 1000.0, logloss_clip_eps 1e-300)" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(tmp_path / "o" / "checkpoint.ratm")
 
 
 def test_failed_artifact_write_leaves_old_file(ws, tmp_path, capsys):

@@ -413,13 +413,18 @@ def check_against_oracle(idx, queries, k, query_ts, query_index):
                     assert_same_as_oracle(retrieve(idx, queries[i], k, elig, **pos), ref)
 
 
-ORACLE_CASES = ("ts_ties", "heavy_ts_ties", "all_tied", "big_k")
+ORACLE_CASES = ("ts_ties", "heavy_ts_ties", "all_tied", "big_k", "negative_weights",
+                "all_unseen", "code_cap", "no_narrow")
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_scores_bitwise_equal_to_oracle(case):
     rng = np.random.default_rng(ORACLE_CASES.index(case))
     n, nf, vocab = 120, 4, 6
+    if case in ("code_cap", "no_narrow"):
+        n = 600
+    if case == "no_narrow":
+        vocab = 2000                            # every field > 255 distinct ids: all wide
     ids = rng.integers(0, vocab + 1, size=(n, nf))
     ts = np.sort(rng.integers(0, 40, size=n))  # with ties
     k = 5
@@ -430,12 +435,27 @@ def test_scores_bitwise_equal_to_oracle(case):
     elif case == "big_k":
         n, k = 9, 12                            # k > pool
         ids, ts = ids[:n], ts[:n]
+    elif case == "negative_weights":
+        ids[rng.random(n) < 0.8, 0] = 1         # in more than half the pool: weight < 0
+    elif case == "code_cap":
+        # field 0 holds 255 distinct ids and 0, all 256 codes of one group;
+        # field 1 holds 256 ids, one too many for a code: a wide field
+        ids[:, 0] = rng.permutation(np.arange(n) % 256)
+        ids[:, 1] = rng.permutation(np.arange(n) % 256 + 1)
     idx = build_index(ids, ts)
+    # the other cases have only narrow fields
+    assert idx._wide.tolist() == {"code_cap": [1], "no_narrow": [0, 1, 2, 3]}.get(case, [])
     nq = 30
     queries = rng.integers(0, vocab + 1, size=(nq, nf))
     queries[:3] = 0                             # all-missing queries match nothing
     queries[3:6, 1] = vocab + 50                # unseen ids
     queries[6:10] = ids[rng.integers(0, n, size=4)]
+    if case == "all_unseen":
+        queries[12:] = vocab + 50 + np.arange(nf)  # every eligible row ties at 0.0
+    elif case == "negative_weights":
+        queries[12:, 0] = 1
+    elif case == "code_cap":
+        queries[12:14, :2] = [[255, 256], [0, 1]]
     q_ts = rng.integers(ts.min() - 2, ts.max() + 3, size=nq)
     q_ts[10] = ts.min() - 1                     # nothing eligible
     q_idx = rng.integers(0, n + 2, size=nq)
@@ -626,3 +646,80 @@ def test_forked_child_starts_its_own_workers(monkeypatch):
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
     assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+
+# ---------------------------------------------------------------- group codes and rescoring
+
+def test_group_codes_spell_each_rows_narrow_ids():
+    rng = np.random.default_rng(16)
+    n = 500
+    ids = np.column_stack([rng.integers(0, 3, n), np.arange(n) % 299 + 1, rng.integers(0, 5, n),
+                           np.full(n, 7), rng.integers(0, 200, n), rng.integers(1, 3, n)])
+    idx = build_index(ids, np.arange(n))
+    assert idx._wide.tolist() == [1]
+    # greedy in field order: 3 x 5 x 1 ids fill the first group; ~200 do not
+    # fit beside them, and 2 do not fit beside those
+    assert [idx._narrow[group].tolist() for group in idx._groups] == [[0, 2, 3], [4], [5]]
+    for group, codes in zip(idx._groups, idx._group_codes):
+        assert codes.dtype == np.uint8
+        for j in range(group.start, group.stop):
+            f = idx._narrow[j]
+            np.testing.assert_array_equal(np.unique(ids[:, f])[idx._digits[j][codes]], ids[:, f])
+
+
+def exact_dense_scores(index, query_ids, weights, m):
+    """(queries, m) scores as the formula sums them: field order, from +0.0."""
+    s = np.zeros((len(query_ids), m))
+    for f in range(index.num_fields):
+        s += np.where(index.pool_field_ids[:m, f] == query_ids[:, f, None], weights[:, f, None], 0.0)
+    return s
+
+
+@pytest.mark.parametrize("around", ("lookup", "exact"))
+@pytest.mark.parametrize("ds", worker_datasets(), ids=("random-small", "random-wide", "majority"))
+def test_scores_inside_the_rounding_bound_change_nothing(ds, around, monkeypatch):
+    # Any order of summing a query's F match weights lands within e = gamma_F
+    # * sum |w| of the real sum, so the lookup sums and the exact ones differ
+    # by at most 2e. Approximate scores anywhere inside that bound, around
+    # the lookup sums (+-e) or the exact ones (+-2e), must give the same bits.
+    idx = index_from_dataset(ds)
+    rows = np.arange(len(ds))
+    u = 2.0 ** -53
+    gamma = idx.num_fields * u / (1 - idx.num_fields * u)
+    rng = np.random.default_rng(17)
+    approximate = retrieval._approximate_scores
+
+    def noisy(index, queries, block, s, *buffers):
+        approximate(index, queries, block, s, *buffers)
+        e = gamma * np.abs(queries.weights[block]).sum(axis=1)[:, None]
+        if around == "exact":
+            s[...], e = exact_dense_scores(index, queries.ids[block], queries.weights[block],
+                                           s.shape[1]), 2 * e
+        s += e * rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=s.shape)
+
+    for elig in ELIGIBILITY:
+        pos = {} if elig == "all" else {"query_ts": ds.timestamps, "query_index": rows}
+        want = all_bits(retrieve_batch(idx, ds.field_ids, 5, elig, **pos))
+        with monkeypatch.context() as m:
+            m.setattr(retrieval, "_approximate_scores", noisy)
+            for chunk in (1, 16):
+                got = all_bits(retrieve_batch(idx, ds.field_ids, 5, elig, chunk_size=chunk, **pos))
+                for a, b in zip(got, want):
+                    np.testing.assert_array_equal(a, b)
+        for i in rows[::11]:
+            one = {} if elig == "all" else {"query_ts": int(ds.timestamps[i]), "query_index": int(i)}
+            ref = brute_force_retrieve(idx, ds.field_ids[i], 5, elig, **one)
+            assert want[0][i].tolist() == ref.neighbor_indices.tolist()
+            assert want[2][i].tolist() == ref.scores.view(np.int64).tolist()
+
+
+def test_chunked_rescoring_when_every_row_ties(monkeypatch):
+    # identical pool rows tie on every query, so every eligible row is a
+    # candidate; they are rescored a chunk at a time
+    monkeypatch.setattr(retrieval, "RESCORE_CHUNK", 7)
+    ids = np.ones((300, 3), dtype=np.int64)
+    idx = build_index(ids, np.arange(300))
+    queries = np.array([[1, 1, 1], [1, 0, 9], [0, 0, 0]])
+    for q, got in zip(queries, retrieve_batch(idx, queries, 4, chunk_size=3)):
+        assert got.neighbor_indices.tolist() == [299, 298, 297, 296]
+        assert_same_as_oracle(got, brute_force_retrieve(idx, q, 4))
