@@ -97,6 +97,12 @@ def _resolve_train_cfg(cfg: dict, args, base: dict | None = None) -> TrainConfig
     return TrainConfig.from_dict(d)
 
 
+def _check_k(k: int, ds: Dataset) -> None:
+    """A k past the train pool only adds padding, to tables allocated whole."""
+    if k > ds.train_end:
+        raise UsageError(f"k must be at most the train pool size, {ds.train_end}, got {k}")
+
+
 def _out_dir(cfg: dict, args) -> str:
     out = _path(getattr(args, "out", None), cfg, "out_dir")
     if not out:
@@ -192,12 +198,10 @@ def _write_neighbors(index, group: list[np.ndarray], k: int, out_f) -> None:
     if not group:
         return
     # ad-hoc queries score against the whole pool
-    for res in retrieve_batch(index, np.stack(group), k, eligibility="all"):
-        rec = {
-            "neighbors": res.neighbor_indices.tolist(),
-            "scores": [float(s) for s in res.scores[:res.n_real]],
-            "mask": [bool(m) for m in res.mask],
-        }
+    res = retrieve_batch(index, np.stack(group), k, eligibility="all")
+    for neighbors, scores, mask in zip(res.neighbor_indices, res.scores, res.mask):
+        rec = {"neighbors": neighbors.tolist(), "scores": scores[mask].tolist(),
+               "mask": mask.tolist()}
         out_f.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
@@ -212,6 +216,7 @@ def cmd_retrieve(args) -> int:
     k = args.k if args.k is not None else cfg.get("train", {}).get("k", 5)
     if type(k) is not int or k < 1:
         raise UsageError(f"k must be an integer >= 1, got {k!r}")
+    _check_k(k, ds)
 
     if args.queries == "-":
         # the bytes under a text stdin, so that they decode as a file's do
@@ -256,6 +261,7 @@ def cmd_train(args) -> int:
     out = _out_dir(cfg, args)
     ds = _load_any_dataset(cfg)
     index = index_from_dataset(ds)
+    _check_k(tcfg.k, ds)
 
     res = train(ds, index, tcfg)
 
@@ -304,6 +310,7 @@ def cmd_evaluate(args) -> int:
     ds = _load_any_dataset(cfg)
     index_path = _path(args.index, cfg, "index")
     index = load_index(index_path) if index_path else index_from_dataset(ds)
+    _check_k(tcfg.k, ds)
 
     segments = _segments_list(args)
     report = evaluate(model, ds, index, tcfg, split=args.split,
@@ -322,6 +329,7 @@ def cmd_ablate(args) -> int:
     out = _out_dir(cfg, args)
     ds = _load_any_dataset(cfg)
     index = index_from_dataset(ds)
+    _check_k(tcfg.k, ds)
 
     rows = ablate(ds, index, tcfg)
     _echo_run_config(out, "ablate", cfg, tcfg)

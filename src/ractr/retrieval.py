@@ -31,7 +31,7 @@ per-pair sum and its order.
 
 Blocks are independent: they are dealt round-robin to one worker thread per
 usable core (numpy's loops release the GIL), and each row's result is the
-same whichever worker scores it.
+same whichever worker scores it. The workers live for one call.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -74,7 +74,9 @@ COLUMN_DTYPES = tuple((d, int(np.iinfo(d).max)) for d in (np.uint8, np.uint16, n
 
 @dataclass
 class RetrievalResult:
-    """Top-k neighbors for one query, padded to exactly k slots.
+    """Top-k neighbors padded to exactly k slots: (queries, k) arrays from
+    retrieve_batch, one query's (k,) arrays from retrieve and
+    brute_force_retrieve.
 
     neighbor_indices holds record indices (pool positions), -1 on padded
     slots; scores are 0.0 on padded slots; mask marks real neighbors, which
@@ -84,14 +86,10 @@ class RetrievalResult:
     scores: np.ndarray
     mask: np.ndarray
 
-    @property
-    def n_real(self) -> int:
-        return int(self.mask.sum())
-
 
 class RetrievalIndex:
     """A fixed pool of encoded records in time order, record index = position,
-    with per-field term and weight tables derived from its ids."""
+    with the term and weight tables derived from its ids that scoring reads."""
 
     def __init__(self, pool_field_ids: np.ndarray, timestamps: np.ndarray):
         self.pool_size, self.num_fields = pool_field_ids.shape
@@ -105,21 +103,19 @@ class RetrievalIndex:
         is_term = [v != 0 for v, _ in per_field]
         terms = [v[t] for (v, _), t in zip(per_field, is_term)]
         # flat term tables, field-major then value-ascending; id 0 is never a term
-        self._cols = [col.astype(_column_dtype(v)) for col, v in zip(cols, terms)]
-        self._term_field = np.repeat(np.arange(self.num_fields), [v.size for v in terms])
-        self._term_value = np.concatenate([np.empty(0, np.int64)] + terms)
+        term_field = np.repeat(np.arange(self.num_fields), [v.size for v in terms])
+        term_value = np.concatenate([np.empty(0, np.int64)] + terms)
         df = np.concatenate([np.empty(0, np.int64)]
                             + [d[t] for (_, d), t in zip(per_field, is_term)])
-        self.num_terms = self._term_value.size
-        self._unseen_weight = float(np.log((n + 0.5) / 0.5))
+        self.num_terms = term_value.size
         # (field, id) -> one ascending key, so a single search finds a term in any
         # field: the id's slot in the vocabulary (which holds 0, never a term),
         # offset by field. Key and weight tables end with a sentinel (weight 0.0)
         # whose key is past every real one.
         self._term_weight = np.append(np.log((n - df + 0.5) / (df + 0.5)), 0.0)
-        self._vocab = np.unique(np.append(self._term_value, 0))
+        self._vocab = np.unique(np.append(term_value, 0))
         self._term_key = np.append(
-            self._term_field * self._vocab.size + np.searchsorted(self._vocab, self._term_value),
+            term_field * self._vocab.size + np.searchsorted(self._vocab, term_value),
             self.num_fields * self._vocab.size)
         # each term's slot in its field's distinct ids; the sentinel's is 0
         self._term_slot = np.concatenate([np.empty(0, np.int64)]
@@ -131,6 +127,8 @@ class RetrievalIndex:
         radix = [v.size for v, _ in per_field]
         self._narrow = np.array([f for f, v in enumerate(terms) if v.size <= NARROW_IDS], np.int64)
         self._wide = np.setdiff1d(np.arange(self.num_fields), self._narrow)
+        # each wide field's pool column in the narrowest dtype that holds its ids
+        self._cols = {f: cols[f].astype(_column_dtype(terms[f])) for f in self._wide.tolist()}
         starts, width = [], GROUP_CODES + 1
         for j, f in enumerate(self._narrow):
             if width * radix[f] > GROUP_CODES:
@@ -149,15 +147,6 @@ class RetrievalIndex:
             digits += [np.arange(GROUP_CODES) // st % rf for rf, st in zip(r, stride)]
         self._digits = np.array(digits, np.uint8).reshape(len(digits), GROUP_CODES)
 
-    def weight(self, f: int, vid: int) -> float:
-        """IDF-style match weight for a (field, value) term; vid may be unseen."""
-        return self._weight_of.get((f, int(vid)), self._unseen_weight)
-
-    @cached_property
-    def _weight_of(self) -> dict[tuple[int, int], float]:
-        terms = zip(self._term_field.tolist(), self._term_value.tolist())
-        return dict(zip(terms, self._term_weight.tolist()))
-
     def _query_terms(self, query_ids: np.ndarray) -> np.ndarray:
         """(queries, F) flat term of each id; the sentinel where it matches no
         pool record."""
@@ -166,10 +155,6 @@ class RetrievalIndex:
         term = np.searchsorted(self._term_key, key)
         hit = (self._term_key[term] == key) & (self._vocab[slot] == query_ids)
         return np.where(hit, term, self.num_terms)
-
-    def _query_weights(self, query_ids: np.ndarray) -> np.ndarray:
-        """(queries, F) match weights; 0.0 where an id matches no pool record."""
-        return self._term_weight[self._query_terms(query_ids)]
 
 
 def _column_dtype(terms: np.ndarray) -> type:
@@ -192,16 +177,27 @@ def build_index(pool_field_ids: np.ndarray, timestamps: np.ndarray) -> Retrieval
 
 
 def bm25_score(index: RetrievalIndex, query_ids: np.ndarray, cand_ids: np.ndarray) -> float:
-    """Score one query/candidate pair directly from the formula.
+    """Score one query/candidate pair directly from the formula, counting each
+    query id's pool frequency afresh.
 
     Fields contribute in ascending field order; a field contributes only when
     the ids are equal and both non-zero.
     """
+    return _pair_score(_counted_weights(index, query_ids), query_ids, cand_ids)
+
+
+def _counted_weights(index: RetrievalIndex, query_ids: np.ndarray) -> list[float]:
+    """Each query id's match weight, from its count in the pool's field."""
+    df = np.count_nonzero(index.pool_field_ids == np.asarray(query_ids, dtype=np.int64), axis=0)
+    return np.log((index.pool_size - df + 0.5) / (df + 0.5)).tolist()
+
+
+def _pair_score(weights: list[float], query_ids: np.ndarray, cand_ids: np.ndarray) -> float:
     total = 0.0
-    for f in range(index.num_fields):
+    for f, w in enumerate(weights):
         q = int(query_ids[f])
         if q != 0 and q == int(cand_ids[f]):
-            total += index.weight(f, q)
+            total += w
     return total
 
 
@@ -225,9 +221,6 @@ def _eligible_prefix(index: RetrievalIndex, eligibility: str, n_queries: int,
                    np.searchsorted(ts, query_ts, "right"))
 
 
-_executor: ThreadPoolExecutor | None = None
-
-
 def _usable_cores() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -235,29 +228,10 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _pool() -> ThreadPoolExecutor:
-    """The process's block workers, started on first use."""
-    global _executor
-    if _executor is None:
-        _executor = ThreadPoolExecutor(thread_name_prefix="ractr-retrieval")
-    return _executor
-
-
-def _forget_pool() -> None:
-    # a forked child inherits the executor but none of its threads
-    global _executor
-    _executor = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 @dataclass
 class _Queries:
     """A batch's queries as the block workers read them, one row a query."""
     ids: np.ndarray             # (queries, F) int64
-    cols: dict[int, np.ndarray]  # per wide field, its ids cast to the pool column's dtype
     weights: np.ndarray         # (queries, F) match weights, 0.0 where nothing matches
     digits: np.ndarray          # (queries, narrow fields) each id's slot, uint8
     slack: np.ndarray           # (queries,) bound on |approximate - exact| score
@@ -305,7 +279,8 @@ def _approximate_scores(index: RetrievalIndex, queries: _Queries, rows: np.ndarr
         # A query id the column's dtype cannot hold wrapped in the cast and
         # may "match" a pool id here. It is in no pool record, so its weight
         # is +0.0, and a match adds 1 * +0.0, exactly what a mismatch adds.
-        np.equal(index._cols[f][:m], queries.cols[f][rows, None], out=eq)
+        col = index._cols[f]
+        np.equal(col[:m], queries.ids[rows, f, None].astype(col.dtype), out=eq)
         np.multiply(eq, w[:, f, None], out=t)
         s += t
 
@@ -329,8 +304,7 @@ def _exact_scores(index: RetrievalIndex, queries: _Queries, live: np.ndarray,
 
 
 def _score_blocks(index: RetrievalIndex, queries: _Queries, prefix: np.ndarray,
-                  n_real: np.ndarray, positions: np.ndarray, scores: np.ndarray,
-                  blocks: list[np.ndarray]) -> None:
+                  positions: np.ndarray, scores: np.ndarray, blocks: list[np.ndarray]) -> None:
     """Score each block of query rows (ascending prefix, longest last) with
     this worker's own buffers, writing only those rows of positions/scores."""
     size = max(rows.size * int(prefix[rows[-1]]) for rows in blocks)
@@ -361,45 +335,10 @@ def _score_blocks(index: RetrievalIndex, queries: _Queries, prefix: np.ndarray,
         o = np.lexsort((-c, -sc, r))
         r, c, sc = r[o], c[o], sc[o]
         slot = np.arange(r.size) - np.searchsorted(r, r)
-        keep = slot < n_real[rows][r]
+        keep = slot < np.minimum(p, kk)[r]
         dest = rows[r[keep]], slot[keep]
         positions[dest] = c[keep]
         scores[dest] = sc[keep]
-
-
-def _top_k(index: RetrievalIndex, query_ids: np.ndarray, k: int, prefix: np.ndarray,
-           block: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k positions (-1 on padding) and scores per query over its eligible
-    prefix, by score desc then position desc.
-
-    Queries are ordered by prefix, so similar prefixes share a block, and the
-    blocks are dealt round-robin to min(usable cores, blocks) workers, which
-    gives each a share of the short and the long prefixes. A lone worker runs
-    inline on the calling thread and starts none.
-    """
-    nq = len(query_ids)
-    positions = np.full((nq, k), -1, dtype=np.int64)
-    scores = np.zeros((nq, k))
-    order = np.argsort(prefix, kind="stable")
-    # a block with nothing eligible is all padding already
-    blocks = [rows for rows in (order[lo:lo + block] for lo in range(0, nq, block))
-              if prefix[rows[-1]] > 0]
-    if not blocks:
-        return positions, scores
-    terms = index._query_terms(query_ids)
-    weights = index._term_weight[terms]
-    queries = _Queries(query_ids, {f: query_ids[:, f].astype(index._cols[f].dtype)
-                                   for f in index._wide.tolist()},
-                       weights, index._term_slot[terms[:, index._narrow]].astype(np.uint8),
-                       _slack(weights))
-    work = partial(_score_blocks, index, queries, prefix, np.minimum(prefix, k), positions, scores)
-    workers = min(_usable_cores(), len(blocks))
-    if workers == 1:
-        work(blocks)
-    else:
-        # reading every result re-raises a worker's exception here
-        list(_pool().map(work, [blocks[i::workers] for i in range(workers)]))
-    return positions, scores
 
 
 def retrieve(index: RetrievalIndex, query_ids: np.ndarray, k: int,
@@ -414,36 +353,57 @@ def retrieve(index: RetrievalIndex, query_ids: np.ndarray, k: int,
     query_ids = np.asarray(query_ids, dtype=np.int64)
     if query_ids.shape != (index.num_fields,):
         raise ValueError(f"query_ids must have shape ({index.num_fields},), got {query_ids.shape}")
-    return retrieve_batch(index, query_ids[None, :], k, eligibility,
-                          None if query_ts is None else [query_ts],
-                          None if query_index is None else [query_index])[0]
+    res = retrieve_batch(index, query_ids[None, :], k, eligibility,
+                         None if query_ts is None else [query_ts],
+                         None if query_index is None else [query_index])
+    return RetrievalResult(res.neighbor_indices[0], res.scores[0], res.mask[0])
 
 
 def retrieve_batch(index: RetrievalIndex, query_ids: np.ndarray, k: int,
                    eligibility: str = "all", query_ts: np.ndarray | None = None,
-                   query_index: np.ndarray | None = None,
-                   chunk_size: int = QUERY_BLOCK) -> list[RetrievalResult]:
-    """Top-k pool neighbors for each row of query_ids, (queries, F).
+                   query_index: np.ndarray | None = None) -> RetrievalResult:
+    """Top-k pool neighbors for each row of query_ids, (queries, F), as one
+    result of (queries, k) arrays, by score desc then position desc.
 
-    Queries are ordered by eligible prefix length and scored chunk_size at a
-    time over the block's longest prefix, on the usable cores: a lookup per
-    field group and a compare per wide field for each eligible row, then an
-    exact rescoring of the rows near the k-th score. Results are
-    bit-identical to per-query retrieve in any chunking and on any number of
-    cores.
+    Queries are ordered by eligible prefix length, so similar prefixes share
+    a block of QUERY_BLOCK, scored over the block's longest prefix: a lookup
+    per field group and a compare per wide field for each eligible row, then
+    an exact rescoring of the rows near the k-th score. The blocks are dealt
+    round-robin to min(usable cores, blocks) worker threads, which gives each
+    a share of the short and the long prefixes. The workers are threads of
+    this call, gone when it returns; a lone worker runs inline on the calling
+    thread and starts none. Results are bit-identical to per-query retrieve
+    for any block size and on any number of cores.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     query_ids = np.asarray(query_ids, dtype=np.int64)
     if query_ids.ndim != 2 or query_ids.shape[1] != index.num_fields:
         raise ValueError(f"query_ids must have shape (queries, {index.num_fields}), "
                          f"got {query_ids.shape}")
-    prefix = _eligible_prefix(index, eligibility, len(query_ids), query_ts, query_index)
-    neighbors, scores = _top_k(index, query_ids, k, prefix, chunk_size)
-    mask = neighbors >= 0
-    return [RetrievalResult(neighbors[i], scores[i], mask[i]) for i in range(len(query_ids))]
+    nq = len(query_ids)
+    prefix = _eligible_prefix(index, eligibility, nq, query_ts, query_index)
+    positions = np.full((nq, k), -1, dtype=np.int64)
+    scores = np.zeros((nq, k))
+    order = np.argsort(prefix, kind="stable")
+    # a block with nothing eligible is all padding already
+    blocks = [rows for rows in (order[lo:lo + QUERY_BLOCK] for lo in range(0, nq, QUERY_BLOCK))
+              if prefix[rows[-1]] > 0]
+    if blocks:
+        terms = index._query_terms(query_ids)
+        weights = index._term_weight[terms]
+        queries = _Queries(query_ids, weights,
+                           index._term_slot[terms[:, index._narrow]].astype(np.uint8),
+                           _slack(weights))
+        work = partial(_score_blocks, index, queries, prefix, positions, scores)
+        workers = min(_usable_cores(), len(blocks))
+        if workers == 1:
+            work(blocks)
+        else:
+            with ThreadPoolExecutor(workers, thread_name_prefix="ractr-retrieval") as pool:
+                # reading every result re-raises a worker's exception here
+                list(pool.map(work, [blocks[i::workers] for i in range(workers)]))
+    return RetrievalResult(positions, scores, positions >= 0)
 
 
 def brute_force_retrieve(index: RetrievalIndex, query_ids: np.ndarray, k: int,
@@ -451,7 +411,8 @@ def brute_force_retrieve(index: RetrievalIndex, query_ids: np.ndarray, k: int,
                          query_index: int | None = None) -> RetrievalResult:
     """Reference oracle: score every eligible candidate pairwise and sort by
     (score, timestamp, record index) descending. Independent of the prefix
-    scorer: it assumes nothing of the pool's order."""
+    scorer: it assumes nothing of the pool's order, and it weighs each query
+    id by counting it in the pool rather than by the index's tables."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if eligibility == "all":
@@ -463,9 +424,10 @@ def brute_force_retrieve(index: RetrievalIndex, query_ids: np.ndarray, k: int,
         eligible = np.flatnonzero((ts < query_ts) | ((ts == query_ts) & (ridx < query_index)))
     else:
         raise ValueError(f"eligibility must be one of {ELIGIBILITY}, got {eligibility!r}")
+    weights = _counted_weights(index, query_ids)
     scored = []
     for pos in eligible:
-        s = bm25_score(index, query_ids, index.pool_field_ids[pos])
+        s = _pair_score(weights, query_ids, index.pool_field_ids[pos])
         scored.append((s, int(index.timestamps[pos]), int(index.record_indices[pos]), int(pos)))
     scored.sort(key=lambda t: (t[0], t[1], t[2]), reverse=True)
     top = scored[:k]

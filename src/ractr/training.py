@@ -176,10 +176,9 @@ def precompute_neighbors(ds: Dataset, index: RetrievalIndex, k: int,
         q = rows[sel]
         if len(q) == 0:
             continue
-        results = retrieve_batch(index, ds.field_ids[q], k, eligibility,
-                                 query_ts=ds.timestamps[q], query_index=q)
-        neigh[sel] = [r.neighbor_indices for r in results]
-        mask[sel] = [r.mask for r in results]
+        res = retrieve_batch(index, ds.field_ids[q], k, eligibility,
+                             query_ts=ds.timestamps[q], query_index=q)
+        neigh[sel], mask[sel] = res.neighbor_indices, res.mask
     return neigh, mask
 
 
@@ -261,8 +260,10 @@ def train(ds: Dataset, index: RetrievalIndex, cfg: TrainConfig,
             p = model.predict(x, mask)
             pc = T.clamp(p, cfg.logloss_clip_eps, 1.0 - cfg.logloss_clip_eps)
             y = np.asarray(ds.labels[chunk], dtype=np.float64)
-            nll = T.add(T.mul(y, T.tlog(pc)), T.mul(1.0 - y, T.tlog(T.sub(1.0, pc))))
-            loss = T.mul(T.tmean(nll), -1.0)
+            # a diverged model's log(0) and 0 * inf are reported by the check below
+            with np.errstate(divide="ignore", invalid="ignore"):
+                nll = T.add(T.mul(y, T.tlog(pc)), T.mul(1.0 - y, T.tlog(T.sub(1.0, pc))))
+                loss = T.mul(T.tmean(nll), -1.0)
             batch_loss = float(loss.data)
             if not math.isfinite(batch_loss):
                 raise DataError(f"training loss is {batch_loss} in epoch {epoch + 1} of "

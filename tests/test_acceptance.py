@@ -133,9 +133,9 @@ def test_criterion_01_retrieval_matches_brute_force():
                 assert fast.mask.tolist() == slow.mask.tolist()
                 np.testing.assert_allclose(fast.scores, slow.scores,
                                            atol=1e-12, rtol=0)
-                assert batched[qi].neighbor_indices.tolist() == \
+                assert batched.neighbor_indices[qi].tolist() == \
                     fast.neighbor_indices.tolist()
-                assert batched[qi].scores.tolist() == fast.scores.tolist()
+                assert batched.scores[qi].tolist() == fast.scores.tolist()
                 checked += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"retrieval equivalence took {elapsed:.1f}s"
@@ -156,10 +156,9 @@ def test_criterion_02_no_leakage_over_10k_queries():
         ts = np.sort(rng.integers(0, 300, size=n))
         index = build_index(ids, ts)
 
-        results = retrieve_batch(index, ids, k=5, eligibility="earlier",
-                                 query_ts=ts, query_index=np.arange(n))
-        nb = np.stack([r.neighbor_indices for r in results])
-        mk = np.stack([r.mask for r in results])
+        res = retrieve_batch(index, ids, k=5, eligibility="earlier",
+                             query_ts=ts, query_index=np.arange(n))
+        nb, mk = res.neighbor_indices, res.mask
         qi = np.broadcast_to(np.arange(n)[:, None], nb.shape)
         sel_nb, sel_qi = nb[mk], qi[mk]
         strictly_earlier = (ts[sel_nb] < ts[sel_qi]) | (

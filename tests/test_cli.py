@@ -6,6 +6,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -198,7 +199,7 @@ def single_query_records(cfg, idx_path, lines, k):
     for line in lines:
         res = retrieve(index, _encode_query(ds, json.loads(line)["fields"]), k, "all")
         out.append(json.dumps({"neighbors": res.neighbor_indices.tolist(),
-                               "scores": [float(s) for s in res.scores[:res.n_real]],
+                               "scores": [float(s) for s in res.scores[:res.mask.sum()]],
                                "mask": [bool(m) for m in res.mask]}, sort_keys=True) + "\n")
     return "".join(out)
 
@@ -608,7 +609,6 @@ def test_bad_sizes_exit_1(ws, tmp_path, capsys, key, value, must):
     assert not os.path.exists(tmp_path / "o")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_training_loss_exits_2(ws, tmp_path, capsys):
     # an enormous step saturates p at exactly 1.0, and a clip eps below the
     # float spacing at 1.0 leaves log(1 - p) = -inf: the loss is not finite
@@ -623,6 +623,53 @@ def test_non_finite_training_loss_exits_2(ws, tmp_path, capsys):
     assert "the model diverged (learning_rate 1000.0, logloss_clip_eps 1e-300)" in err
     assert "Traceback" not in err
     assert not os.path.exists(tmp_path / "o" / "checkpoint.ratm")
+
+
+def test_diverged_loss_warns_nothing_before_its_data_error(tmp_path, capsys, monkeypatch):
+    # on the quick-start data the divergence takes log(0) and 0 * inf in the
+    # loss; numpy must not warn of them, even when warnings are errors
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--out-dir", "demo", "--history-groups", "40",
+                 "--eval-groups", "80"]) == 0
+    with open("demo/config.json") as f:
+        cfg = json.load(f)
+    cfg["train"].update(learning_rate=1e3, logloss_clip_eps=1e-300, max_epochs=2)
+    with open("demo/config.json", "w") as f:
+        json.dump(cfg, f)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["train", "--config", "demo/config.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: training loss is nan in epoch 1 of 2, step ")
+
+
+@pytest.mark.parametrize("command", ["retrieve", "train", "evaluate", "ablate"])
+def test_k_past_the_train_pool_exits_1(ws, trained, tmp_path, capsys, command):
+    # a k this large would allocate (queries, k) tables of terabytes
+    pool = load_csv(ws["cfg"]["data"]["path"], CsvSpec.from_dict(ws["cfg"]["data"])).train_end
+    idx = str(tmp_path / "i.rati")
+    assert main(["build-index", "--config", ws["cfg_path"], "--out", idx]) == 0
+    query = queries_file(tmp_path / "q.jsonl", [json.dumps({"fields": {"key": "g1"}})])
+    args = {"retrieve": ["--index", idx, "--queries", query],
+            "train": ["--out", str(tmp_path / "o")],
+            "evaluate": ["--checkpoint", os.path.join(trained, "checkpoint.ratm")],
+            "ablate": ["--out", str(tmp_path / "o")]}[command]
+    capsys.readouterr()
+    for k in (pool + 1, 10**11):
+        assert main([command, "--config", ws["cfg_path"], "--k", str(k)] + args) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: k must be at most the train pool size, {pool}, got {k}\n"
+    assert not os.path.exists(tmp_path / "o" / "checkpoint.ratm")
+    if command == "retrieve":
+        assert main(["retrieve", "--config", ws["cfg_path"], "--k", str(pool)] + args) == 0
+        assert json.loads(capsys.readouterr().out)["mask"] == [True] * pool
+    if command == "train":
+        cfg = dict(ws["cfg"], train=dict(ws["cfg"]["train"], k=10**11))
+        with open(tmp_path / "cfg.json", "w") as f:
+            json.dump(cfg, f)
+        assert main(["train", "--config", str(tmp_path / "cfg.json"), *args]) == 1
+        assert f"train pool size, {pool}, got {10**11}" in capsys.readouterr().err
 
 
 def test_failed_artifact_write_leaves_old_file(ws, tmp_path, capsys):

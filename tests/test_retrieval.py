@@ -33,6 +33,14 @@ def small_index():
     return build_index(ids, np.arange(4))
 
 
+def table_weight(idx, f, v):
+    """The scorer's match weight for id v in field f; 0.0 when it matches no
+    pool record."""
+    q = np.zeros((1, idx.num_fields), dtype=np.int64)
+    q[0, f] = v
+    return float(idx._term_weight[idx._query_terms(q)[0, f]])
+
+
 def random_index(rng, n, nf, vocab):
     ids = rng.integers(0, vocab + 1, size=(n, nf))
     ts = rng.integers(0, max(2, n // 2), size=n)
@@ -45,14 +53,16 @@ def random_index(rng, n, nf, vocab):
 def test_weight_matches_hand_computation():
     idx = small_index()
     # N=4, df=1: ln(3.5/1.5); df=3: ln(1.5/3.5)
-    assert idx.weight(0, 1) == pytest.approx(0.8472978603872034, abs=1e-12)
-    assert idx.weight(0, 2) == pytest.approx(-0.8472978603872034, abs=1e-12)
-    assert idx.weight(0, 1) == pytest.approx(math.log(3.5 / 1.5), abs=1e-15)
+    assert table_weight(idx, 0, 1) == pytest.approx(0.8472978603872034, abs=1e-12)
+    assert table_weight(idx, 0, 2) == pytest.approx(-0.8472978603872034, abs=1e-12)
+    assert table_weight(idx, 0, 1) == pytest.approx(math.log(3.5 / 1.5), abs=1e-15)
 
 
 def test_weight_for_unseen_value_uses_zero_df():
+    # the oracle counts each query id in the pool: an unseen id has df 0
     idx = small_index()
-    assert idx.weight(0, 99) == pytest.approx(math.log(4.5 / 0.5), abs=1e-15)
+    assert retrieval._counted_weights(idx, np.array([99])) == [math.log(4.5 / 0.5)]
+    assert table_weight(idx, 0, 99) == 0.0      # the scorer's table: it can match nothing
 
 
 def test_negative_scores_are_kept_not_filtered():
@@ -60,7 +70,7 @@ def test_negative_scores_are_kept_not_filtered():
     res = retrieve(idx, np.array([2]), k=4)
     # the non-match (record 0, score 0) outranks the negative matches, but
     # all four slots still fill: nothing is dropped by a score threshold
-    assert res.n_real == 4
+    assert res.mask.sum() == 4
     assert res.neighbor_indices.tolist() == [0, 3, 2, 1]
     assert res.scores[0] == 0.0
     assert (res.scores[1:] < 0).all()
@@ -75,7 +85,7 @@ def test_doc_freq_matches_posting_lengths():
                 for f in range(4) for v in range(1, 9)}
     for (f, v), positions in postings.items():
         want = math.log((n - len(positions) + 0.5) / (len(positions) + 0.5))
-        assert idx.weight(f, v) == pytest.approx(want, abs=1e-15)
+        assert table_weight(idx, f, v) == pytest.approx(want, abs=1e-15)
     assert idx.num_terms == sum(1 for positions in postings.values() if positions)
 
 
@@ -103,9 +113,9 @@ def test_score_only_on_equal_nonzero_ids():
     idx = build_index(ids, np.arange(3))
     q = np.array([1, 3])
     assert bm25_score(idx, q, ids[0]) == pytest.approx(
-        idx.weight(0, 1) + idx.weight(1, 3))
-    assert bm25_score(idx, q, ids[1]) == pytest.approx(idx.weight(0, 1))
-    assert bm25_score(idx, q, ids[2]) == pytest.approx(idx.weight(1, 3))
+        table_weight(idx, 0, 1) + table_weight(idx, 1, 3))
+    assert bm25_score(idx, q, ids[1]) == pytest.approx(table_weight(idx, 0, 1))
+    assert bm25_score(idx, q, ids[2]) == pytest.approx(table_weight(idx, 1, 3))
     assert bm25_score(idx, np.array([0, 0]), ids[0]) == 0.0
 
 
@@ -141,7 +151,7 @@ def test_tie_breaks_prefer_recent_then_higher_index():
 def test_padding_when_pool_smaller_than_k():
     idx = small_index()
     res = retrieve(idx, np.array([1]), k=10)
-    assert res.n_real == 4
+    assert res.mask.sum() == 4
     assert res.neighbor_indices[4:].tolist() == [-1] * 6
     assert res.scores[4:].tolist() == [0.0] * 6
     assert not res.mask[4:].any()
@@ -175,7 +185,8 @@ def test_matches_brute_force_on_seeded_pools():
             assert fast.mask.tolist() == slow.mask.tolist()
 
 
-def test_batch_is_bitwise_identical_to_single():
+def test_batch_is_bitwise_identical_to_single(monkeypatch):
+    monkeypatch.setattr(retrieval, "QUERY_BLOCK", 17)
     rng = np.random.default_rng(7)
     idx = random_index(rng, 400, 5, 10)
     queries = rng.integers(0, 11, size=(100, 5))
@@ -183,13 +194,18 @@ def test_batch_is_bitwise_identical_to_single():
     ridx = rng.integers(0, 400, size=100)
     for elig, qts, qri in (("all", None, None), ("earlier", ts, ridx)):
         batched = retrieve_batch(idx, queries, k=5, eligibility=elig,
-                                 query_ts=qts, query_index=qri, chunk_size=17)
-        for i, got in enumerate(batched):
+                                 query_ts=qts, query_index=qri)
+        # one result of (queries, k) arrays
+        assert batched.neighbor_indices.shape == batched.scores.shape == (100, 5)
+        assert batched.mask.shape == (100, 5)
+        for i in range(len(queries)):
             one = retrieve(idx, queries[i], k=5, eligibility=elig,
                            query_ts=None if qts is None else int(qts[i]),
                            query_index=None if qri is None else int(qri[i]))
-            assert got.neighbor_indices.tolist() == one.neighbor_indices.tolist()
-            assert got.scores.tolist() == one.scores.tolist()  # bitwise
+            assert one.neighbor_indices.shape == (5,)
+            assert batched.neighbor_indices[i].tolist() == one.neighbor_indices.tolist()
+            assert batched.mask[i].tolist() == one.mask.tolist()
+            assert batched.scores[i].tolist() == one.scores.tolist()  # bitwise
 
 
 def test_partition_narrowing_agrees_with_full_sort():
@@ -226,7 +242,7 @@ def test_first_record_has_no_eligible_neighbors():
     idx = small_index()
     res = retrieve(idx, np.array([2]), k=3, eligibility="earlier",
                    query_ts=0, query_index=0)
-    assert res.n_real == 0
+    assert not res.mask.any()
     assert res.neighbor_indices.tolist() == [-1, -1, -1]
 
 
@@ -270,11 +286,8 @@ def test_index_file_round_trip(tmp_path):
     # loaded index retrieves identically, bit for bit
     q = rng.integers(0, 10, size=(20, 4))
     for elig, ts, ri in (("all", None, None), ("earlier", rng.integers(0, 80, 20), np.arange(20))):
-        for a, b in zip(retrieve_batch(idx, q, 5, elig, ts, ri),
-                        retrieve_batch(got, q, 5, elig, ts, ri)):
-            assert a.neighbor_indices.tolist() == b.neighbor_indices.tolist()
-            assert a.mask.tolist() == b.mask.tolist()
-            assert a.scores.view(np.int64).tolist() == b.scores.view(np.int64).tolist()
+        assert_same_as_oracle(retrieve_batch(got, q, 5, elig, ts, ri),
+                              retrieve_batch(idx, q, 5, elig, ts, ri))
 
 
 def test_index_file_bytes_deterministic(tmp_path):
@@ -396,20 +409,25 @@ def assert_same_as_oracle(got, ref):
     assert got.scores.view(np.int64).tolist() == ref.scores.view(np.int64).tolist()
 
 
-def check_against_oracle(idx, queries, k, query_ts, query_index):
+def row(res, i):
+    """Query i's (k,) slots of a batch result."""
+    return retrieval.RetrievalResult(res.neighbor_indices[i], res.scores[i], res.mask[i])
+
+
+def check_against_oracle(idx, queries, k, query_ts, query_index, monkeypatch):
+    default = retrieval.QUERY_BLOCK
     for elig in ("all", "earlier"):
-        for chunk in (1, 7, None):
-            kw = {} if chunk is None else {"chunk_size": chunk}
-            if elig == "earlier":
-                kw.update(query_ts=query_ts, query_index=query_index)
+        for block in (1, 7, default):
+            monkeypatch.setattr(retrieval, "QUERY_BLOCK", block)
+            kw = {} if elig == "all" else {"query_ts": query_ts, "query_index": query_index}
             batched = retrieve_batch(idx, queries, k, elig, **kw)
-            assert len(batched) == len(queries)
-            for i, got in enumerate(batched):
+            assert batched.neighbor_indices.shape == (len(queries), k)
+            for i in range(len(queries)):
                 pos = {} if elig == "all" else {"query_ts": int(query_ts[i]),
                                                 "query_index": int(query_index[i])}
                 ref = brute_force_retrieve(idx, queries[i], k, elig, **pos)
-                assert_same_as_oracle(got, ref)
-                if chunk is None:
+                assert_same_as_oracle(row(batched, i), ref)
+                if block == default:
                     assert_same_as_oracle(retrieve(idx, queries[i], k, elig, **pos), ref)
 
 
@@ -418,7 +436,7 @@ ORACLE_CASES = ("ts_ties", "heavy_ts_ties", "all_tied", "big_k", "negative_weigh
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
-def test_scores_bitwise_equal_to_oracle(case):
+def test_scores_bitwise_equal_to_oracle(case, monkeypatch):
     rng = np.random.default_rng(ORACLE_CASES.index(case))
     n, nf, vocab = 120, 4, 6
     if case in ("code_cap", "no_narrow"):
@@ -461,19 +479,19 @@ def test_scores_bitwise_equal_to_oracle(case):
     q_idx = rng.integers(0, n + 2, size=nq)
     q_idx[11] = 0
     q_ts[11] = ts.min()
-    check_against_oracle(idx, queries, k, q_ts, q_idx)
+    check_against_oracle(idx, queries, k, q_ts, q_idx, monkeypatch)
 
 
-def test_zero_eligible_rows_are_all_padding():
+def test_zero_eligible_rows_are_all_padding(monkeypatch):
+    monkeypatch.setattr(retrieval, "QUERY_BLOCK", 2)
     rng = np.random.default_rng(9)
     ids = rng.integers(1, 4, size=(50, 3))
     idx = build_index(ids, np.sort(rng.integers(10, 20, size=50)))
     res = retrieve_batch(idx, ids[:4], 3, "earlier", query_ts=np.full(4, 10),
-                         query_index=np.zeros(4, dtype=np.int64), chunk_size=2)
-    for r in res:
-        assert r.neighbor_indices.tolist() == [-1, -1, -1]
-        assert r.scores.view(np.int64).tolist() == [0, 0, 0]
-        assert not r.mask.any()
+                         query_index=np.zeros(4, dtype=np.int64))
+    assert res.neighbor_indices.tolist() == [[-1, -1, -1]] * 4
+    assert res.scores.view(np.int64).tolist() == [[0, 0, 0]] * 4
+    assert not res.mask.any()
 
 
 def test_weight_table_is_bitwise_the_formula():
@@ -487,16 +505,29 @@ def test_weight_table_is_bitwise_the_formula():
         values, counts = np.unique(ids[:, f][ids[:, f] != 0], return_counts=True)
         doc_freq.update({(f, int(v)): int(df) for v, df in zip(values, counts)})
     assert idx.num_terms == len(doc_freq)
-    for (f, v), df in doc_freq.items():
-        want = float(np.log((n - df + 0.5) / (df + 0.5)))
-        assert np.float64(idx.weight(f, v)).view(np.int64) == np.float64(want).view(np.int64)
-    # the scorer's per-query weights are the same table; 0.0 where nothing can match
+    # the scorer's per-query weights: the formula's bits, 0.0 where nothing can match
     queries = np.array([[v, v, v] for v in range(-1, 35)])
-    got = idx._query_weights(queries)
+    got = idx._term_weight[idx._query_terms(queries)]
     for qi, q in enumerate(queries):
         for f in range(3):
-            want = idx.weight(f, q[f]) if (f, int(q[f])) in doc_freq else 0.0
+            df = doc_freq.get((f, int(q[f])))
+            want = 0.0 if df is None else float(np.log((n - df + 0.5) / (df + 0.5)))
             assert got[qi, f].view(np.int64) == np.float64(want).view(np.int64)
+    assert {(f, int(q[f])) for q in queries for f in range(3)} >= set(doc_freq)
+
+
+def test_oracle_reads_no_scorer_table():
+    # a weight changed in the scorer's table moves the scorer alone: the
+    # oracle weighs each query id by counting it in the pool
+    rng = np.random.default_rng(18)
+    ids = rng.integers(0, 6, size=(200, 3))
+    idx, bumped = build_index(ids, np.arange(200)), build_index(ids, np.arange(200))
+    q = ids[np.flatnonzero(ids[:, 0])[-1]]
+    bumped._term_weight[bumped._query_terms(q[None, :])[0, 0]] += 1.0
+    oracle = brute_force_retrieve(bumped, q, 5)
+    assert_same_as_oracle(oracle, brute_force_retrieve(idx, q, 5))
+    assert_same_as_oracle(retrieve(idx, q, 5), oracle)
+    assert (retrieve(bumped, q, 5).scores != oracle.scores).any()
 
 
 def test_index_file_rejects_ids_past_u32(tmp_path):
@@ -527,9 +558,8 @@ def worker_datasets():
             majority_task(12, 24, eval_train_records=3, seed=3))
 
 
-def all_bits(results):
-    return (np.array([r.neighbor_indices for r in results]), np.array([r.mask for r in results]),
-            np.array([r.scores for r in results]).view(np.int64))
+def all_bits(res):
+    return res.neighbor_indices, res.mask, res.scores.view(np.int64)
 
 
 @pytest.mark.parametrize("ds", worker_datasets(), ids=("random-small", "random-wide", "majority"))
@@ -552,9 +582,10 @@ def test_any_worker_count_gives_the_same_result(ds, monkeypatch):
             want = None
             for cores in (1, 2, 3):             # 3 is more workers than this machine may have
                 monkeypatch.setattr(retrieval, "_usable_cores", lambda: cores)
-                for chunk in (1, 8, 17):
+                for block in (1, 8, 17):
+                    monkeypatch.setattr(retrieval, "QUERY_BLOCK", block)
                     calls.clear()
-                    got = all_bits(retrieve_batch(idx, queries, 5, elig, chunk_size=chunk, **pos))
+                    got = all_bits(retrieve_batch(idx, queries, 5, elig, **pos))
                     if want is None:
                         want = got
                     for a, b in zip(got, want):
@@ -572,65 +603,92 @@ def test_any_worker_count_gives_the_same_result(ds, monkeypatch):
         sys.setswitchinterval(switch)
 
 
-def test_column_dtype_is_the_narrowest_that_holds_the_ids():
+def test_column_dtype_is_the_narrowest_that_holds_the_ids(monkeypatch):
+    # only wide fields keep a pool column; a field of 2 ids is wide here
+    monkeypatch.setattr(retrieval, "NARROW_IDS", 1)
     for top, dtype in ((255, np.uint8), (256, np.uint16), (65_535, np.uint16),
                        (65_536, np.uint32), (2**32 - 1, np.uint32), (2**32, np.int64)):
         ids = np.array([[1, top], [0, 3], [7, top]])
         idx = build_index(ids, np.arange(3))
-        assert [col.dtype for col in idx._cols] == [np.uint8, dtype]
-        for col, want in zip(idx._cols, ids.T):
+        assert {f: col.dtype for f, col in idx._cols.items()} == {0: np.uint8, 1: dtype}
+        for f, col in idx._cols.items():
             assert col.flags.c_contiguous
-            np.testing.assert_array_equal(col, want)
+            np.testing.assert_array_equal(col, ids[:, f])
     # a negative id fits no unsigned dtype
     assert build_index(np.array([[-1], [2]]), np.arange(2))._cols[0].dtype == np.int64
+    # a field of one id is narrow, and has no column
+    assert build_index(np.array([[5, 1], [5, 2]]), np.arange(2))._cols.keys() == {1}
 
 
-def test_query_ids_past_a_narrow_column_add_no_weight():
+def test_query_ids_past_a_narrow_column_add_no_weight(monkeypatch):
     rng = np.random.default_rng(13)
     ids = rng.integers(1, 6, size=(90, 3))
     ids[:, 2] = rng.integers(1, 300, size=90)
     idx = build_index(ids, np.sort(rng.integers(0, 30, size=90)))
-    assert [col.dtype for col in idx._cols] == [np.uint8, np.uint8, np.uint16]
+    assert idx._cols == {}                      # every field is narrow: group codes only
+    monkeypatch.setattr(retrieval, "NARROW_IDS", 1)
+    idx = build_index(ids, np.sort(rng.integers(0, 30, size=90)))
+    assert {f: col.dtype for f, col in idx._cols.items()} == {0: np.uint8, 1: np.uint8,
+                                                              2: np.uint16}
     v = int(ids[0, 0])
     # 256 + v and v - 256 wrap to v in uint8 (65,536 + w to w in uint16) and
     # so "match" v's rows; queries with real weights there share their block
     queries = np.array([[256 + v, v, ids[0, 2]], [v - 256, 2, 65_536 + ids[1, 2]],
                         [v, ids[1, 1], ids[1, 2]], [v, 3, ids[2, 2]]])
-    for chunk in (1, 4):
-        for q, got in zip(queries, retrieve_batch(idx, queries, 6, chunk_size=chunk)):
-            assert_same_as_oracle(got, brute_force_retrieve(idx, q, 6))
+    for block in (1, 4):
+        monkeypatch.setattr(retrieval, "QUERY_BLOCK", block)
+        got = retrieve_batch(idx, queries, 6)
+        for i, q in enumerate(queries):
+            assert_same_as_oracle(row(got, i), brute_force_retrieve(idx, q, 6))
     # the wrapped field contributes nothing, as for any unseen id
     unseen = queries[:2].copy()
     unseen[0, 0], unseen[1, 0], unseen[1, 2] = 0, 0, 0
-    for a, b in zip(retrieve_batch(idx, queries, 6, chunk_size=4)[:2],
-                    retrieve_batch(idx, np.vstack([unseen, queries[2:]]), 6, chunk_size=4)[:2]):
-        assert_same_as_oracle(a, b)
+    a = retrieve_batch(idx, queries, 6)
+    b = retrieve_batch(idx, np.vstack([unseen, queries[2:]]), 6)
+    for i in range(2):
+        assert_same_as_oracle(row(a, i), row(b, i))
 
 
 def test_single_query_runs_inline(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a single query started the worker pool")
 
-    monkeypatch.setattr(retrieval, "_executor", None)
     monkeypatch.setattr(retrieval, "ThreadPoolExecutor", no_pool)
     monkeypatch.setattr(retrieval, "_usable_cores", lambda: 4)
     rng = np.random.default_rng(14)
     idx = random_index(rng, 500, 4, 9)
     threads = threading.active_count()
     res = retrieve(idx, rng.integers(0, 10, size=4), 5)
-    assert res.n_real == 5
-    assert retrieval._executor is None
+    assert res.mask.all()
     assert threading.active_count() == threads
 
 
+def test_workers_live_for_one_call(monkeypatch):
+    monkeypatch.setattr(retrieval, "_usable_cores", lambda: 2)
+    workers = []
+
+    def score_blocks(*args):
+        workers.append(threading.current_thread())
+        return _score_blocks(*args)
+
+    monkeypatch.setattr(retrieval, "_score_blocks", score_blocks)
+    rng = np.random.default_rng(19)
+    idx = random_index(rng, 300, 3, 6)
+    threads = threading.active_count()
+    retrieve_batch(idx, rng.integers(0, 7, size=(40, 3)), 5)
+    # two shares of the blocks, scored off the calling thread
+    assert len(workers) == 2 and threading.main_thread() not in workers
+    assert threading.active_count() == threads
+    assert not any(t.is_alive() for t in workers)
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
 def test_forked_child_starts_its_own_workers(monkeypatch):
     monkeypatch.setattr(retrieval, "_usable_cores", lambda: 2)
     rng = np.random.default_rng(15)
     idx = random_index(rng, 300, 3, 6)
     queries = rng.integers(0, 7, size=(40, 3))
-    want = all_bits(retrieve_batch(idx, queries, 5))     # the parent's workers exist now
+    want = all_bits(retrieve_batch(idx, queries, 5))     # the parent has used workers
     pid = os.fork()
     if pid == 0:                                        # the child never returns to pytest
         code = 1
@@ -642,7 +700,7 @@ def test_forked_child_starts_its_own_workers(monkeypatch):
     deadline = time.monotonic() + 60
     while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
         time.sleep(0.02)
-    if done[0] == 0:                                    # hung on the inherited executor
+    if done[0] == 0:                                    # hung on a worker it inherited
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
     assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
@@ -702,8 +760,9 @@ def test_scores_inside_the_rounding_bound_change_nothing(ds, around, monkeypatch
         want = all_bits(retrieve_batch(idx, ds.field_ids, 5, elig, **pos))
         with monkeypatch.context() as m:
             m.setattr(retrieval, "_approximate_scores", noisy)
-            for chunk in (1, 16):
-                got = all_bits(retrieve_batch(idx, ds.field_ids, 5, elig, chunk_size=chunk, **pos))
+            for block in (1, 16):
+                m.setattr(retrieval, "QUERY_BLOCK", block)
+                got = all_bits(retrieve_batch(idx, ds.field_ids, 5, elig, **pos))
                 for a, b in zip(got, want):
                     np.testing.assert_array_equal(a, b)
         for i in rows[::11]:
@@ -719,7 +778,9 @@ def test_chunked_rescoring_when_every_row_ties(monkeypatch):
     monkeypatch.setattr(retrieval, "RESCORE_CHUNK", 7)
     ids = np.ones((300, 3), dtype=np.int64)
     idx = build_index(ids, np.arange(300))
+    monkeypatch.setattr(retrieval, "QUERY_BLOCK", 3)
     queries = np.array([[1, 1, 1], [1, 0, 9], [0, 0, 0]])
-    for q, got in zip(queries, retrieve_batch(idx, queries, 4, chunk_size=3)):
-        assert got.neighbor_indices.tolist() == [299, 298, 297, 296]
-        assert_same_as_oracle(got, brute_force_retrieve(idx, q, 4))
+    got = retrieve_batch(idx, queries, 4)
+    assert got.neighbor_indices.tolist() == [[299, 298, 297, 296]] * 3
+    for i, q in enumerate(queries):
+        assert_same_as_oracle(row(got, i), brute_force_retrieve(idx, q, 4))
