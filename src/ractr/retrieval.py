@@ -29,21 +29,22 @@ ascending field order from +0.0 as the per-pair sum does, and sorts them by
 (score desc, position desc). Scores and neighbors are bitwise equal to the
 per-pair sum and its order.
 
-Blocks are independent: they are dealt round-robin to one worker thread per
-usable core (numpy's loops release the GIL), and each row's result is the
-same whichever worker scores it. The workers live for one call.
+A query with no live weight (all its ids missing or unseen) scores +0.0
+on every row, so its top-k is the last k rows of its prefix, newest first,
+and it is given them without scoring.
+
+Blocks are independent: parallel.deal spreads them over every usable core,
+and each row's result is the same whichever share scores it.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from . import binio
+from . import binio, parallel
 from .errors import DataError
 
 INDEX_MAGIC = b"RATI"
@@ -221,13 +222,6 @@ def _eligible_prefix(index: RetrievalIndex, eligibility: str, n_queries: int,
                    np.searchsorted(ts, query_ts, "right"))
 
 
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:                      # not on this platform
-        return os.cpu_count() or 1
-
-
 @dataclass
 class _Queries:
     """A batch's queries as the block workers read them, one row a query."""
@@ -365,15 +359,15 @@ def retrieve_batch(index: RetrievalIndex, query_ids: np.ndarray, k: int,
     """Top-k pool neighbors for each row of query_ids, (queries, F), as one
     result of (queries, k) arrays, by score desc then position desc.
 
-    Queries are ordered by eligible prefix length, so similar prefixes share
-    a block of QUERY_BLOCK, scored over the block's longest prefix: a lookup
-    per field group and a compare per wide field for each eligible row, then
-    an exact rescoring of the rows near the k-th score. The blocks are dealt
-    round-robin to min(usable cores, blocks) worker threads, which gives each
-    a share of the short and the long prefixes. The workers are threads of
-    this call, gone when it returns; a lone worker runs inline on the calling
-    thread and starts none. Results are bit-identical to per-query retrieve
-    for any block size and on any number of cores.
+    A query with no live weight gets the last k rows of its prefix, newest
+    first, at +0.0. The others are ordered by eligible prefix length, so
+    similar prefixes share a block of QUERY_BLOCK, scored over the block's
+    longest prefix: a lookup per field group and a compare per wide field for
+    each eligible row, then an exact rescoring of the rows near the k-th
+    score. parallel.deal spreads the blocks round-robin over the usable
+    cores, which gives each share some short and some long prefixes. Results
+    are bit-identical to per-query retrieve for any block size and on any
+    number of cores.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -385,24 +379,26 @@ def retrieve_batch(index: RetrievalIndex, query_ids: np.ndarray, k: int,
     prefix = _eligible_prefix(index, eligibility, nq, query_ts, query_index)
     positions = np.full((nq, k), -1, dtype=np.int64)
     scores = np.zeros((nq, k))
+    terms = index._query_terms(query_ids)
+    weights = index._term_weight[terms]
     order = np.argsort(prefix, kind="stable")
+    live = weights.any(axis=1)
+    if not live.all():
+        # a weightless query ties at +0.0 on every row, so the newest rows of
+        # its prefix win (scores are +0.0 already); it joins no block
+        newest = prefix[:, None] - 1 - np.arange(k)
+        fill = ~live[:, None] & (newest >= 0)
+        positions[fill] = newest[fill]
+        order = order[live[order]]
     # a block with nothing eligible is all padding already
-    blocks = [rows for rows in (order[lo:lo + QUERY_BLOCK] for lo in range(0, nq, QUERY_BLOCK))
+    blocks = [rows for rows in (order[lo:lo + QUERY_BLOCK]
+                                for lo in range(0, order.size, QUERY_BLOCK))
               if prefix[rows[-1]] > 0]
     if blocks:
-        terms = index._query_terms(query_ids)
-        weights = index._term_weight[terms]
         queries = _Queries(query_ids, weights,
                            index._term_slot[terms[:, index._narrow]].astype(np.uint8),
                            _slack(weights))
-        work = partial(_score_blocks, index, queries, prefix, positions, scores)
-        workers = min(_usable_cores(), len(blocks))
-        if workers == 1:
-            work(blocks)
-        else:
-            with ThreadPoolExecutor(workers, thread_name_prefix="ractr-retrieval") as pool:
-                # reading every result re-raises a worker's exception here
-                list(pool.map(work, [blocks[i::workers] for i in range(workers)]))
+        parallel.deal(partial(_score_blocks, index, queries, prefix, positions, scores), blocks)
     return RetrievalResult(positions, scores, positions >= 0)
 
 

@@ -112,7 +112,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 @contextmanager
 def no_grad():
     """Ops inside build no graph; the previous state returns on exit. The
-    switch is process-wide, not per thread."""
+    switch is process-wide, not per thread: predict_rows's scoring workers
+    build no graph because they run inside the caller's no_grad, which is
+    not left until every worker has joined."""
     global _grad_enabled
     prev, _grad_enabled = _grad_enabled, False
     try:

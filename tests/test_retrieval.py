@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from ractr import retrieval
+from ractr import parallel, retrieval
 from ractr.errors import DataError
 from ractr.retrieval import (
     ELIGIBILITY,
@@ -482,6 +482,39 @@ def test_scores_bitwise_equal_to_oracle(case, monkeypatch):
     check_against_oracle(idx, queries, k, q_ts, q_idx, monkeypatch)
 
 
+def test_weightless_queries_take_the_newest_rows_unscored(monkeypatch):
+    # all ids missing or unseen: every eligible row ties at +0.0, so the
+    # newest k rows of the prefix win, and none of them is scored
+    rng = np.random.default_rng(20)
+    n, nf, vocab, k = 200, 4, 5, 5
+    ids = rng.integers(0, vocab + 1, size=(n, nf))
+    ts = np.sort(rng.integers(0, 60, size=n))
+    idx = build_index(ids, ts)
+    queries = rng.integers(0, vocab + 1, size=(24, nf))
+    queries[:4] = 0                                      # all missing
+    queries[4:8] = vocab + 1 + np.arange(nf)             # all unseen
+    queries[8:12] = [0, vocab + 7, 0, vocab + 9]         # both
+    weightless = {tuple(q) for q in queries[:12].tolist()}
+    # strictly-earlier prefixes of 0, 1 and 3 rows (below k), and longer ones
+    q_idx = np.tile([0, 1, 3, 150], 6)
+    q_ts = ts[np.minimum(q_idx, n - 1)]
+    exact = retrieval._exact_scores
+
+    def spy(index, qs, live, q, c):
+        assert not weightless & {tuple(r) for r in qs.ids[q].tolist()}
+        return exact(index, qs, live, q, c)
+
+    monkeypatch.setattr(retrieval, "_exact_scores", spy)
+    check_against_oracle(idx, queries, k, q_ts, q_idx, monkeypatch)
+    res = retrieve_batch(idx, queries[:12], k, "earlier", query_ts=q_ts[:12],
+                         query_index=q_idx[:12])
+    for i in range(12):
+        p = int(q_idx[i])
+        want = list(range(p - 1, max(p - 1 - k, -1), -1))
+        assert res.neighbor_indices[i].tolist() == want + [-1] * (k - len(want))
+    assert res.scores.view(np.int64).tolist() == [[0] * k] * 12    # +0.0 on every slot
+
+
 def test_zero_eligible_rows_are_all_padding(monkeypatch):
     monkeypatch.setattr(retrieval, "QUERY_BLOCK", 2)
     rng = np.random.default_rng(9)
@@ -581,7 +614,7 @@ def test_any_worker_count_gives_the_same_result(ds, monkeypatch):
             pos = {} if elig == "all" else {"query_ts": ds.timestamps, "query_index": rows}
             want = None
             for cores in (1, 2, 3):             # 3 is more workers than this machine may have
-                monkeypatch.setattr(retrieval, "_usable_cores", lambda: cores)
+                monkeypatch.setattr(parallel, "_usable_cores", lambda: cores)
                 for block in (1, 8, 17):
                     monkeypatch.setattr(retrieval, "QUERY_BLOCK", block)
                     calls.clear()
@@ -590,8 +623,8 @@ def test_any_worker_count_gives_the_same_result(ds, monkeypatch):
                         want = got
                     for a, b in zip(got, want):
                         np.testing.assert_array_equal(a, b)
-                    # one call a worker, inline only when there is one worker
-                    assert calls == ([True] if cores == 1 else [False] * cores)
+                    # one call a share, one of them on the calling thread
+                    assert sorted(calls) == [False] * (cores - 1) + [True]
             for i in rows[::7]:
                 one = {} if elig == "all" else {"query_ts": int(ds.timestamps[i]),
                                                 "query_index": int(i)}
@@ -653,8 +686,8 @@ def test_single_query_runs_inline(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a single query started the worker pool")
 
-    monkeypatch.setattr(retrieval, "ThreadPoolExecutor", no_pool)
-    monkeypatch.setattr(retrieval, "_usable_cores", lambda: 4)
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 4)
     rng = np.random.default_rng(14)
     idx = random_index(rng, 500, 4, 9)
     threads = threading.active_count()
@@ -664,7 +697,7 @@ def test_single_query_runs_inline(monkeypatch):
 
 
 def test_workers_live_for_one_call(monkeypatch):
-    monkeypatch.setattr(retrieval, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
     workers = []
 
     def score_blocks(*args):
@@ -676,15 +709,15 @@ def test_workers_live_for_one_call(monkeypatch):
     idx = random_index(rng, 300, 3, 6)
     threads = threading.active_count()
     retrieve_batch(idx, rng.integers(0, 7, size=(40, 3)), 5)
-    # two shares of the blocks, scored off the calling thread
-    assert len(workers) == 2 and threading.main_thread() not in workers
+    # two shares of the blocks, one scored on the calling thread
+    assert len(workers) == 2 and workers.count(threading.main_thread()) == 1
     assert threading.active_count() == threads
-    assert not any(t.is_alive() for t in workers)
+    assert not any(t.is_alive() for t in workers if t is not threading.main_thread())
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_starts_its_own_workers(monkeypatch):
-    monkeypatch.setattr(retrieval, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
     rng = np.random.default_rng(15)
     idx = random_index(rng, 300, 3, 6)
     queries = rng.integers(0, 7, size=(40, 3))

@@ -2,13 +2,15 @@
 
 import math
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from ractr import parallel, training
 from ractr import tensor as T
-from ractr import training
 from ractr.data import Dataset, FieldSchema
 from ractr.errors import DataError, UsageError
 from ractr.model import CtrModel, build_input_batch
@@ -316,6 +318,111 @@ def test_predict_rows_chunking_invariant():
     a = predict_rows(model, ds, rows, neigh, mask, batch_size=7)
     b = predict_rows(model, ds, rows, neigh, mask, batch_size=512)
     assert np.array_equal(a, b)
+
+
+def redrawn_model(ds, variant, **kw):
+    """A model whose every parameter is drawn from N(0, 0.1), so scores vary."""
+    model = CtrModel([fs.num_ids for fs in ds.schema], variant=variant, seed=0, **kw)
+    rng = np.random.default_rng(0)
+    for _, t in model.named_parameters():
+        t.data = rng.normal(0.0, 0.1, size=t.data.shape)
+    return model
+
+
+@pytest.mark.parametrize("variant", ("cascade", "jm"))
+def test_predict_rows_same_bits_on_any_core_count(variant, monkeypatch):
+    ds = tiny_task()
+    neigh, mask = precompute_neighbors(ds, index_from_dataset(ds), k=5)
+    mask[::3, 2:] = False                       # padded slots beside the early rows' own
+    rows = np.arange(150)                       # ragged last chunk at 7 and at 64
+    assert not mask[rows].all() and rows.size % 7 and rows.size % 64
+    model = redrawn_model(ds, variant, embed_dim=8, num_heads=2)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)                 # interleave the workers finely
+    try:
+        for chunk in (1, 7, 64):
+            want = None
+            for cores in (1, 2, 3):             # 3 is more workers than this machine may have
+                monkeypatch.setattr(parallel, "_usable_cores", lambda: cores)
+                got = predict_rows(model, ds, rows, neigh, mask, batch_size=chunk)
+                if want is None:
+                    want = got
+                assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_default_chunk_gives_the_bits_of_chunks_of_512():
+    # the score-bigpool benchmark's data; another chunk size may round a
+    # product differently (97 rows does, on cascade)
+    ds = majority_task(n_history_groups=1200, n_eval_groups=400, seed=7)
+    neigh, mask = precompute_neighbors(ds, index_from_dataset(ds), k=5)
+    rows = np.arange(ds.train_end, len(ds))
+    assert training.SCORE_CHUNK == 64
+    for variant in ABLATION_ORDER:
+        model = redrawn_model(ds, variant)
+        a = predict_rows(model, ds, rows, neigh, mask)
+        b = predict_rows(model, ds, rows, neigh, mask, batch_size=512)
+        assert a.view(np.int64).tolist() == b.view(np.int64).tolist(), variant
+
+
+@pytest.mark.parametrize("bad_chunk", (0, 1), ids=("caller", "worker"))
+def test_scoring_error_reraises_in_the_caller(bad_chunk, monkeypatch):
+    # chunks are dealt round-robin: chunk 0 to the calling thread, 1 to a worker
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
+    ds = tiny_task()
+    neigh, mask = precompute_neighbors(ds, index_from_dataset(ds), k=5)
+    model = redrawn_model(ds, "cascade", embed_dim=8, num_heads=2)
+    inputs, raised = training._inputs, []
+
+    def masked_target(model, ds, rows, neigh, neigh_mask):
+        x, m = inputs(model, ds, rows, neigh, neigh_mask)
+        if rows[0] == bad_chunk * 8:
+            m[0, 0] = False
+            raised.append(threading.current_thread() is threading.main_thread())
+        return x, m
+
+    monkeypatch.setattr(training, "_inputs", masked_target)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="target sample"):
+        predict_rows(model, ds, np.arange(40), neigh, mask, batch_size=8)
+    assert raised == [bad_chunk == 0]
+    assert T._grad_enabled
+    assert threading.active_count() == threads
+
+
+def test_multi_chunk_scoring_leaves_no_thread(monkeypatch):
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
+    ds = tiny_task()
+    neigh, mask = precompute_neighbors(ds, index_from_dataset(ds), k=5)
+    model = redrawn_model(ds, "cascade", embed_dim=8, num_heads=2)
+    scorers = set()
+    inputs = training._inputs
+
+    def recorded(*args):
+        scorers.add(threading.current_thread())
+        return inputs(*args)
+
+    monkeypatch.setattr(training, "_inputs", recorded)
+    threads = threading.active_count()
+    predict_rows(model, ds, np.arange(100), neigh, mask, batch_size=10)
+    assert threading.main_thread() in scorers and len(scorers) == 2
+    assert threading.active_count() == threads
+
+
+def test_one_chunk_scores_inline(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a single chunk started a worker")
+
+    ds = tiny_task()
+    neigh, mask = precompute_neighbors(ds, index_from_dataset(ds), k=5)
+    model = redrawn_model(ds, "cascade", embed_dim=8, num_heads=2)
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 4)
+    threads = threading.active_count()
+    p = predict_rows(model, ds, np.arange(training.SCORE_CHUNK), neigh, mask)
+    assert np.isfinite(p).all()
+    assert threading.active_count() == threads
 
 
 def test_predict_rows_holds_no_graph():
