@@ -8,7 +8,6 @@ from .model import CtrModel, build_input_batch, load_checkpoint, save_checkpoint
 from .retrieval import (
     RetrievalIndex,
     RetrievalResult,
-    bm25_score,
     build_index,
     index_from_dataset,
     load_index,
@@ -24,7 +23,7 @@ __all__ = [
     "CsvSpec", "Dataset", "FieldSchema", "load_csv", "load_dataset", "save_dataset",
     "DataError", "UsageError",
     "CtrModel", "build_input_batch", "load_checkpoint", "save_checkpoint",
-    "RetrievalIndex", "RetrievalResult", "bm25_score", "build_index",
+    "RetrievalIndex", "RetrievalResult", "build_index",
     "index_from_dataset", "load_index", "retrieve", "retrieve_batch", "save_index",
     "EvalReport", "TrainConfig", "ablate", "auc", "evaluate", "logloss", "train",
     "__version__",

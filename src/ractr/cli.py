@@ -306,7 +306,14 @@ def cmd_evaluate(args) -> int:
     if not ckpt_path:
         raise UsageError("no checkpoint: pass --checkpoint or set 'checkpoint' in the config")
     model, ckpt_cfg = load_checkpoint(ckpt_path)
-    tcfg = _resolve_train_cfg(cfg, args, base=ckpt_cfg.get("train"))
+    stored = ckpt_cfg.get("train", {})
+    if not isinstance(stored, dict):
+        raise DataError(f"{ckpt_path}: bad stored train config: not a JSON object")
+    try:
+        TrainConfig.from_dict(stored)
+    except UsageError as e:  # the fault is in the file, not the command line
+        raise DataError(f"{ckpt_path}: bad stored train config: {e}") from None
+    tcfg = _resolve_train_cfg(cfg, args, base=stored)
     ds = _load_any_dataset(cfg)
     index_path = _path(args.index, cfg, "index")
     index = load_index(index_path) if index_path else index_from_dataset(ds)

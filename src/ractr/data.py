@@ -33,12 +33,6 @@ class FieldSchema:
             return 0
         return self._ids.get(value, 0)
 
-    def value_for(self, vid: int) -> str | None:
-        """Decode an id; 0 has no value."""
-        if vid == 0:
-            return None
-        return self.values[vid - 1]
-
     @property
     def vocab_size(self) -> int:
         return len(self.values)
@@ -85,10 +79,6 @@ class Dataset:
     @property
     def split_marks(self) -> tuple[int, int]:
         return (self.train_end, self.valid_end)
-
-    @property
-    def missing_ratio(self) -> float:
-        return self.missing_cells / max(1, len(self) * self.num_fields)
 
     def slice_indices(self, split: str) -> np.ndarray:
         if split == "train":

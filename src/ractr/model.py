@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,112 +84,50 @@ class AttentionEntryCounter:
     def __init__(self):
         self.entries = 0
 
-    def reset(self):
-        self.entries = 0
+
+def _draw(rng, shape: tuple[int, ...], init: str) -> np.ndarray:
+    """A parameter's initial value by its _layout init; fan_in is shape[0]."""
+    if init == "normal":
+        return rng.normal(0.0, 0.01, size=shape)
+    if init == "uniform":
+        a = np.sqrt(1.0 / shape[0])
+        return rng.uniform(-a, a, size=shape)
+    return np.zeros(shape) if init == "zeros" else np.ones(shape)
 
 
-def cascade_entries_per_layer(k: int, num_fields: int) -> int:
-    s, t = k + 1, num_fields + 1
-    return s * t * t + t * s * s
+def _layout(field_num_ids: list[int], embed_dim: int, kinds: tuple[str, ...],
+            mlp_ratio: int) -> list[tuple[str, tuple[int, ...], str]]:
+    """Every parameter as (checkpoint name, shape, init), in checkpoint
+    order, which is also the order of the seed's draws.
 
+    Per-field embedding tables (row 0 = missing/OOV), a 3-row label table
+    (unclick, click, unknown) and a pad row for padded neighbors are drawn
+    from N(0, 0.01); then each block's parameters, named by BLOCK_KINDS, with
+    every weight drawn from U(-sqrt(1/fan_in), sqrt(1/fan_in)); then a zero
+    head. Biases and LN betas start at zero, LN gammas at one.
+    """
+    d = embed_dim
+    out = [(f"emb.field.{i}", (n, d), "normal") for i, n in enumerate(field_num_ids)]
+    out += [("emb.label", (3, d), "normal"), ("emb.pad", (d,), "normal")]
 
-def jm_entries_per_layer(k: int, num_fields: int) -> int:
-    s, t = k + 1, num_fields + 1
-    return (s * t) ** 2
+    def linear(pre, fan_in, fan_out, init="uniform"):
+        out.extend([(f"{pre}.w", (fan_in, fan_out), init), (f"{pre}.b", (fan_out,), "zeros")])
 
+    def norm(pre):
+        out.extend([(f"{pre}.gamma", (d,), "ones"), (f"{pre}.beta", (d,), "zeros")])
 
-@dataclass
-class Linear:
-    w: T.Tensor
-    b: T.Tensor
-
-    def __call__(self, x: T.Tensor) -> T.Tensor:
-        return T.add(T.matmul(x, self.w), self.b)
-
-    def named(self, pre: str) -> list[tuple[str, T.Tensor]]:
-        return [(f"{pre}.w", self.w), (f"{pre}.b", self.b)]
-
-
-@dataclass
-class LayerNormParams:
-    gamma: T.Tensor
-    beta: T.Tensor
-
-    def __call__(self, x: T.Tensor) -> T.Tensor:
-        return T.layer_norm(x, self.gamma, self.beta)
-
-    def named(self, pre: str) -> list[tuple[str, T.Tensor]]:
-        return [(f"{pre}.gamma", self.gamma), (f"{pre}.beta", self.beta)]
-
-
-@dataclass
-class AttentionParams:
-    q: Linear
-    k: Linear
-    v: Linear
-    o: Linear
-    n_heads: int
-
-    def named(self, pre: str) -> list[tuple[str, T.Tensor]]:
-        return [p for part in ("q", "k", "v", "o")
-                for p in getattr(self, part).named(f"{pre}.{part}")]
-
-
-@dataclass
-class MlpParams:
-    lin1: Linear
-    lin2: Linear
-    activation: str
-
-    def __call__(self, x: T.Tensor) -> T.Tensor:
-        h = self.lin1(x)
-        h = T.gelu(h) if self.activation == "gelu" else T.relu(h)
-        return self.lin2(h)
-
-    def named(self, pre: str) -> list[tuple[str, T.Tensor]]:
-        return self.lin1.named(f"{pre}.lin1") + self.lin2.named(f"{pre}.lin2")
-
-
-@dataclass
-class Block:
-    kind: str  # a BLOCK_KINDS key
-    layers: dict[str, LayerNormParams | AttentionParams | MlpParams]  # in BLOCK_KINDS order
-
-
-class EmbeddingSet:
-    """Per-field tables (row 0 = missing/OOV), a 3-row label table
-    (unclick, click, unknown), and a learned pad row for padded neighbors."""
-
-    def __init__(self, field_tables: list[T.Tensor], label_table: T.Tensor, pad_row: T.Tensor):
-        self.field_tables = field_tables
-        self.label_table = label_table
-        self.pad_row = pad_row
-
-
-def _init_linear(rng, fan_in: int, fan_out: int) -> Linear:
-    a = np.sqrt(1.0 / fan_in)
-    w = T.Tensor(rng.uniform(-a, a, size=(fan_in, fan_out)), requires_grad=True)
-    b = T.Tensor(np.zeros(fan_out), requires_grad=True)
-    return Linear(w, b)
-
-
-def _init_ln(dim: int) -> LayerNormParams:
-    return LayerNormParams(T.Tensor(np.ones(dim), requires_grad=True),
-                           T.Tensor(np.zeros(dim), requires_grad=True))
-
-
-def _init_attention(rng, dim_in: int, dim_attn: int, n_heads: int) -> AttentionParams:
-    return AttentionParams(
-        q=_init_linear(rng, dim_in, dim_attn),
-        k=_init_linear(rng, dim_in, dim_attn),
-        v=_init_linear(rng, dim_in, dim_attn),
-        o=_init_linear(rng, dim_attn, dim_attn),
-        n_heads=n_heads,
-    )
-
-
-def _init_mlp(rng, dim: int, hidden: int, activation: str) -> MlpParams:
-    return MlpParams(_init_linear(rng, dim, hidden), _init_linear(rng, hidden, dim), activation)
+    for i, kind in enumerate(kinds):
+        for ln, names in BLOCK_KINDS[kind]:
+            norm(f"block.{i}.{ln}")
+            for name in names:
+                w = d // len(names)
+                for part, fan_in in (("q", d), ("k", d), ("v", d), ("o", w)):
+                    linear(f"block.{i}.{name}.{part}", fan_in, w)
+        norm(f"block.{i}.ln_mlp")
+        linear(f"block.{i}.mlp.lin1", d, mlp_ratio * d)
+        linear(f"block.{i}.mlp.lin2", mlp_ratio * d, d)
+    linear("head", d, 1, init="zeros")
+    return out
 
 
 def _layer_kinds(variant: str, activation: str, embed_dim: int, num_heads: int,
@@ -218,13 +155,14 @@ def _layer_kinds(variant: str, activation: str, embed_dim: int, num_heads: int,
 
 class CtrModel:
     """Embeddings + L blocks of one variant + a sigmoid head reading the
-    target's label token (sample 0, field 0)."""
+    target's label token (sample 0, field 0). Its parameters are `params`,
+    keyed by checkpoint name in _layout order; `kinds` are its blocks' kinds."""
 
     def __init__(self, field_num_ids: list[int], embed_dim: int = 16, num_blocks: int = 2,
                  num_heads: int = 2, mlp_ratio: int = 4, variant: str = "cascade",
                  activation: str = "gelu", intra_only: bool = False, seed: int = 42):
-        kinds = _layer_kinds(variant, activation, embed_dim, num_heads, mlp_ratio,
-                             intra_only) * num_blocks
+        self.kinds = _layer_kinds(variant, activation, embed_dim, num_heads, mlp_ratio,
+                                  intra_only) * num_blocks
         self.field_num_ids = list(field_num_ids)
         self.embed_dim = embed_dim
         self.num_blocks = num_blocks
@@ -234,79 +172,63 @@ class CtrModel:
         self.activation = activation
         self.intra_only = intra_only
         self.seed = seed
-
         rng = np.random.default_rng(seed)
-        d = embed_dim
-        tables = [T.Tensor(rng.normal(0.0, 0.01, size=(n, d)), requires_grad=True)
-                  for n in self.field_num_ids]
-        label = T.Tensor(rng.normal(0.0, 0.01, size=(3, d)), requires_grad=True)
-        pad = T.Tensor(rng.normal(0.0, 0.01, size=(d,)), requires_grad=True)
-        self.emb = EmbeddingSet(tables, label, pad)
-
-        hidden = mlp_ratio * d
-        self.blocks: list[Block] = []
-        for kind in kinds:
-            layers = {}
-            for ln, names in BLOCK_KINDS[kind]:
-                layers[ln] = _init_ln(d)
-                for name in names:
-                    layers[name] = _init_attention(rng, d, d // len(names), num_heads)
-            layers["ln_mlp"] = _init_ln(d)
-            layers["mlp"] = _init_mlp(rng, d, hidden, activation)
-            self.blocks.append(Block(kind, layers))
-
-        self.head_w = T.Tensor(np.zeros((d, 1)), requires_grad=True)
-        self.head_b = T.Tensor(np.zeros(1), requires_grad=True)
+        # checkpoint name -> parameter, in checkpoint order
+        self.params = {name: T.Tensor(_draw(rng, shape, init), requires_grad=True)
+                       for name, shape, init in _layout(self.field_num_ids, embed_dim,
+                                                        self.kinds, mlp_ratio)}
 
     def named_parameters(self) -> list[tuple[str, T.Tensor]]:
-        out: list[tuple[str, T.Tensor]] = []
-        for i, t in enumerate(self.emb.field_tables):
-            out.append((f"emb.field.{i}", t))
-        out.append(("emb.label", self.emb.label_table))
-        out.append(("emb.pad", self.emb.pad_row))
-        for bi, blk in enumerate(self.blocks):
-            for name, layer in blk.layers.items():
-                out.extend(layer.named(f"block.{bi}.{name}"))
-        out.append(("head.w", self.head_w))
-        out.append(("head.b", self.head_b))
-        return out
+        return list(self.params.items())
 
     def parameters(self) -> list[T.Tensor]:
-        return [t for _, t in self.named_parameters()]
+        return list(self.params.values())
 
     def parameter_count(self) -> int:
         return sum(t.data.size for t in self.parameters())
 
-    # forward pieces -----------------------------------------------------
+    # forward pieces: each reads its parameters under a checkpoint-name prefix
 
-    def _mha(self, q3: T.Tensor, kv3: T.Tensor, att: AttentionParams,
+    def _linear(self, pre: str, x: T.Tensor) -> T.Tensor:
+        return T.add(T.matmul(x, self.params[f"{pre}.w"]), self.params[f"{pre}.b"])
+
+    def _norm(self, pre: str, x: T.Tensor) -> T.Tensor:
+        return T.layer_norm(x, self.params[f"{pre}.gamma"], self.params[f"{pre}.beta"])
+
+    def _mlp(self, pre: str, x: T.Tensor) -> T.Tensor:
+        h = self._linear(f"{pre}.lin1", x)
+        h = T.gelu(h) if self.activation == "gelu" else T.relu(h)
+        return self._linear(f"{pre}.lin2", h)
+
+    def _mha(self, q3: T.Tensor, kv3: T.Tensor, pre: str,
              key_mask: np.ndarray | None, query_mask: np.ndarray | None) -> T.Tensor:
         """q3: (G, Tq, D_in) queries over kv3: (G, Tk, D_in) keys and values ->
-        (G, Tq, D_attn). key_mask: (G, Tk), query_mask: (G, Tq), bool."""
+        (G, Tq, D_attn), by the attention under prefix pre. key_mask: (G, Tk),
+        query_mask: (G, Tq), bool."""
         g, tq, _ = q3.shape
         tk = kv3.shape[1]
-        h = att.n_heads
-        dh = att.q.w.data.shape[1] // h
+        h = self.num_heads
+        dh = self.params[f"{pre}.q.w"].shape[1] // h
         scale = 1.0 / np.sqrt(dh)
 
-        def heads(lin, x3, n):
-            y = T.reshape(lin(x3), (g, n, h, dh))
+        def heads(part, x3, n):
+            y = T.reshape(self._linear(f"{pre}.{part}", x3), (g, n, h, dh))
             return T.transpose(y, (0, 2, 1, 3))
 
-        q, k, v = heads(att.q, q3, tq), heads(att.k, kv3, tk), heads(att.v, kv3, tk)
+        q, k, v = heads("q", q3, tq), heads("k", kv3, tk), heads("v", kv3, tk)
         scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), scale)
         mask4 = None if key_mask is None else key_mask.reshape(g, 1, 1, tk)
         attn = T.softmax_lastdim(scores, mask4)
         ctx = T.matmul(attn, v)
         ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (g, tq, h * dh))
-        out = att.o(ctx)
+        out = self._linear(f"{pre}.o", ctx)
         if query_mask is not None:
             out = T.mul(out, query_mask.reshape(g, tq, 1).astype(np.float64))
         return out
 
-    def _attend(self, q: T.Tensor, kv: T.Tensor, att: AttentionParams,
+    def _attend(self, q: T.Tensor, kv: T.Tensor, pre: str,
                 mask: np.ndarray, axes: tuple[int, ...]) -> T.Tensor:
-        """Attention of queries q: (B, Sq, Tq, D) over keys/values kv: (B, Sk,
+        """Attention `pre` of queries q: (B, Sq, Tq, D) over keys/values kv: (B, Sk,
         Tk, D), both grid prefixes, along the grid `axes` (a MIXES value); the
         other axes are batch. Returns (B, Sq, Tq, D_attn) updates. When samples
         mix, padded samples (mask: (B, S) bool) are key-masked and, as queries,
@@ -327,7 +249,7 @@ class CtrModel:
         q3 = grouped(q)
         kv3 = q3 if kv is q else grouped(kv)
         masks = (grouped_mask(kv), grouped_mask(q)) if 1 in axes else (None, None)
-        out = self._mha(q3, kv3, att, *masks)
+        out = self._mha(q3, kv3, pre, *masks)
         out = T.reshape(out, (*(q.shape[a] for a in perm[:3]), out.shape[-1]))
         return out if perm == (0, 1, 2, 3) else T.transpose(out, np.argsort(perm))
 
@@ -339,9 +261,9 @@ class CtrModel:
         sub-layer. LN, MLP and residuals keep the prefix they are given; an
         attention needs its key/value prefixes as input."""
         plan = []
-        for blk in reversed(self.blocks):
+        for kind in reversed(self.kinds):
             outs = []
-            for _, names in reversed(BLOCK_KINDS[blk.kind]):
+            for _, names in reversed(BLOCK_KINDS[kind]):
                 outs.append(need)
                 keys = [_kv_prefix(MIXES[name], need, grid) for name in names]
                 need = tuple(max(dims) for dims in zip(*keys))
@@ -361,9 +283,9 @@ class CtrModel:
         b, grid = x.shape[0], x.shape[1:3]
         read, plan = self._plan(grid, need)
         x = T.prefix_slice(x, (b, *read))
-        for blk, outs in zip(self.blocks, plan):
-            for (ln, names), out in zip(BLOCK_KINDS[blk.kind], outs):
-                z = blk.layers[ln](x)
+        for i, (kind, outs) in enumerate(zip(self.kinds, plan)):
+            for (ln, names), out in zip(BLOCK_KINDS[kind], outs):
+                z = self._norm(f"block.{i}.{ln}", x)
                 q = T.prefix_slice(z, (b, *out))
                 ups = []
                 for name in names:
@@ -371,10 +293,10 @@ class CtrModel:
                     if counter is not None:
                         counter.entries += math.prod(grid) * math.prod(grid[a - 1] for a in axes)
                     kv = T.prefix_slice(z, (b, *_kv_prefix(axes, out, grid)))
-                    ups.append(self._attend(q, kv, blk.layers[name], mask, axes))
+                    ups.append(self._attend(q, kv, f"block.{i}.{name}", mask, axes))
                 up = ups[0] if len(ups) == 1 else T.concat_lastdim(ups)
                 x = T.add(up, T.prefix_slice(x, (b, *out)))
-            x = T.add(blk.layers["mlp"](blk.layers["ln_mlp"](x)), x)
+            x = T.add(self._mlp(f"block.{i}.mlp", self._norm(f"block.{i}.ln_mlp", x)), x)
         return x
 
     def forward_hidden(self, x: T.Tensor, mask: np.ndarray,
@@ -391,8 +313,7 @@ class CtrModel:
         runs on one token."""
         h = self._run_blocks(x, mask, (1, 1), counter)
         tok = T.token_at(h, 0, 0)
-        logit = T.add(T.matmul(tok, self.head_w), self.head_b)
-        return T.reshape(T.sigmoid(logit), (x.shape[0],))
+        return T.reshape(T.sigmoid(self._linear("head", tok)), (x.shape[0],))
 
     def config_dict(self) -> dict:
         return {
@@ -408,11 +329,12 @@ class CtrModel:
         }
 
 
-def build_input_batch(emb: EmbeddingSet, target_ids: np.ndarray,
+def build_input_batch(model: CtrModel, target_ids: np.ndarray,
                       neighbor_indices: np.ndarray, neighbor_mask: np.ndarray,
                       pool_field_ids: np.ndarray, pool_labels: np.ndarray
                       ) -> tuple[T.Tensor, np.ndarray]:
-    """Assemble (B, K+1, F+1, D) inputs plus the (B, K+1) sample mask.
+    """Assemble model's (B, K+1, F+1, D) inputs plus the (B, K+1) sample mask
+    from its embedding parameters (emb.label, emb.field.{f}, emb.pad).
 
     Row 0 is the target with the UNKNOWN label token at field position 0;
     rows 1..K are neighbors with their observed label tokens. Padded slots
@@ -436,13 +358,14 @@ def build_input_batch(emb: EmbeddingSet, target_ids: np.ndarray,
     label_ids = np.concatenate(
         [np.full((b, 1), LABEL_UNKNOWN, dtype=np.int64), nb_labels], axis=1)
 
-    cols = [T.gather_rows(emb.label_table, label_ids)]
+    p = model.params
+    cols = [T.gather_rows(p["emb.label"], label_ids)]
     for f in range(nf):
-        cols.append(T.gather_rows(emb.field_tables[f], all_fields[:, :, f]))
+        cols.append(T.gather_rows(p[f"emb.field.{f}"], all_fields[:, :, f]))
     x = T.stack(cols, axis=2)                                  # (B, K+1, F+1, D)
 
     sample_mask = np.concatenate([np.ones((b, 1), dtype=bool), real], axis=1)
-    x = T.where_mask(sample_mask[:, :, None, None], x, emb.pad_row)
+    x = T.where_mask(sample_mask[:, :, None, None], x, p["emb.pad"])
     return x, sample_mask
 
 
@@ -499,26 +422,6 @@ def _model_config(cfg) -> dict:
     return out
 
 
-def _check_sizes(mc: dict, payload: dict[str, np.ndarray]) -> None:
-    """ValueError unless the sizes CtrModel(**mc) would allocate are the
-    payload's: embedding tables, block count and MLP width. Checked first, so
-    a corrupt size is never allocated."""
-    kinds = _layer_kinds(mc["variant"], mc["activation"], mc["embed_dim"], mc["num_heads"],
-                         mc["mlp_ratio"], mc["intra_only"])
-    blocks = {name.split(".")[1] for name in payload if name.startswith("block.")}
-    if len(blocks) != mc["num_blocks"] * len(kinds):
-        raise ValueError(f"config makes {mc['num_blocks'] * len(kinds)} blocks, "
-                         f"payload holds {len(blocks)}")
-    d = mc["embed_dim"]
-    want = {f"emb.field.{i}": (n, d) for i, n in enumerate(mc["field_num_ids"])}
-    want["emb.label"] = (3, d)
-    want.update((f"block.{b}.mlp.lin1.w", (d, mc["mlp_ratio"] * d)) for b in blocks)
-    for name, shape in want.items():
-        got = payload[name].shape if name in payload else "missing"
-        if got != shape:
-            raise ValueError(f"config makes {name} {shape}, payload holds {got}")
-
-
 def load_checkpoint(path: str) -> tuple[CtrModel, dict]:
     try:
         fh = open(path, "rb")
@@ -550,15 +453,29 @@ def load_checkpoint(path: str) -> tuple[CtrModel, dict]:
 
     try:
         mc = _model_config(cfg)
-        _check_sizes(mc, payload)
+        kinds = _layer_kinds(mc["variant"], mc["activation"], mc["embed_dim"],
+                             mc["num_heads"], mc["mlp_ratio"], mc["intra_only"])
+        # the block count first, so a corrupt one never sizes the layout
+        blocks = {name.split(".")[1] for name in payload if name.startswith("block.")}
+        if len(blocks) != mc["num_blocks"] * len(kinds):
+            raise ValueError(f"config makes {mc['num_blocks'] * len(kinds)} blocks, "
+                             f"payload holds {len(blocks)}")
+        layout = _layout(mc["field_num_ids"], mc["embed_dim"], kinds * mc["num_blocks"],
+                         mc["mlp_ratio"])
+        # every name and shape, in layout order, before anything is allocated
+        mismatch = f"{path}: checkpoint parameters do not match the model layout"
+        for name, shape, _ in layout:
+            if name not in payload:
+                raise DataError(f"{mismatch}: {name} is missing")
+            if payload[name].shape != shape:
+                raise ValueError(f"config makes {name} {shape}, payload holds "
+                                 f"{payload[name].shape}")
+        extra = payload.keys() - {name for name, _, _ in layout}
+        if extra:
+            raise DataError(f"{mismatch}: {min(extra)} is not in it")
         model = CtrModel(**mc)
     except ValueError as e:
         raise DataError(f"{path}: bad checkpoint config: {e}") from None
-    named = dict(model.named_parameters())
-    if set(named) != set(payload):
-        raise DataError(f"{path}: checkpoint parameters do not match the model layout")
     for name, arr in payload.items():
-        if named[name].data.shape != arr.shape:
-            raise DataError(f"{path}: shape mismatch for {name}")
-        named[name].data = arr.astype(np.float64)
+        model.params[name].data = arr.astype(np.float64)
     return model, cfg

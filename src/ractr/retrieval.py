@@ -177,16 +177,6 @@ def build_index(pool_field_ids: np.ndarray, timestamps: np.ndarray) -> Retrieval
     return RetrievalIndex(pool_field_ids, timestamps)
 
 
-def bm25_score(index: RetrievalIndex, query_ids: np.ndarray, cand_ids: np.ndarray) -> float:
-    """Score one query/candidate pair directly from the formula, counting each
-    query id's pool frequency afresh.
-
-    Fields contribute in ascending field order; a field contributes only when
-    the ids are equal and both non-zero.
-    """
-    return _pair_score(_counted_weights(index, query_ids), query_ids, cand_ids)
-
-
 def _counted_weights(index: RetrievalIndex, query_ids: np.ndarray) -> list[float]:
     """Each query id's match weight, from its count in the pool's field."""
     df = np.count_nonzero(index.pool_field_ids == np.asarray(query_ids, dtype=np.int64), axis=0)

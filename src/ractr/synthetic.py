@@ -122,31 +122,6 @@ def singleton_pool(n: int = 8000, n_noise_fields: int = 17, noise_vocab: int = 2
                       labels, np.arange(n, dtype=np.int64), c1, c2)
 
 
-def random_dataset(seed: int, n: int, n_fields: int, vocab: int,
-                   missing_rate: float = 0.05, max_ts: int | None = None,
-                   ratios=(0.7, 0.2, 0.1)) -> Dataset:
-    """Unstructured random dataset for property tests; timestamps may tie."""
-    rng = np.random.default_rng(seed)
-    if max_ts is None:
-        max_ts = max(2, n // 2)  # force timestamp ties
-    ts = np.sort(rng.integers(0, max_ts, size=n)).astype(np.int64)
-    labels = rng.integers(0, 2, size=n).astype(np.int64)
-    labels[0], labels[-1] = 0, 1  # both classes present
-    rows = []
-    for i in range(n):
-        row = []
-        for f in range(n_fields):
-            if rng.random() < missing_rate:
-                row.append("")
-            else:
-                row.append(f"f{f}v{rng.integers(0, vocab)}")
-        rows.append(row)
-    c1 = max(1, int(round(n * ratios[0])))
-    c2 = max(c1 + 1, int(round(n * (ratios[0] + ratios[1]))))
-    c2 = min(c2, n - 1) if n > 2 else c2
-    return _generated([f"f{f}" for f in range(n_fields)], rows, labels, ts, c1, c2)
-
-
 def write_csv(ds: Dataset, path: str) -> None:
     """Emit a dataset back to CSV (timestamp, features, label) for the CLI."""
     if ds.raw_values is None:

@@ -196,7 +196,7 @@ def precompute_neighbors(ds: Dataset, index: RetrievalIndex, k: int,
 def _inputs(model: CtrModel, ds: Dataset, rows: np.ndarray, neigh: np.ndarray,
             neigh_mask: np.ndarray) -> tuple[T.Tensor, np.ndarray]:
     """Model inputs for `rows`, whose neighbors index the train slice."""
-    return build_input_batch(model.emb, ds.field_ids[rows], neigh[rows], neigh_mask[rows],
+    return build_input_batch(model, ds.field_ids[rows], neigh[rows], neigh_mask[rows],
                              ds.field_ids[:ds.train_end], ds.labels[:ds.train_end])
 
 

@@ -14,15 +14,10 @@ import time
 import numpy as np
 import pytest
 
+from helpers import cascade_entries_per_layer, jm_entries_per_layer
 from ractr import tensor as T
 from ractr.cli import main
-from ractr.model import (
-    AttentionEntryCounter,
-    CtrModel,
-    build_input_batch,
-    cascade_entries_per_layer,
-    jm_entries_per_layer,
-)
+from ractr.model import AttentionEntryCounter, CtrModel, build_input_batch
 from ractr.retrieval import (
     brute_force_retrieve,
     build_index,
@@ -104,7 +99,7 @@ def random_input_batch(model, rng, b, k, pad_frac=0.4):
     nidx = rng.integers(0, 64, size=(b, k))
     mask = rng.random(size=(b, k)) > pad_frac
     nidx[~mask] = -1
-    x, m = build_input_batch(model.emb, tgt, nidx, mask, pool, pool_labels)
+    x, m = build_input_batch(model, tgt, nidx, mask, pool, pool_labels)
     return x, m
 
 
@@ -191,7 +186,7 @@ def test_criterion_03_full_pipeline_gradients():
             p.data = p.data + rng.normal(0, 0.05, size=p.data.shape)
 
         def loss_value():
-            x, mask = build_input_batch(model.emb, tgt, nidx, nmask,
+            x, mask = build_input_batch(model, tgt, nidx, nmask,
                                         pool, pool_labels)
             p = model.predict(x, mask)
             pc = T.clamp(p, 1e-7, 1.0 - 1e-7)

@@ -456,6 +456,24 @@ def test_evaluate_corrupt_checkpoint_config_exits_2(ws, trained, tmp_path, capsy
         assert err.startswith("data error:") and "bad checkpoint config: config makes" in err
 
 
+@pytest.mark.parametrize("stored", ["abc", [1, 2], 7, {"k": "5"}, {"bogus": 1}],
+                         ids=["string", "list", "number", "ill-typed-k", "unknown-key"])
+def test_evaluate_malformed_stored_train_config_exits_2(ws, trained, tmp_path, capsys, stored):
+    """A checkpoint's own train entry is file content: a bad one is a data
+    error naming the checkpoint, never a traceback or a usage error."""
+    with open(os.path.join(trained, "checkpoint.ratm"), "rb") as f:
+        blob = f.read()
+    n = int.from_bytes(blob[6:10], "little")
+    raw = json.dumps(dict(json.loads(blob[10:10 + n]), train=stored)).encode()
+    bad = str(tmp_path / "bad.ratm")
+    with open(bad, "wb") as f:
+        f.write(blob[:6] + len(raw).to_bytes(4, "little") + raw + blob[10 + n:])
+    rc = main(["evaluate", "--config", ws["cfg_path"], "--checkpoint", bad])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("data error:") and f"{bad}: bad stored train config" in err
+
+
 def test_evaluate_requires_checkpoint(ws, capsys):
     rc = main(["evaluate", "--config", ws["cfg_path"]])
     assert rc == 1

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from helpers import random_dataset
 from ractr.data import (
     CsvSpec,
     Dataset,
@@ -15,7 +16,7 @@ from ractr.data import (
     save_dataset,
 )
 from ractr.errors import DataError
-from ractr.synthetic import random_dataset, write_csv
+from ractr.synthetic import write_csv
 
 
 def write(path, text):
@@ -64,7 +65,7 @@ def test_vocab_ids_start_at_one_and_round_trip(tmp_path):
     assert city.name == "city"
     assert city.vocab_size == 2 and city.num_ids == 3
     assert city.id_for("a") == 1 and city.id_for("b") == 2
-    assert city.value_for(1) == "a" and city.value_for(0) is None
+    assert city.values == ["a", "b"]  # id i decodes to values[i - 1]; id 0 to nothing
     assert city.id_for("never-seen") == 0 and city.id_for("") == 0
     assert ds.field_ids.tolist() == [[1, 1], [2, 2], [1, 3]]
 
@@ -76,8 +77,8 @@ def test_sort_by_timestamp_then_arrival(tmp_path):
     ds = load_csv(p, SPEC)
     assert ds.timestamps.tolist() == [1, 2, 5, 5]
     assert ds.labels.tolist() == [1, 0, 1, 0]
-    assert ds.schema[0].value_for(int(ds.field_ids[2, 0])) == "b"
-    assert ds.schema[0].value_for(int(ds.field_ids[3, 0])) == "c"
+    assert ds.schema[0].values[int(ds.field_ids[2, 0]) - 1] == "b"
+    assert ds.schema[0].values[int(ds.field_ids[3, 0]) - 1] == "c"
 
 
 def test_split_marks_and_time_ordering(tmp_path):
@@ -118,7 +119,7 @@ def test_missing_and_oov_counted_separately(tmp_path):
     # row 0 device and row 2 city are empty; zz is unseen in train
     assert ds.missing_cells == 2
     assert ds.oov_cells == 1
-    assert ds.missing_ratio == pytest.approx(2 / 8)
+    assert ds.missing_cells / (len(ds) * ds.num_fields) == pytest.approx(2 / 8)
 
 
 def test_no_ratios_marks_everything_train(tmp_path):

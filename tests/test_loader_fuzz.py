@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from helpers import random_dataset
 from ractr.data import load_dataset, save_dataset
 from ractr.errors import DataError
 from ractr.model import CtrModel, load_checkpoint, save_checkpoint
 from ractr.retrieval import build_index, load_index, save_index
-from ractr.synthetic import random_dataset
 
 
 def _ratm_structure_bytes(blob: bytes) -> list[int]:

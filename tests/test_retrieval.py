@@ -10,12 +10,12 @@ import time
 import numpy as np
 import pytest
 
+from helpers import bm25_score, random_dataset
 from ractr import parallel, retrieval
 from ractr.errors import DataError
 from ractr.retrieval import (
     ELIGIBILITY,
     _score_blocks,
-    bm25_score,
     brute_force_retrieve,
     build_index,
     index_from_dataset,
@@ -24,7 +24,7 @@ from ractr.retrieval import (
     retrieve_batch,
     save_index,
 )
-from ractr.synthetic import majority_task, random_dataset
+from ractr.synthetic import majority_task
 
 
 def small_index():

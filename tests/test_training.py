@@ -9,13 +9,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import random_dataset
 from ractr import parallel, training
 from ractr import tensor as T
 from ractr.data import Dataset, FieldSchema
 from ractr.errors import DataError, UsageError
 from ractr.model import CtrModel, build_input_batch
 from ractr.retrieval import brute_force_retrieve, build_index, index_from_dataset
-from ractr.synthetic import majority_task, random_dataset
+from ractr.synthetic import majority_task
 from ractr.training import (
     ABLATION_ORDER,
     Adam,
@@ -445,7 +446,7 @@ def test_predict_rows_holds_no_graph():
             tracemalloc.stop()
 
     def graph():
-        x, m = build_input_batch(model.emb, ds.field_ids[rows], neigh[rows], mask[rows],
+        x, m = build_input_batch(model, ds.field_ids[rows], neigh[rows], mask[rows],
                                  ds.field_ids[:ds.train_end], ds.labels[:ds.train_end])
         return model.predict(x, m)
 
