@@ -103,6 +103,21 @@ def _check_k(k: int, ds: Dataset) -> None:
         raise UsageError(f"k must be at most the train pool size, {ds.train_end}, got {k}")
 
 
+def _check_fields(ckpt_path: str, field_num_ids: list[int], ds: Dataset) -> None:
+    """A checkpoint scores only the fields it was trained on: the dataset
+    must have as many, each with as many ids."""
+    ours = [fs.num_ids for fs in ds.schema]
+    if ours == field_num_ids:
+        return
+    f = next(f for f in range(max(len(ours), len(field_num_ids)))
+             if ours[f:f + 1] != field_num_ids[f:f + 1])
+    name = f" {ds.schema[f].name!r}" if f < len(ours) else ""
+    ids = [f"{nums[f]} ids" if f < len(nums) else "no field" for nums in (field_num_ids, ours)]
+    raise DataError(f"{ckpt_path}: checkpoint does not fit the dataset: it has "
+                    f"{len(field_num_ids)} fields, the dataset {len(ours)}; first differing "
+                    f"field {f}{name}: {ids[0]} in the checkpoint, {ids[1]} in the dataset")
+
+
 def _out_dir(cfg: dict, args) -> str:
     out = _path(getattr(args, "out", None), cfg, "out_dir")
     if not out:
@@ -315,6 +330,7 @@ def cmd_evaluate(args) -> int:
         raise DataError(f"{ckpt_path}: bad stored train config: {e}") from None
     tcfg = _resolve_train_cfg(cfg, args, base=stored)
     ds = _load_any_dataset(cfg)
+    _check_fields(ckpt_path, model.field_num_ids, ds)
     index_path = _path(args.index, cfg, "index")
     index = load_index(index_path) if index_path else index_from_dataset(ds)
     _check_k(tcfg.k, ds)

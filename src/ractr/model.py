@@ -156,11 +156,14 @@ def _layer_kinds(variant: str, activation: str, embed_dim: int, num_heads: int,
 class CtrModel:
     """Embeddings + L blocks of one variant + a sigmoid head reading the
     target's label token (sample 0, field 0). Its parameters are `params`,
-    keyed by checkpoint name in _layout order; `kinds` are its blocks' kinds."""
+    keyed by checkpoint name in _layout order; `kinds` are its blocks' kinds.
+    The parameters are drawn from the seed, or taken from `values` (name ->
+    array of the layout's shape, as load_checkpoint has checked) unchanged."""
 
     def __init__(self, field_num_ids: list[int], embed_dim: int = 16, num_blocks: int = 2,
                  num_heads: int = 2, mlp_ratio: int = 4, variant: str = "cascade",
-                 activation: str = "gelu", intra_only: bool = False, seed: int = 42):
+                 activation: str = "gelu", intra_only: bool = False, seed: int = 42,
+                 values: dict[str, np.ndarray] | None = None):
         self.kinds = _layer_kinds(variant, activation, embed_dim, num_heads, mlp_ratio,
                                   intra_only) * num_blocks
         self.field_num_ids = list(field_num_ids)
@@ -172,11 +175,13 @@ class CtrModel:
         self.activation = activation
         self.intra_only = intra_only
         self.seed = seed
-        rng = np.random.default_rng(seed)
+        layout = _layout(self.field_num_ids, embed_dim, self.kinds, mlp_ratio)
+        if values is None:
+            rng = np.random.default_rng(seed)
+            values = {name: _draw(rng, shape, init) for name, shape, init in layout}
         # checkpoint name -> parameter, in checkpoint order
-        self.params = {name: T.Tensor(_draw(rng, shape, init), requires_grad=True)
-                       for name, shape, init in _layout(self.field_num_ids, embed_dim,
-                                                        self.kinds, mlp_ratio)}
+        self.params = {name: T.Tensor(values[name], requires_grad=True)
+                       for name, _, _ in layout}
 
     def named_parameters(self) -> list[tuple[str, T.Tensor]]:
         return list(self.params.items())
@@ -473,9 +478,7 @@ def load_checkpoint(path: str) -> tuple[CtrModel, dict]:
         extra = payload.keys() - {name for name, _, _ in layout}
         if extra:
             raise DataError(f"{mismatch}: {min(extra)} is not in it")
-        model = CtrModel(**mc)
+        model = CtrModel(**mc, values=payload)
     except ValueError as e:
         raise DataError(f"{path}: bad checkpoint config: {e}") from None
-    for name, arr in payload.items():
-        model.params[name].data = arr.astype(np.float64)
     return model, cfg

@@ -1,10 +1,12 @@
 """Minimal reverse-mode autodiff over dense float64 numpy arrays.
 
 Every op builds a graph node holding its parents and a closure that maps the
-output gradient to parent gradients. backward() walks the graph once in
-reverse topological order and accumulates gradients into leaf .grad arrays.
-Inside `with no_grad():` ops build no node: their outputs are plain tensors,
-so a forward frees each intermediate as soon as it drops it.
+output gradient to parent gradients. backward(params) walks the graph once in
+reverse topological order and returns the gradient of each param as a value;
+it writes nothing into any tensor, so graphs that share parameters can be
+backpropagated on several threads at once. Inside `with no_grad():` ops build
+no node: their outputs are plain tensors, so a forward frees each
+intermediate as soon as it drops it.
 """
 
 from __future__ import annotations
@@ -21,11 +23,10 @@ _grad_enabled = True
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_backward_ran")
+    __slots__ = ("data", "requires_grad", "_parents", "_backward_fn", "_backward_ran")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward_fn=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
         self._backward_fn = _backward_fn
@@ -42,34 +43,37 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def backward(self):
-        """Backpropagate from this scalar. Errors if re-run on the same node."""
+    def backward(self, params) -> list[np.ndarray]:
+        """Backpropagate from this scalar and return d(self)/d(p) for each p in
+        params, zeros for a p the graph does not reach. Errors if re-run on
+        the same node."""
         if self._backward_ran:
             raise RuntimeError("backward already ran on this node; build a fresh graph or reset first")
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar, got shape {self.data.shape}")
         self._backward_ran = True
 
-        order = _toposort(self)
+        wanted = {id(p) for p in params}
+        found: dict[int, np.ndarray] = {}
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in order:
+        for node in _toposort(self):
+            # every consumer of node comes earlier, so its gradient is complete
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node._backward_fn is not None:
-                for parent, pg in node._backward_fn(g):
-                    if not parent.requires_grad:
-                        continue
-                    key = id(parent)
-                    if key in grads:
-                        grads[key] = grads[key] + pg
-                    else:
-                        grads[key] = pg
-            elif node.requires_grad:
-                # leaf: accumulate into .grad
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad += g
+            if id(node) in wanted:
+                found[id(node)] = g
+            if node._backward_fn is None:
+                continue
+            for parent, pg in node._backward_fn(g):
+                if not parent.requires_grad:
+                    continue
+                key = id(parent)
+                if key in grads:
+                    grads[key] = grads[key] + pg
+                else:
+                    grads[key] = pg
+        return [found[id(p)] if id(p) in found else np.zeros_like(p.data) for p in params]
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -114,7 +118,9 @@ def no_grad():
     """Ops inside build no graph; the previous state returns on exit. The
     switch is process-wide, not per thread: predict_rows's scoring workers
     build no graph because they run inside the caller's no_grad, which is
-    not left until every worker has joined."""
+    not left until every worker has joined. So no_grad must not start while
+    other threads build graphs: training validates only after every thread
+    of its step has joined."""
     global _grad_enabled
     prev, _grad_enabled = _grad_enabled, False
     try:
@@ -412,5 +418,5 @@ def token_at(a: Tensor, sample: int, field: int) -> Tensor:
 
 
 def zero_grads(params) -> None:
-    for p in params:
-        p.grad = None
+    """Does nothing: backward returns gradients and stores none. Kept only
+    because perfbench/layers.py wraps it by name (OTHER_TENSOR_OPS)."""

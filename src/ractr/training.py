@@ -6,7 +6,10 @@ queries retrieve from the whole train slice. Neighbors are precomputed once
 per record and reused across epochs; evaluate without a precomputed table
 retrieves for its split's rows only. Scoring, evaluation and forward timing
 run under T.no_grad and build no autodiff graph; scoring runs its chunks on
-every usable core.
+every usable core. Training splits each batch into parts of CHUNK_ROWS rows,
+backpropagates each part's graph on its own thread and sums the returned
+gradients in part order, so it too uses every usable core and gives the same
+bits on any number of them.
 """
 
 from __future__ import annotations
@@ -27,14 +30,17 @@ from .errors import DataError, UsageError
 from .model import CtrModel, _layer_kinds, build_input_batch
 from .retrieval import RetrievalIndex, check_train_index, retrieve_batch
 
-# rows scored together by predict_rows. A cascade chunk's (rows, K+1, F+1,
-# 4D) MLP activations take 58 KB a row, so 64 rows (3.7 MB) stay near a
-# core's 2 MB L2 where 512 (30 MB) do not. The 2,000 score-bigpool rows on 2
-# Xeon cores, median of 5: one thread took 1.33 s at 512, 1.07 s at 128 and
-# 0.95 s at 64 or 32; two took 0.74 s at 512 and 0.50 s at 64. Chunks of 64
-# and 32 gave the bits of 512 on all 20 models tried (each variant and
-# intra-only, 1 and 2 blocks, two datasets); chunks of 97 on 15 of them.
-SCORE_CHUNK = 64
+# rows forwarded together: a predict_rows chunk and a training micro-batch.
+# A cascade chunk's (rows, K+1, F+1, 4D) MLP activations take 58 KB a row, so
+# 64 rows (3.7 MB) stay near a core's 2 MB L2 where 512 (30 MB) do not. The
+# 2,000 score-bigpool rows on 2 Xeon cores, median of 5: one thread took
+# 1.33 s at 512, 1.07 s at 128 and 0.95 s at 64 or 32; two took 0.74 s at 512
+# and 0.50 s at 64. Chunks of 64 and 32 gave the bits of 512 on all 20 models
+# tried (each variant and intra-only, 1 and 2 blocks, two datasets); chunks of
+# 97 on 15 of them. Training runs each 64-row part of a batch on its own
+# thread: train-majority on 2 vCPUs took 5.08 s a pass against 7.26 s for
+# whole 128-row batches on one thread (medians of 10 pairs).
+CHUNK_ROWS = 64
 
 ABLATION_ORDER = ("jm", "ce", "pa", "cascade")
 ABLATION_HEADER = ("variant", "auc", "logloss", "params", "runtime_us")
@@ -145,7 +151,9 @@ def auc(y_true, scores) -> float:
 
 
 class Adam:
-    """Adam with bias correction; every parameter updates every step."""
+    """Adam with bias correction; every parameter updates every step. The
+    moments and the parameters are updated in place, through two scratch
+    buffers the size of the largest parameter."""
 
     def __init__(self, params: list[T.Tensor], lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -157,19 +165,31 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
+        largest = max((p.data.size for p in params), default=0)
+        self._scratch = (np.empty(largest), np.empty(largest))
 
-    def step(self) -> None:
+    def step(self, grads: list[np.ndarray]) -> None:
+        """One update from grads, one gradient per parameter in order."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        for i, p in enumerate(self.params):
-            g = p.grad if p.grad is not None else 0.0
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
-            mhat = self.m[i] / c1
-            vhat = self.v[i] / c2
-            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        for p, g, m, v in zip(self.params, grads, self.m, self.v, strict=True):
+            a, b = (buf[:g.size].reshape(g.shape) for buf in self._scratch)
+            m *= b1                                 # m = b1 * m + (1 - b1) * g
+            np.multiply(g, 1.0 - b1, out=a)
+            m += a
+            v *= b2                                 # v = b2 * v + (1 - b2) * g * g
+            np.multiply(g, g, out=a)
+            a *= 1.0 - b2
+            v += a
+            np.divide(m, c1, out=a)                 # p -= lr * mhat / (sqrt(vhat) + eps)
+            a *= self.lr
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p.data -= a
 
 
 def precompute_neighbors(ds: Dataset, index: RetrievalIndex, k: int,
@@ -200,9 +220,56 @@ def _inputs(model: CtrModel, ds: Dataset, rows: np.ndarray, neigh: np.ndarray,
                              ds.field_ids[:ds.train_end], ds.labels[:ds.train_end])
 
 
+def _loss(model: CtrModel, ds: Dataset, rows: np.ndarray, neigh: np.ndarray,
+          neigh_mask: np.ndarray, batch_rows: int, clip_eps: float) -> T.Tensor:
+    """The graph of rows' summed negative log-likelihood over batch_rows, the
+    rows of the whole batch they are part of: the losses of a batch's parts
+    sum to its mean loss."""
+    x, mask = _inputs(model, ds, rows, neigh, neigh_mask)
+    pc = T.clamp(model.predict(x, mask), clip_eps, 1.0 - clip_eps)
+    y = np.asarray(ds.labels[rows], dtype=np.float64)
+    # a diverged model's log(0) and 0 * inf are reported by train's check
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nll = T.add(T.mul(y, T.tlog(pc)), T.mul(1.0 - y, T.tlog(T.sub(1.0, pc))))
+        return T.mul(T.tsum(nll), -1.0 / batch_rows)
+
+
+def _batch_grads(model: CtrModel, params: list[T.Tensor], ds: Dataset, batch: np.ndarray,
+                 neigh: np.ndarray, neigh_mask: np.ndarray, clip_eps: float
+                 ) -> tuple[float, list[np.ndarray] | None]:
+    """The batch's mean loss and its gradients in params, None when the loss
+    is not finite.
+
+    The batch is split into parts of CHUNK_ROWS rows, and parallel.deal
+    builds and backpropagates each part's graph on one thread; a part whose
+    loss is not finite is not backpropagated. The parts' losses and
+    gradients are summed in part order, so the results do not depend on the
+    number of cores.
+    """
+    parts = [batch[lo:lo + CHUNK_ROWS] for lo in range(0, len(batch), CHUNK_ROWS)]
+    losses = [0.0] * len(parts)
+    part_grads = [None] * len(parts)
+
+    def backprop(share):
+        for j in share:
+            loss = _loss(model, ds, parts[j], neigh, neigh_mask, len(batch), clip_eps)
+            losses[j] = float(loss.data)
+            if math.isfinite(losses[j]):
+                part_grads[j] = loss.backward(params)
+
+    parallel.deal(backprop, range(len(parts)))
+    total = sum(losses)
+    if not math.isfinite(total):
+        return total, None
+    grads = part_grads[0]
+    for more in part_grads[1:]:
+        grads = [a + b for a, b in zip(grads, more)]
+    return total, grads
+
+
 def predict_rows(model: CtrModel, ds: Dataset, rows: np.ndarray,
                  neigh: np.ndarray, neigh_mask: np.ndarray,
-                 batch_size: int = SCORE_CHUNK) -> np.ndarray:
+                 batch_size: int = CHUNK_ROWS) -> np.ndarray:
     """Forward the model over rows in chunks of batch_size, building no
     autodiff graph; returns probabilities.
 
@@ -275,26 +342,17 @@ def train(ds: Dataset, index: RetrievalIndex, cfg: TrainConfig,
         perm = shuffle_rng.permutation(train_rows)
         loss_sum = 0.0
         for lo in range(0, len(perm), cfg.batch_size):
-            chunk = perm[lo:lo + cfg.batch_size]
-            x, mask = _inputs(model, ds, chunk, neigh, neigh_mask)
-            p = model.predict(x, mask)
-            pc = T.clamp(p, cfg.logloss_clip_eps, 1.0 - cfg.logloss_clip_eps)
-            y = np.asarray(ds.labels[chunk], dtype=np.float64)
-            # a diverged model's log(0) and 0 * inf are reported by the check below
-            with np.errstate(divide="ignore", invalid="ignore"):
-                nll = T.add(T.mul(y, T.tlog(pc)), T.mul(1.0 - y, T.tlog(T.sub(1.0, pc))))
-                loss = T.mul(T.tmean(nll), -1.0)
-            batch_loss = float(loss.data)
+            batch = perm[lo:lo + cfg.batch_size]
+            batch_loss, grads = _batch_grads(model, params, ds, batch, neigh, neigh_mask,
+                                             cfg.logloss_clip_eps)
             if not math.isfinite(batch_loss):
                 raise DataError(f"training loss is {batch_loss} in epoch {epoch + 1} of "
                                 f"{cfg.max_epochs}, step {step + 1}: the model diverged "
                                 f"(learning_rate {cfg.learning_rate!r}, logloss_clip_eps "
                                 f"{cfg.logloss_clip_eps!r})")
-            loss.backward()
-            opt.step()
-            T.zero_grads(params)
+            opt.step(grads)
             step += 1
-            loss_sum += batch_loss * len(chunk)
+            loss_sum += batch_loss * len(batch)
 
         valid_p = predict_rows(model, ds, valid_rows, neigh, neigh_mask)
         v_auc = auc(vy, valid_p)

@@ -49,3 +49,20 @@ def cascade_entries_per_layer(k: int, num_fields: int) -> int:
 def jm_entries_per_layer(k: int, num_fields: int) -> int:
     s, t = k + 1, num_fields + 1
     return (s * t) ** 2
+
+
+def adam_steps(values, grad_steps, lr, beta1, beta2, eps):
+    """Adam's out-of-place formula, step by step, from zero moments: the
+    parameter values after each step's gradients, as new arrays."""
+    m = [np.zeros_like(p) for p in values]
+    v = [np.zeros_like(p) for p in values]
+    values = list(values)
+    for t, grads in enumerate(grad_steps, start=1):
+        c1, c2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+        for i, g in enumerate(grads):
+            m[i] = beta1 * m[i] + (1.0 - beta1) * g
+            v[i] = beta2 * v[i] + (1.0 - beta2) * (g * g)
+            mhat = m[i] / c1
+            vhat = v[i] / c2
+            values[i] = values[i] - lr * mhat / (np.sqrt(vhat) + eps)
+    return values

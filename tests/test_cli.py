@@ -474,6 +474,39 @@ def test_evaluate_malformed_stored_train_config_exits_2(ws, trained, tmp_path, c
     assert err.startswith("data error:") and f"{bad}: bad stored train config" in err
 
 
+@pytest.mark.parametrize("other", ["five-columns", "singleton"])
+def test_evaluate_on_a_dataset_of_other_fields_exits_2(ws, trained, tmp_path, capsys, other):
+    """The checkpoint's fields must be the dataset's, by count and by ids per
+    field: five kept columns would score with 5 of its field tables, and the
+    singleton set's larger vocabularies would index past them."""
+    if other == "five-columns":
+        data = dict(ws["cfg"]["data"], feature_cols=ws["cfg"]["data"]["feature_cols"][:5])
+        cfg = dict(ws["cfg"], data=data)
+        first = f"first differing field 5: {_num_ids(ws)[5]} ids in the checkpoint, no field"
+    else:
+        base = str(tmp_path / "single")
+        assert main(["synth", "--out-dir", base, "--kind", "singleton"]) == 0
+        with open(os.path.join(base, "config.json")) as f:
+            cfg = dict(json.load(f), train=ws["cfg"]["train"])
+        first = f"first differing field 0 'key': {_num_ids(ws)[0]} ids in the checkpoint, "
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as f:
+        json.dump(cfg, f)
+    capsys.readouterr()
+    ckpt = os.path.join(trained, "checkpoint.ratm")
+    rc = main(["evaluate", "--config", cfg_path, "--checkpoint", ckpt])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith(f"data error: {ckpt}: checkpoint does not fit the dataset: it has "
+                          f"{len(_num_ids(ws))} fields, the dataset ")
+    assert first in err and "Traceback" not in err
+
+
+def _num_ids(ws):
+    spec = CsvSpec.from_dict(ws["cfg"]["data"])
+    return [fs.num_ids for fs in load_csv(ws["cfg"]["data"]["path"], spec).schema]
+
+
 def test_evaluate_requires_checkpoint(ws, capsys):
     rc = main(["evaluate", "--config", ws["cfg_path"]])
     assert rc == 1

@@ -1,5 +1,6 @@
 """Input assembly, masking guarantees, equivariances, counters, checkpoints."""
 
+import hashlib
 import json
 import os
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import cascade_entries_per_layer, jm_entries_per_layer
+from ractr import model as model_mod
 from ractr import tensor as T
 from ractr.errors import DataError
 from ractr.model import (
@@ -208,10 +210,8 @@ def test_pruned_predict_matches_full_grid(variant, num_blocks, intra_only):
 
     def grads(p):
         nll = T.add(T.mul(y, T.tlog(p)), T.mul(1.0 - y, T.tlog(T.sub(1.0, p))))
-        T.mul(T.tmean(nll), -1.0).backward()
-        out = {name: t.grad.copy() for name, t in m.named_parameters()}
-        T.zero_grads(m.parameters())
-        return out
+        names, params = zip(*m.named_parameters())
+        return dict(zip(names, T.mul(T.tmean(nll), -1.0).backward(params)))
 
     pruned = m.predict(x, mask)
     tok = T.token_at(m.forward_hidden(x, mask), 0, 0)
@@ -426,6 +426,43 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(pa.data, pb.data)
     x, mask, _ = random_batch(m, np.random.default_rng(14))
     assert np.array_equal(m.predict(x, mask).data, got.predict(x, mask).data)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_loading_draws_nothing_and_keeps_the_bits(variant, tmp_path, monkeypatch):
+    """load_checkpoint takes the payload as the parameters and draws none.
+    The loaded model's predictions and gradients hash the same as those of a
+    model drawn from the seed and then overwritten with the payload, which is
+    how loading used to build it."""
+    m = tiny_model(variant, seed=3)
+    rng = np.random.default_rng(15)
+    for p in m.parameters():  # move off init: a zero head would hide any difference
+        p.data += rng.normal(0, 0.3, size=p.data.shape)
+    path = str(tmp_path / "m.ratm")
+    save_checkpoint(m, path)
+    x_rng = np.random.default_rng(16)
+    _, _, raw = random_batch(m, x_rng, b=4, n_pad=2)
+    weights = x_rng.normal(size=4)
+
+    def digest(model):
+        x, mask = build_input_batch(model, *raw)
+        p = model.predict(x, mask)
+        h = hashlib.sha256(p.data.tobytes())
+        for g in T.tsum(T.mul(p, weights)).backward(model.parameters()):
+            h.update(g.tobytes())
+        return h.hexdigest()
+
+    drawn = CtrModel(**m.config_dict())
+    for name, t in drawn.named_parameters():
+        t.data = m.params[name].data.astype(np.float64)
+    want = digest(drawn)
+
+    def no_draw(*args):
+        raise AssertionError("load_checkpoint drew a parameter")
+
+    monkeypatch.setattr(model_mod, "_draw", no_draw)
+    got, _ = load_checkpoint(path)
+    assert digest(got) == want
 
 
 def test_checkpoint_bytes_deterministic(tmp_path):

@@ -28,11 +28,7 @@ def numeric_grads(forward, params, h=1e-5):
 
 
 def analytic_grads(build, params):
-    loss = build()
-    loss.backward()
-    grads = [p.grad.copy() for p in params]
-    T.zero_grads(params)
-    return grads
+    return build().backward(params)
 
 
 def max_rel_err(ga, gn):
@@ -92,8 +88,8 @@ def test_softmax_masked_entries_exactly_zero():
     assert np.all(out.data[:, ~mask] == 0.0)
     assert np.allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
     # no gradient reaches masked logits
-    T.tsum(T.mul(out, rng.normal(size=out.shape))).backward()
-    assert np.all(x.grad[:, ~mask] == 0.0)
+    (gx,) = T.tsum(T.mul(out, rng.normal(size=out.shape))).backward([x])
+    assert np.all(gx[:, ~mask] == 0.0)
 
 
 def test_softmax_fully_masked_row_raises():
@@ -125,9 +121,9 @@ def test_clamp_keeps_boundary_gradient():
     x = T.Tensor([0.0, 0.5, 1.0, 1.5, -0.5], requires_grad=True)
     out = T.clamp(x, 0.0, 1.0)
     assert np.array_equal(out.data, [0.0, 0.5, 1.0, 1.0, 0.0])
-    T.tsum(out).backward()
+    (gx,) = T.tsum(out).backward([x])
     # boundary values are inside the admissible range: gradient passes
-    assert np.array_equal(x.grad, [1.0, 1.0, 1.0, 0.0, 0.0])
+    assert np.array_equal(gx, [1.0, 1.0, 1.0, 0.0, 0.0])
 
 
 def test_prefix_slice_corner():
@@ -152,8 +148,8 @@ def test_gather_rows_out_of_range():
 def test_gather_rows_repeated_ids_accumulate():
     table = T.Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
     out = T.gather_rows(table, np.array([1, 1, 3]))
-    T.tsum(out).backward()
-    assert np.array_equal(table.grad, [[0, 0], [2, 2], [0, 0], [1, 1]])
+    (gt,) = T.tsum(out).backward([table])
+    assert np.array_equal(gt, [[0, 0], [2, 2], [0, 0], [1, 1]])
 
 
 # ---------------------------------------------------------------- gradients
@@ -260,8 +256,8 @@ def test_gradients_deterministic():
         a = T.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
         b = T.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
         loss = T.tsum(T.mul(T.softmax_lastdim(T.matmul(a, b)), rng.normal(size=(3, 3))))
-        loss.backward()
-        return float(loss.data), a.grad.copy(), b.grad.copy()
+        ga, gb = loss.backward([a, b])
+        return float(loss.data), ga, gb
 
     l1, ga1, gb1 = run()
     l2, ga2, gb2 = run()
@@ -279,15 +275,14 @@ def test_large_inputs_stay_finite():
     for op in (T.sigmoid, T.gelu, T.softmax_lastdim):
         out = op(x)
         assert np.isfinite(out.data).all()
-        T.tsum(out).backward()
-        assert np.isfinite(x.grad).all()
-        T.zero_grads([x])
+        (gx,) = T.tsum(out).backward([x])
+        assert np.isfinite(gx).all()
     gamma = T.Tensor(np.ones(8), requires_grad=True)
     beta = T.Tensor(np.zeros(8), requires_grad=True)
     out = T.layer_norm(x, gamma, beta)
     assert np.isfinite(out.data).all()
-    T.tsum(out).backward()
-    assert np.isfinite(x.grad).all()
+    (gx,) = T.tsum(out).backward([x])
+    assert np.isfinite(gx).all()
 
 
 # ---------------------------------------------------------------- bookkeeping
@@ -295,48 +290,49 @@ def test_large_inputs_stay_finite():
 def test_backward_twice_raises():
     x = T.Tensor([2.0], requires_grad=True)
     loss = T.tsum(T.mul(x, x))
-    loss.backward()
+    loss.backward([x])
     with pytest.raises(RuntimeError):
-        loss.backward()
+        loss.backward([x])
 
 
 def test_backward_needs_scalar():
     x = T.Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ValueError):
-        T.mul(x, 2.0).backward()
+        T.mul(x, 2.0).backward([x])
 
 
 def test_disconnected_parameter_gets_no_grad():
     x = T.Tensor([1.0], requires_grad=True)
     unused = T.Tensor([5.0], requires_grad=True)
-    T.tsum(T.mul(x, 3.0)).backward()
-    assert unused.grad is None
-    assert np.array_equal(x.grad, [3.0])
+    gx, gu = T.tsum(T.mul(x, 3.0)).backward([x, unused])
+    assert np.array_equal(gu, [0.0])
+    assert np.array_equal(gx, [3.0])
 
 
 def test_grads_accumulate_across_backwards():
+    # gradients are values: two graphs' gradients sum, and neither is stored
     x = T.Tensor([2.0], requires_grad=True)
-    T.tsum(T.mul(x, 3.0)).backward()
-    T.tsum(T.mul(x, 4.0)).backward()
-    assert np.array_equal(x.grad, [7.0])
-    T.zero_grads([x])
-    assert x.grad is None
+    (g3,) = T.tsum(T.mul(x, 3.0)).backward([x])
+    (g4,) = T.tsum(T.mul(x, 4.0)).backward([x])
+    assert np.array_equal(g3 + g4, [7.0])
+    assert np.array_equal(g3, [3.0]) and np.array_equal(x.data, [2.0])
+    assert not hasattr(x, "grad")
 
 
 def test_diamond_graph_accumulates_through_shared_node():
     x = T.Tensor([3.0], requires_grad=True)
     y = T.mul(x, 2.0)           # y = 2x
     z = T.add(T.mul(y, y), y)   # z = 4x^2 + 2x, dz/dx = 8x + 2 = 26
-    T.tsum(z).backward()
-    assert np.allclose(x.grad, [26.0], atol=1e-12)
+    (gx,) = T.tsum(z).backward([x])
+    assert np.allclose(gx, [26.0], atol=1e-12)
 
 
 def test_python_scalars_promote():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
     out = T.sub(T.add(1.0, T.mul(2.0, x)), 0.5)
     assert np.array_equal(out.data, [2.5, 4.5])
-    T.tsum(out).backward()
-    assert np.array_equal(x.grad, [2.0, 2.0])
+    (gx,) = T.tsum(out).backward([x])
+    assert np.array_equal(gx, [2.0, 2.0])
 
 
 def test_no_grad_builds_no_node_and_restores_state():
@@ -353,5 +349,5 @@ def test_no_grad_builds_no_node_and_restores_state():
             raise RuntimeError("inside")
     after = T.mul(x, 2.0)
     assert after.requires_grad and after._parents and after._backward_fn is not None
-    T.tsum(after).backward()
-    assert np.array_equal(x.grad, [2.0, 2.0])
+    (gx,) = T.tsum(after).backward([x])
+    assert np.array_equal(gx, [2.0, 2.0])

@@ -9,12 +9,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import random_dataset
+from helpers import adam_steps, random_dataset
 from ractr import parallel, training
 from ractr import tensor as T
 from ractr.data import Dataset, FieldSchema
 from ractr.errors import DataError, UsageError
-from ractr.model import CtrModel, build_input_batch
+from ractr.model import CtrModel, build_input_batch, save_checkpoint
 from ractr.retrieval import brute_force_retrieve, build_index, index_from_dataset
 from ractr.synthetic import majority_task
 from ractr.training import (
@@ -115,8 +115,7 @@ def test_adam_leaves_gradless_params_alone():
     a = T.Tensor(np.ones(3), requires_grad=True)
     b = T.Tensor(np.ones(3), requires_grad=True)
     opt = Adam([a, b], lr=0.1)
-    a.grad = np.full(3, 2.0)
-    opt.step()
+    opt.step([np.full(3, 2.0), np.zeros(3)])
     assert not np.array_equal(a.data, np.ones(3))
     assert np.array_equal(b.data, np.ones(3))  # no grad, no movement
 
@@ -124,20 +123,35 @@ def test_adam_leaves_gradless_params_alone():
 def test_adam_first_step_is_signed_lr():
     p = T.Tensor(np.array([1.0, 1.0]), requires_grad=True)
     opt = Adam([p], lr=0.01)
-    p.grad = np.array([2.0, -0.5])
-    opt.step()
+    opt.step([np.array([2.0, -0.5])])
     # bias-corrected first step: -lr * g / (|g| + eps) = -lr * sign(g)
     np.testing.assert_allclose(p.data, [1.0 - 0.01, 1.0 + 0.01], atol=1e-9)
+
+
+def test_in_place_adam_is_the_formula_bit_for_bit():
+    # five steps of the out-of-place formula: zero, tiny, huge and repeated
+    # gradients, parameters of three shapes and a zero-size table
+    rng = np.random.default_rng(21)
+    shapes = [(7, 3), (3,), (0, 3), (1,)]
+    start = [rng.normal(size=s) for s in shapes]
+    steps = [[rng.normal(scale=scale, size=s) for s in shapes]
+             for scale in (1.0, 1e-9, 1e6, 0.0, 1.0)]
+    steps[4] = steps[0]
+    params = [T.Tensor(v.copy(), requires_grad=True) for v in start]
+    opt = Adam(params, lr=3e-3, beta1=0.8, beta2=0.99, eps=1e-7)
+    for grads in steps:
+        opt.step(grads)
+    want = adam_steps(start, steps, lr=3e-3, beta1=0.8, beta2=0.99, eps=1e-7)
+    for p, w in zip(params, want):
+        assert p.data.view(np.int64).tolist() == w.view(np.int64).tolist()
 
 
 def test_adam_momentum_continues_after_grads_stop():
     p = T.Tensor(np.array([0.0]), requires_grad=True)
     opt = Adam([p], lr=0.1)
-    p.grad = np.array([1.0])
-    opt.step()
+    opt.step([np.array([1.0])])
     after_one = p.data.copy()
-    p.grad = None
-    opt.step()
+    opt.step([np.zeros(1)])
     assert p.data[0] != after_one[0]
 
 
@@ -359,7 +373,7 @@ def test_default_chunk_gives_the_bits_of_chunks_of_512():
     ds = majority_task(n_history_groups=1200, n_eval_groups=400, seed=7)
     neigh, mask = precompute_neighbors(ds, index_from_dataset(ds), k=5)
     rows = np.arange(ds.train_end, len(ds))
-    assert training.SCORE_CHUNK == 64
+    assert training.CHUNK_ROWS == 64
     for variant in ABLATION_ORDER:
         model = redrawn_model(ds, variant)
         a = predict_rows(model, ds, rows, neigh, mask)
@@ -421,7 +435,7 @@ def test_one_chunk_scores_inline(monkeypatch):
     monkeypatch.setattr(parallel, "ThreadPoolExecutor", no_pool)
     monkeypatch.setattr(parallel, "_usable_cores", lambda: 4)
     threads = threading.active_count()
-    p = predict_rows(model, ds, np.arange(training.SCORE_CHUNK), neigh, mask)
+    p = predict_rows(model, ds, np.arange(training.CHUNK_ROWS), neigh, mask)
     assert np.isfinite(p).all()
     assert threading.active_count() == threads
 
@@ -465,10 +479,7 @@ def test_training_step_after_no_grad_fills_every_grad():
 
     def grads():
         x, m = training._inputs(model, ds, rows, neigh, mask)
-        T.tmean(model.predict(x, m)).backward()
-        out = [p.grad for p in model.parameters()]
-        T.zero_grads(model.parameters())
-        return out
+        return T.tmean(model.predict(x, m)).backward(model.parameters())
 
     before = grads()
     predict_rows(model, ds, ds.slice_indices("valid"), neigh, mask)
@@ -476,6 +487,98 @@ def test_training_step_after_no_grad_fills_every_grad():
     assert all(g is not None for g in after)
     for a, b in zip(before, after):
         assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------- training on every core
+
+def test_training_same_bits_on_any_core_count(tmp_path, monkeypatch):
+    # batches of 150 rows train as parts of 64, 64 and 22 rows on 1 to 3 threads
+    ds = tiny_task()
+    index = index_from_dataset(ds)
+    neighbors = precompute_neighbors(ds, index, k=5)
+    cfg = tiny_cfg(batch_size=150, max_epochs=2)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)                 # interleave the threads finely
+    try:
+        runs = []
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(parallel, "_usable_cores", lambda: cores)
+            res = train(ds, index, cfg, neighbors=neighbors)
+            path = tmp_path / f"{cores}.ratm"
+            save_checkpoint(res.model, str(path))
+            runs.append((path.read_bytes(), [r["train_logloss"].hex() for r in res.log]))
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(runs[0][1]) == 2
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+@pytest.mark.parametrize("intra_only", (False, True), ids=("full", "intra_only"))
+@pytest.mark.parametrize("variant", ABLATION_ORDER)
+def test_part_gradients_sum_to_the_batch_gradient(variant, intra_only):
+    """The losses of a batch's 64-row parts sum to the batch's mean loss, and
+    their summed gradients are one whole-batch graph's within 1e-12."""
+    ds = tiny_task()
+    neigh, mask = precompute_neighbors(ds, index_from_dataset(ds), k=5)
+    mask[::4, 3:] = False                       # padded slots too
+    model = redrawn_model(ds, variant, embed_dim=8, num_heads=2, num_blocks=2,
+                          intra_only=intra_only)
+    params = model.parameters()
+    batch = np.random.default_rng(4).permutation(ds.train_end)[:150]
+    eps = 1e-7
+
+    x, m = training._inputs(model, ds, batch, neigh, mask)
+    pc = T.clamp(model.predict(x, m), eps, 1.0 - eps)
+    y = ds.labels[batch].astype(np.float64)
+    nll = T.add(T.mul(y, T.tlog(pc)), T.mul(1.0 - y, T.tlog(T.sub(1.0, pc))))
+    whole = T.mul(T.tmean(nll), -1.0)
+    want = whole.backward(params)
+
+    loss, got = 0.0, None
+    for lo in range(0, len(batch), training.CHUNK_ROWS):
+        part = training._loss(model, ds, batch[lo:lo + training.CHUNK_ROWS], neigh, mask,
+                              len(batch), eps)
+        grads = part.backward(params)
+        loss += float(part.data)
+        got = grads if got is None else [a + b for a, b in zip(got, grads)]
+    assert abs(loss - float(whole.data)) <= 1e-12
+    assert max(np.abs(w).max() for w in want if w.size) > 1e-3   # not vacuous
+    for (name, _), a, b in zip(model.named_parameters(), got, want):
+        assert np.abs(a - b).max(initial=0.0) <= 1e-12, name
+
+
+def test_a_batch_of_one_part_keeps_the_whole_batch_bits():
+    # up to 64 rows, the summed loss over the batch's rows is the mean loss
+    # of one graph bit for bit, and so are its gradients
+    ds = tiny_task()
+    neigh, mask = precompute_neighbors(ds, index_from_dataset(ds), k=5)
+    model = redrawn_model(ds, "cascade", embed_dim=8, num_heads=2)
+    params = model.parameters()
+    batch = np.arange(training.CHUNK_ROWS)
+    x, m = training._inputs(model, ds, batch, neigh, mask)
+    pc = T.clamp(model.predict(x, m), 1e-7, 1.0 - 1e-7)
+    y = ds.labels[batch].astype(np.float64)
+    nll = T.add(T.mul(y, T.tlog(pc)), T.mul(1.0 - y, T.tlog(T.sub(1.0, pc))))
+    whole = T.mul(T.tmean(nll), -1.0)
+    want = whole.backward(params)
+    loss, got = training._batch_grads(model, params, ds, batch, neigh, mask, 1e-7)
+    assert loss == float(whole.data)
+    for a, b in zip(got, want):
+        assert a.view(np.int64).tolist() == b.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("cores", (1, 2))
+def test_diverged_part_is_a_data_error_on_the_caller(cores, monkeypatch):
+    # lr 1e3 saturates p at exactly 1.0 after one step; a clip eps below the
+    # float spacing at 1.0 then leaves log(1 - p) = -inf in a part's loss
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: cores)
+    ds = tiny_task()
+    threads = threading.active_count()
+    with pytest.raises(DataError, match=r"^training loss is nan in epoch 1 of 3, step 2: "):
+        train(ds, index_from_dataset(ds),
+              tiny_cfg(learning_rate=1e3, logloss_clip_eps=1e-300, batch_size=150))
+    assert T._grad_enabled
+    assert threading.active_count() == threads
 
 
 # ---------------------------------------------------------------- evaluation
