@@ -27,6 +27,7 @@ mix, runs every layer on the target's sample alone.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 
@@ -188,6 +189,13 @@ class CtrModel:
 
     def parameters(self) -> list[T.Tensor]:
         return list(self.params.values())
+
+    def frozen(self) -> CtrModel:
+        """This model with constant parameters over the same arrays: its
+        forwards build no autodiff graph, on any thread."""
+        view = copy.copy(self)
+        view.params = {name: T.Tensor(t.data) for name, t in self.params.items()}
+        return view
 
     def parameter_count(self) -> int:
         return sum(t.data.size for t in self.parameters())

@@ -1,17 +1,18 @@
 """Minimal reverse-mode autodiff over dense float64 numpy arrays.
 
-Every op builds a graph node holding its parents and a closure that maps the
-output gradient to parent gradients. backward(params) walks the graph once in
-reverse topological order and returns the gradient of each param as a value;
-it writes nothing into any tensor, so graphs that share parameters can be
-backpropagated on several threads at once. Inside `with no_grad():` ops build
-no node: their outputs are plain tensors, so a forward frees each
-intermediate as soon as it drops it.
+An op one of whose inputs requires grad builds a graph node holding its
+parents and a closure that maps the output gradient to parent gradients; an
+op over constants builds none, so a forward over constant parameters frees
+each intermediate as soon as it drops it. Whether a graph is built is thus a
+property of the inputs alone, and no state is shared between threads.
+backward(params) walks the graph once in reverse topological order and
+returns the gradient of each param as a value; it writes nothing into any
+tensor, so graphs that share parameters can be backpropagated on several
+threads at once, and backpropagating the same root again gives the same
+gradients.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 import numpy as np
 from scipy.special import erf
@@ -19,18 +20,15 @@ from scipy.special import erf
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
-_grad_enabled = True
-
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "_parents", "_backward_fn", "_backward_ran")
+    __slots__ = ("data", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward_fn=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
         self._backward_fn = _backward_fn
-        self._backward_ran = False
 
     @property
     def shape(self):
@@ -45,13 +43,9 @@ class Tensor:
 
     def backward(self, params) -> list[np.ndarray]:
         """Backpropagate from this scalar and return d(self)/d(p) for each p in
-        params, zeros for a p the graph does not reach. Errors if re-run on
-        the same node."""
-        if self._backward_ran:
-            raise RuntimeError("backward already ran on this node; build a fresh graph or reset first")
+        params, zeros for a p the graph does not reach."""
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar, got shape {self.data.shape}")
-        self._backward_ran = True
 
         wanted = {id(p) for p in params}
         found: dict[int, np.ndarray] = {}
@@ -113,24 +107,8 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-@contextmanager
-def no_grad():
-    """Ops inside build no graph; the previous state returns on exit. The
-    switch is process-wide, not per thread: predict_rows's scoring workers
-    build no graph because they run inside the caller's no_grad, which is
-    not left until every worker has joined. So no_grad must not start while
-    other threads build graphs: training validates only after every thread
-    of its step has joined."""
-    global _grad_enabled
-    prev, _grad_enabled = _grad_enabled, False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
-
-
 def _node(data, parents, backward_fn) -> Tensor:
-    req = _grad_enabled and any(p.requires_grad for p in parents)
+    req = any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=req, _parents=tuple(parents) if req else (),
                   _backward_fn=backward_fn if req else None)
 

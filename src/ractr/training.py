@@ -5,11 +5,11 @@ strictly earlier than itself inside the train slice; validation and test
 queries retrieve from the whole train slice. Neighbors are precomputed once
 per record and reused across epochs; evaluate without a precomputed table
 retrieves for its split's rows only. Scoring, evaluation and forward timing
-run under T.no_grad and build no autodiff graph; scoring runs its chunks on
-every usable core. Training splits each batch into parts of CHUNK_ROWS rows,
-backpropagates each part's graph on its own thread and sums the returned
-gradients in part order, so it too uses every usable core and gives the same
-bits on any number of them.
+run over the model's frozen view, whose constant parameters build no autodiff
+graph; scoring runs its chunks on every usable core. Training splits each
+batch into parts of CHUNK_ROWS rows, backpropagates each part's graph on its
+own thread and sums the returned gradients in part order, so it too uses
+every usable core and gives the same bits on any number of them.
 """
 
 from __future__ import annotations
@@ -270,14 +270,15 @@ def _batch_grads(model: CtrModel, params: list[T.Tensor], ds: Dataset, batch: np
 def predict_rows(model: CtrModel, ds: Dataset, rows: np.ndarray,
                  neigh: np.ndarray, neigh_mask: np.ndarray,
                  batch_size: int = CHUNK_ROWS) -> np.ndarray:
-    """Forward the model over rows in chunks of batch_size, building no
-    autodiff graph; returns probabilities.
+    """Forward the model's frozen view over rows in chunks of batch_size, so
+    no autodiff graph is built; returns probabilities.
 
     The chunks are spread over the usable cores by parallel.deal, and each
     share writes only its own chunks' rows of the output. Chunk boundaries
     do not depend on the number of cores, so neither do the results.
     """
     out = np.empty(len(rows), dtype=np.float64)
+    model = model.frozen()
 
     def score(starts):
         for lo in starts:
@@ -285,8 +286,7 @@ def predict_rows(model: CtrModel, ds: Dataset, rows: np.ndarray,
             x, mask = _inputs(model, ds, chunk, neigh, neigh_mask)
             out[lo:lo + len(chunk)] = model.predict(x, mask).data
 
-    with T.no_grad():                           # process-wide: the workers build no graph
-        parallel.deal(score, range(0, len(rows), batch_size))
+    parallel.deal(score, range(0, len(rows), batch_size))
     return out
 
 
@@ -414,7 +414,9 @@ def evaluate(model: CtrModel, ds: Dataset, index: RetrievalIndex, cfg: TrainConf
              split: str = "test", segments: list[str] | None = None,
              user_field: str | None = None,
              neighbors: tuple[np.ndarray, np.ndarray] | None = None) -> EvalReport:
-    """Metrics over one split, optionally broken out by user-frequency tail."""
+    """Metrics over one split, optionally broken out by user-frequency tail.
+    Whether the split retrieves neighbors is the model's intra_only, not
+    cfg's: cfg gives k and the logloss clip."""
     check_train_index(index, ds)
     rows = ds.slice_indices(split)
     if len(rows) == 0:
@@ -424,7 +426,7 @@ def evaluate(model: CtrModel, ds: Dataset, index: RetrievalIndex, cfg: TrainConf
         raise DataError(f"{split} slice has a single class; AUC undefined")
 
     if neighbors is None:  # retrieve for this split's rows only
-        k = 0 if cfg.intra_only else cfg.k
+        k = 0 if model.intra_only else cfg.k
         neigh = np.zeros((len(ds), k), dtype=np.int64)
         neigh_mask = np.zeros((len(ds), k), dtype=bool)
         neigh[rows], neigh_mask[rows] = precompute_neighbors(ds, index, k, rows)
@@ -467,12 +469,12 @@ def time_forward_per_example(model: CtrModel, ds: Dataset,
     """Median per-example graph-free forward wall time in microseconds over a
     fixed batch."""
     times = []
-    with T.no_grad():
-        x, mask = _inputs(model, ds, rows, *neighbors)
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            model.predict(x, mask)
-            times.append(time.perf_counter() - t0)
+    model = model.frozen()
+    x, mask = _inputs(model, ds, rows, *neighbors)
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        model.predict(x, mask)
+        times.append(time.perf_counter() - t0)
     return float(np.median(times) / len(rows) * 1e6)
 
 
@@ -495,8 +497,7 @@ def ablate(ds: Dataset, index: RetrievalIndex, cfg: TrainConfig) -> list[Ablatio
     for variant in ABLATION_ORDER:
         res = train(ds, index, replace(cfg, variant=variant, intra_only=False),
                     neighbors=neighbors)
-        report = evaluate(res.model, ds, index, replace(cfg, variant=variant),
-                          split="test", neighbors=neighbors)
+        report = evaluate(res.model, ds, index, cfg, split="test", neighbors=neighbors)
         rt = time_forward_per_example(res.model, ds, neighbors, timing_rows)
         out.append(AblationRow(variant, report.auc, report.logloss,
                                res.model.parameter_count(), rt))

@@ -474,6 +474,24 @@ def test_evaluate_malformed_stored_train_config_exits_2(ws, trained, tmp_path, c
     assert err.startswith("data error:") and f"{bad}: bad stored train config" in err
 
 
+def test_evaluate_takes_intra_only_from_the_checkpoint(ws, trained, tmp_path, capsys):
+    """A cascade checkpoint's rows retrieve their neighbors whatever the
+    config's intra_only says: a config saying true reports the same bytes as
+    the stored one, not a score over padded neighbor slots."""
+    ckpt = os.path.join(trained, "checkpoint.ratm")
+    intra_path = str(tmp_path / "intra.json")
+    with open(intra_path, "w") as f:
+        json.dump(dict(ws["cfg"], train=dict(ws["cfg"]["train"], intra_only=True)), f)
+    reports = []
+    for cfg_path in (ws["cfg_path"], intra_path):
+        out = str(tmp_path / "report.json")
+        rc = main(["evaluate", "--config", cfg_path, "--checkpoint", ckpt, "--out", out])
+        assert rc == 0, capsys.readouterr().err
+        with open(out, "rb") as f:
+            reports.append(f.read())
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("other", ["five-columns", "singleton"])
 def test_evaluate_on_a_dataset_of_other_fields_exits_2(ws, trained, tmp_path, capsys, other):
     """The checkpoint's fields must be the dataset's, by count and by ids per

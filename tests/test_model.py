@@ -231,9 +231,10 @@ def test_pruned_predict_matches_full_grid(variant, num_blocks, intra_only):
 @pytest.mark.parametrize("num_blocks", (1, 2))
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_no_grad_forward_is_bitwise_and_graph_free(variant, num_blocks, intra_only):
-    """Under T.no_grad the same numpy ops run in the same order, so inputs,
-    predict and forward_hidden are byte-equal to the graph-building forward,
-    and no output holds a parent or a backward function."""
+    """The frozen view runs the same numpy ops in the same order over
+    constant parameters, so inputs, predict and forward_hidden are byte-equal
+    to the graph-building forward, and no output holds a parent or a backward
+    function."""
     m = CtrModel(field_num_ids=[5, 7, 4], embed_dim=8, num_blocks=num_blocks,
                  num_heads=2, mlp_ratio=2, variant=variant, intra_only=intra_only,
                  seed=3)
@@ -242,9 +243,12 @@ def test_no_grad_forward_is_bitwise_and_graph_free(variant, num_blocks, intra_on
         p.data = p.data + rng.normal(0, 0.3, size=p.data.shape)
     x, mask, raw = random_batch(m, rng, b=4, k=4, n_pad=3)
     graph = (x, m.predict(x, mask), m.forward_hidden(x, mask))
-    with T.no_grad():
-        x_free, _ = build_input_batch(m, *raw)
-        free = (x_free, m.predict(x_free, mask), m.forward_hidden(x_free, mask))
+    view = m.frozen()
+    assert type(view) is CtrModel and all(p.requires_grad for p in m.parameters())
+    for p, c in zip(m.parameters(), view.parameters()):
+        assert c.data is p.data and not c.requires_grad
+    x_free, _ = build_input_batch(view, *raw)
+    free = (x_free, view.predict(x_free, mask), view.forward_hidden(x_free, mask))
     assert np.ptp(graph[1].data) > 1e-3  # the predictions are not trivially equal
     for g, f in zip(graph, free):
         assert g._parents and g._backward_fn is not None

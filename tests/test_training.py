@@ -402,7 +402,6 @@ def test_scoring_error_reraises_in_the_caller(bad_chunk, monkeypatch):
     with pytest.raises(ValueError, match="target sample"):
         predict_rows(model, ds, np.arange(40), neigh, mask, batch_size=8)
     assert raised == [bad_chunk == 0]
-    assert T._grad_enabled
     assert threading.active_count() == threads
 
 
@@ -487,6 +486,34 @@ def test_training_step_after_no_grad_fills_every_grad():
     assert all(g is not None for g in after)
     for a, b in zip(before, after):
         assert np.array_equal(a, b)
+
+
+def test_a_graph_built_while_scoring_gets_its_gradients(monkeypatch):
+    # scoring builds no graph because its parameters are constants, not by a
+    # switch: a graph of the model built while the threads score backpropagates
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
+    ds = tiny_task()
+    neigh, mask = precompute_neighbors(ds, index_from_dataset(ds), k=5)
+    model = redrawn_model(ds, "cascade", embed_dim=8, num_heads=2)
+    params, rows, inputs = model.parameters(), np.arange(16), training._inputs
+    lock, during = threading.Lock(), []
+
+    def grads():
+        x, m = inputs(model, ds, rows, neigh, mask)
+        return T.tmean(model.predict(x, m)).backward(params)
+
+    def first_chunk_backprops(*args):
+        with lock:
+            if not during:
+                during.append(grads())
+        return inputs(*args)
+
+    monkeypatch.setattr(training, "_inputs", first_chunk_backprops)
+    predict_rows(model, ds, ds.slice_indices("valid"), neigh, mask, batch_size=8)
+    (got,) = during
+    assert sum(np.abs(g).sum() for g in got) > 0
+    for a, b in zip(got, grads()):
+        assert a.view(np.int64).tolist() == b.view(np.int64).tolist()
 
 
 # ---------------------------------------------------------------- training on every core
@@ -577,7 +604,6 @@ def test_diverged_part_is_a_data_error_on_the_caller(cores, monkeypatch):
     with pytest.raises(DataError, match=r"^training loss is nan in epoch 1 of 3, step 2: "):
         train(ds, index_from_dataset(ds),
               tiny_cfg(learning_rate=1e3, logloss_clip_eps=1e-300, batch_size=150))
-    assert T._grad_enabled
     assert threading.active_count() == threads
 
 
