@@ -1,8 +1,11 @@
-"""Little-endian binary read/write primitives for the on-disk formats, and
-the atomic file writer every artifact goes through."""
+"""Little-endian binary read/write primitives for the on-disk formats, the
+atomic file writer every artifact goes through, and the container framing the
+.ratd, .rati and .ratm formats share: a 4-byte magic, a u16 version, the
+format's body and nothing after it."""
 
 from __future__ import annotations
 
+import io
 import os
 import struct
 from contextlib import contextmanager
@@ -27,6 +30,39 @@ def atomic_open(path: str, mode: str = "wb", **kwargs):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+@contextmanager
+def writing(path: str, magic: bytes, version: int):
+    """atomic_open(path) with the container header written; the body follows."""
+    with atomic_open(path) as f:
+        f.write(magic)
+        write_u16(f, version)
+        yield f
+
+
+@contextmanager
+def reading(path: str, magic: bytes, version: int, kind: str, hint: str = ""):
+    """The container at path, positioned after its header: a DataError unless
+    it opens and its magic and version match; a clean exit checks that the
+    body was read to the end. hint follows the unsupported-version message. A
+    stream that cannot seek (a pipe) is read whole into memory first, so
+    read_exact's bound holds for it too."""
+    try:
+        fh = open(path, "rb")
+    except OSError as e:
+        raise DataError(f"cannot open {path}: {e}") from None
+    with fh:
+        f = fh if fh.seekable() else io.BytesIO(fh.read())
+        got = read_exact(f, 4)
+        if got != magic:
+            raise DataError(f"{path}: bad magic {got!r}, expected {magic!r}")
+        got = read_u16(f)
+        if got != version:
+            raise DataError(f"{path}: unsupported {kind} version {got}{hint}")
+        yield f
+        if f.read(1):
+            raise DataError(f"{path}: trailing bytes after {kind} payload")
 
 
 def read_exact(f, n: int) -> bytes:

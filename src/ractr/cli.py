@@ -436,7 +436,6 @@ def build_parser() -> _Parser:
     ev.add_argument("--split", default="test", choices=("train", "valid", "test"))
     ev.add_argument("--segments", help="comma-separated tail<percent> segment names")
     ev.add_argument("--k", type=int, help="neighbors per target (overrides config)")
-    ev.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     ev.add_argument("--out", help="also write the report JSON here")
     ev.set_defaults(func=cmd_evaluate)
 

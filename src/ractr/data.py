@@ -127,6 +127,11 @@ class CsvSpec:
             if not ok:
                 raise DataError(f"csv spec {key!r} must be {must}, got {d[key]!r}")
         spec.feature_cols = list(spec.feature_cols)
+        for i, c in enumerate(spec.feature_cols):
+            if c == spec.label_col:
+                raise DataError(f"csv spec feature column {c!r} is the label column")
+            if c in spec.feature_cols[:i]:
+                raise DataError(f"csv spec feature column {c!r} is listed twice")
         if spec.ratios is not None:
             spec.ratios = tuple(spec.ratios)
         return spec
@@ -154,8 +159,7 @@ def load_csv(path: str, spec: CsvSpec | dict) -> Dataset:
     string, "" too, names a header column) the file's row order is taken as
     chronological order.
     """
-    if isinstance(spec, dict):
-        spec = CsvSpec.from_dict(spec)
+    spec = CsvSpec.from_dict(spec if isinstance(spec, dict) else vars(spec))
 
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
@@ -251,9 +255,7 @@ def _encode(schema_names, rows, labels, timestamps, train_end, valid_end,
 
 def save_dataset(ds: Dataset, path: str) -> None:
     """Serialize to the RATD container (little-endian, layout in README)."""
-    with binio.atomic_open(path) as f:
-        f.write(DATASET_MAGIC)
-        binio.write_u16(f, DATASET_VERSION)
+    with binio.writing(path, DATASET_MAGIC, DATASET_VERSION) as f:
         binio.write_u8(f, 1 if ds.has_timestamp_column else 0)
         binio.write_u32(f, ds.num_fields)
         binio.write_u64(f, len(ds))
@@ -272,17 +274,7 @@ def save_dataset(ds: Dataset, path: str) -> None:
 
 
 def load_dataset(path: str) -> Dataset:
-    try:
-        fh = open(path, "rb")
-    except OSError as e:
-        raise DataError(f"cannot open {path}: {e}") from None
-    with fh:
-        magic = binio.read_exact(fh, 4)
-        if magic != DATASET_MAGIC:
-            raise DataError(f"{path}: bad magic {magic!r}, expected {DATASET_MAGIC!r}")
-        version = binio.read_u16(fh)
-        if version != DATASET_VERSION:
-            raise DataError(f"{path}: unsupported dataset version {version}")
+    with binio.reading(path, DATASET_MAGIC, DATASET_VERSION, "dataset") as fh:
         has_ts = bool(binio.read_u8(fh))
         nf = binio.read_u32(fh)
         n = binio.read_u64(fh)
@@ -298,9 +290,6 @@ def load_dataset(path: str) -> Dataset:
         labels = binio.read_array(fh, n, "<u1").astype(np.int64)
         timestamps = binio.read_array(fh, n, "<i8").astype(np.int64)
         field_ids = binio.read_array(fh, n * nf, "<u4").astype(np.int64).reshape(n, nf)
-        extra = fh.read(1)
-        if extra:
-            raise DataError(f"{path}: trailing bytes after dataset payload")
     if np.any(labels > 1) or np.any(field_ids > [fs.vocab_size for fs in schema]):
         raise DataError(f"{path}: labels must be 0 or 1 and ids at most their field's vocab size")
     if np.any(timestamps[1:] < timestamps[:-1]):

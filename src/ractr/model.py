@@ -79,13 +79,6 @@ LABEL_CLICK = 1
 LABEL_UNKNOWN = 2  # the target's label slot
 
 
-class AttentionEntryCounter:
-    """Counts attention score-matrix entries per example (heads excluded)."""
-
-    def __init__(self):
-        self.entries = 0
-
-
 def _draw(rng, shape: tuple[int, ...], init: str) -> np.ndarray:
     """A parameter's initial value by its _layout init; fan_in is shape[0]."""
     if init == "normal":
@@ -283,12 +276,11 @@ class CtrModel:
             plan.append(outs[::-1])
         return need, plan[::-1]
 
-    def _run_blocks(self, x: T.Tensor, mask: np.ndarray, need: tuple[int, int],
-                    counter: AttentionEntryCounter | None) -> T.Tensor:
+    def _run_blocks(self, x: T.Tensor, mask: np.ndarray, need: tuple[int, int]) -> T.Tensor:
         """Run all blocks on x: (B, S, T, D), computing only the tokens that
         the (samples, fields) prefix `need` of the output depends on. A layer
-        whose prefix is the whole grid runs unsliced. The counter gets each
-        layer's entries on the whole grid."""
+        whose prefix is the whole grid runs unsliced. mask: (B, S) bool,
+        column 0 true."""
         if mask.dtype != bool:
             mask = mask.astype(bool)
         if not mask[:, 0].all():
@@ -303,8 +295,6 @@ class CtrModel:
                 ups = []
                 for name in names:
                     axes = MIXES[name]
-                    if counter is not None:
-                        counter.entries += math.prod(grid) * math.prod(grid[a - 1] for a in axes)
                     kv = T.prefix_slice(z, (b, *_kv_prefix(axes, out, grid)))
                     ups.append(self._attend(q, kv, f"block.{i}.{name}", mask, axes))
                 up = ups[0] if len(ups) == 1 else T.concat_lastdim(ups)
@@ -312,19 +302,12 @@ class CtrModel:
             x = T.add(self._mlp(f"block.{i}.mlp", self._norm(f"block.{i}.ln_mlp", x)), x)
         return x
 
-    def forward_hidden(self, x: T.Tensor, mask: np.ndarray,
-                       counter: AttentionEntryCounter | None = None) -> T.Tensor:
-        """Run all blocks on the whole grid. x: (B, S, T, D); mask: (B, S)
-        bool, column 0 true."""
-        return self._run_blocks(x, mask, x.shape[1:3], counter)
-
-    def predict(self, x: T.Tensor, mask: np.ndarray,
-                counter: AttentionEntryCounter | None = None) -> T.Tensor:
+    def predict(self, x: T.Tensor, mask: np.ndarray) -> T.Tensor:
         """Click probability from the target's label token. Returns (B,). Only
         what token (0, 0) depends on is computed: in a cascade's last block,
         ISA queries field 0 only, CSA queries the target only, and its MLP
         runs on one token."""
-        h = self._run_blocks(x, mask, (1, 1), counter)
+        h = self._run_blocks(x, mask, (1, 1))
         tok = T.token_at(h, 0, 0)
         return T.reshape(T.sigmoid(self._linear("head", tok)), (x.shape[0],))
 
@@ -388,9 +371,7 @@ def save_checkpoint(model: CtrModel, path: str, extra_config: dict | None = None
     if extra_config:
         cfg = {**cfg, **extra_config}
     named = model.named_parameters()
-    with binio.atomic_open(path) as f:
-        f.write(CHECKPOINT_MAGIC)
-        binio.write_u16(f, CHECKPOINT_VERSION)
+    with binio.writing(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION) as f:
         binio.write_str(f, json.dumps(cfg, sort_keys=True))
         binio.write_u32(f, len(named))
         for name, t in named:
@@ -436,17 +417,7 @@ def _model_config(cfg) -> dict:
 
 
 def load_checkpoint(path: str) -> tuple[CtrModel, dict]:
-    try:
-        fh = open(path, "rb")
-    except OSError as e:
-        raise DataError(f"cannot open {path}: {e}") from None
-    with fh:
-        magic = binio.read_exact(fh, 4)
-        if magic != CHECKPOINT_MAGIC:
-            raise DataError(f"{path}: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-        version = binio.read_u16(fh)
-        if version != CHECKPOINT_VERSION:
-            raise DataError(f"{path}: unsupported checkpoint version {version}")
+    with binio.reading(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint") as fh:
         try:
             cfg = json.loads(binio.read_str(fh))
         except json.JSONDecodeError as e:
@@ -460,9 +431,6 @@ def load_checkpoint(path: str) -> tuple[CtrModel, dict]:
                 raise DataError(f"{path}: parameter {name!r} has rank {ndim}")
             shape = tuple(binio.read_u32(fh) for _ in range(ndim))
             payload[name] = binio.read_array(fh, math.prod(shape), "<f8").reshape(shape)
-        extra = fh.read(1)
-        if extra:
-            raise DataError(f"{path}: trailing bytes after checkpoint payload")
 
     try:
         mc = _model_config(cfg)

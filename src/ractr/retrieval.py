@@ -428,9 +428,7 @@ def brute_force_retrieve(index: RetrievalIndex, query_ids: np.ndarray, k: int,
 def save_index(index: RetrievalIndex, path: str) -> None:
     """Serialize the pool to the RATI v3 container, little-endian; every table
     scoring reads derives from it on load."""
-    with binio.atomic_open(path) as f:
-        f.write(INDEX_MAGIC)
-        binio.write_u16(f, INDEX_VERSION)
+    with binio.writing(path, INDEX_MAGIC, INDEX_VERSION) as f:
         binio.write_u32(f, index.num_fields)
         binio.write_u64(f, index.pool_size)
         binio.write_array(f, index.timestamps, "<i8")
@@ -439,24 +437,12 @@ def save_index(index: RetrievalIndex, path: str) -> None:
 
 def load_index(path: str) -> RetrievalIndex:
     """Read a RATI v3 file and index its pool exactly as build_index does."""
-    try:
-        fh = open(path, "rb")
-    except OSError as e:
-        raise DataError(f"cannot open {path}: {e}") from None
-    with fh:
-        magic = binio.read_exact(fh, 4)
-        if magic != INDEX_MAGIC:
-            raise DataError(f"{path}: bad magic {magic!r}, expected {INDEX_MAGIC!r}")
-        version = binio.read_u16(fh)
-        if version != INDEX_VERSION:
-            raise DataError(f"{path}: unsupported index version {version} (this build reads "
-                            f"{INDEX_VERSION}); rebuild it with `ractr build-index`")
+    hint = f" (this build reads {INDEX_VERSION}); rebuild it with `ractr build-index`"
+    with binio.reading(path, INDEX_MAGIC, INDEX_VERSION, "index", hint) as fh:
         nf = binio.read_u32(fh)
         n = binio.read_u64(fh)
         timestamps = binio.read_array(fh, n, "<i8")
         pool_field_ids = binio.read_array(fh, n * nf, "<u4").reshape(n, nf)
-        if fh.read(1):
-            raise DataError(f"{path}: trailing bytes after index payload")
     return build_index(pool_field_ids, timestamps)
 
 

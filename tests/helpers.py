@@ -1,7 +1,11 @@
 """Test-only generators and formulas, kept out of the library."""
 
-import numpy as np
+import math
 
+import numpy as np
+import pytest
+
+from ractr.model import CtrModel
 from ractr.retrieval import _counted_weights, _pair_score
 from ractr.synthetic import _generated
 
@@ -49,6 +53,24 @@ def cascade_entries_per_layer(k: int, num_fields: int) -> int:
 def jm_entries_per_layer(k: int, num_fields: int) -> int:
     s, t = k + 1, num_fields + 1
     return (s * t) ** 2
+
+
+def attention_entries(model, x, mask) -> int:
+    """Attention score-matrix entries per example (heads excluded) of one
+    predict, counted on the whole (K+1) x (F+1) grid: each _attend call adds
+    the grid's size times the size of each axis it mixes."""
+    grid = x.shape[1:3]
+    calls = []
+    attend = CtrModel._attend
+
+    def recording(self, q, kv, pre, mask, axes):
+        calls.append(axes)
+        return attend(self, q, kv, pre, mask, axes)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CtrModel, "_attend", recording)
+        model.predict(x, mask)
+    return sum(math.prod(grid) * math.prod(grid[a - 1] for a in axes) for axes in calls)
 
 
 def adam_steps(values, grad_steps, lr, beta1, beta2, eps):

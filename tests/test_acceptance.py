@@ -14,10 +14,10 @@ import time
 import numpy as np
 import pytest
 
-from helpers import cascade_entries_per_layer, jm_entries_per_layer
+from helpers import attention_entries, cascade_entries_per_layer, jm_entries_per_layer
 from ractr import tensor as T
 from ractr.cli import main
-from ractr.model import AttentionEntryCounter, CtrModel, build_input_batch
+from ractr.model import CtrModel, build_input_batch
 from ractr.retrieval import (
     brute_force_retrieve,
     build_index,
@@ -232,10 +232,8 @@ def test_criterion_04_attention_entry_counts():
         model = CtrModel(field_num_ids=[6, 6, 6], embed_dim=8, num_blocks=1,
                          num_heads=2, variant=variant, seed=4)
         x, mask = random_input_batch(model, rng, b=1, k=5, pad_frac=0.0)
-        counter = AttentionEntryCounter()
-        model.predict(x, mask, counter=counter)
-        assert counter.entries == expect, variant
-        measured[variant] = counter.entries
+        measured[variant] = attention_entries(model, x, mask)
+        assert measured[variant] == expect, variant
     print(f"[criterion 4] PASS: instrumented forward counted "
           f"{measured['cascade']} cascade / {measured['jm']} joint attention "
           f"entries per layer at K=5, F=3")

@@ -635,6 +635,32 @@ def test_data_errors_exit_2(ws, tmp_path, capsys):
         assert not idx.exists()
 
 
+@pytest.mark.parametrize("cols,message", [
+    (["label", "key"], "feature column 'label' is the label column"),
+    (["key", "key"], "feature column 'key' is listed twice"),
+], ids=("label-as-feature", "duplicate"))
+def test_feature_columns_must_be_distinct_non_label_columns(ws, tmp_path, capsys, cols, message):
+    """A label column among the features leaks the target into its own
+    input, and a repeated column encodes a query's value into one field only."""
+    cfg = dict(ws["cfg"], data=dict(ws["cfg"]["data"], feature_cols=cols),
+               out_dir=str(tmp_path / "o"))
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as f:
+        json.dump(cfg, f)
+    idx = str(tmp_path / "i.rati")
+    assert main(["build-index", "--config", ws["cfg_path"], "--out", idx]) == 0
+    query = queries_file(tmp_path / "q.jsonl", [json.dumps({"fields": {"key": "g1"}})])
+    for command in (["train"], ["retrieve", "--index", idx, "--queries", query]):
+        assert main(command[:1] + ["--config", cfg_path] + command[1:]) == 2
+        assert f"data error: csv spec {message}" in capsys.readouterr().err
+
+
+def test_evaluate_takes_no_seed(ws, capsys):
+    # evaluate never reads a training seed, so it offers none
+    assert main(["evaluate", "--config", ws["cfg_path"], "--seed", "1"]) == 1
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key,value,command", [
     ("data.path", 0, ["build-index", "--out", "i.rati"]),
     ("dataset", 0, ["build-index", "--out", "i.rati"]),

@@ -214,6 +214,17 @@ def test_csvspec_from_dict():
             CsvSpec.from_dict({"label_col": "y", "feature_cols": ["a"], key: value})
 
 
+def test_feature_columns_are_distinct_and_not_the_label(tmp_path):
+    with pytest.raises(DataError, match="csv spec feature column 'y' is the label column"):
+        CsvSpec.from_dict({"label_col": "y", "feature_cols": ["a", "y"]})
+    with pytest.raises(DataError, match="csv spec feature column 'a' is listed twice"):
+        CsvSpec.from_dict({"label_col": "y", "feature_cols": ["a", "b", "a"]})
+    # a spec built directly is checked as one read from a config
+    path = write(tmp_path / "d.csv", "a,y\nx,1\nz,0\n")
+    with pytest.raises(DataError, match="csv spec feature column 'y' is the label column"):
+        load_csv(path, CsvSpec(label_col="y", feature_cols=["a", "y"]))
+
+
 def test_bad_split_marks_rejected():
     fs = [FieldSchema("f", ["a"])]
     ids = np.ones((3, 1), dtype=np.int64)

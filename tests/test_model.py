@@ -1,4 +1,4 @@
-"""Input assembly, masking guarantees, equivariances, counters, checkpoints."""
+"""Input assembly, masking guarantees, equivariances, entry counts, checkpoints."""
 
 import hashlib
 import json
@@ -7,14 +7,13 @@ import os
 import numpy as np
 import pytest
 
-from helpers import cascade_entries_per_layer, jm_entries_per_layer
+from helpers import attention_entries, cascade_entries_per_layer, jm_entries_per_layer
 from ractr import model as model_mod
 from ractr import tensor as T
 from ractr.errors import DataError
 from ractr.model import (
     LABEL_UNKNOWN,
     MIXES,
-    AttentionEntryCounter,
     CtrModel,
     build_input_batch,
     load_checkpoint,
@@ -161,9 +160,10 @@ def test_intra_attention_is_sample_equivariant():
     m = tiny_model(intra_only=True)
     rng = np.random.default_rng(6)
     x, mask, _ = random_batch(m, rng, b=2, k=4)
-    h = m.forward_hidden(x, mask).data
+    h = m._run_blocks(x, mask, x.shape[1:3]).data
     perm = rng.permutation(5)
-    hp = m.forward_hidden(T.Tensor(x.data[:, perm]), mask[:, perm]).data
+    xp = T.Tensor(x.data[:, perm])
+    hp = m._run_blocks(xp, mask[:, perm], xp.shape[1:3]).data
     np.testing.assert_allclose(hp, h[:, perm], atol=1e-12, rtol=0)
 
 
@@ -197,7 +197,7 @@ def test_attention_respects_its_axes(name):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_pruned_predict_matches_full_grid(variant, num_blocks, intra_only):
     """predict computes only what token (0, 0) reads. The reference is the
-    head applied to the whole-grid forward_hidden: predictions agree within
+    head applied to the whole-grid block output: predictions agree within
     1e-12 and every parameter gradient of a BCE loss within 1e-10 relative."""
     m = CtrModel(field_num_ids=[5, 7, 4], embed_dim=8, num_blocks=num_blocks,
                  num_heads=2, mlp_ratio=2, variant=variant, intra_only=intra_only,
@@ -214,7 +214,7 @@ def test_pruned_predict_matches_full_grid(variant, num_blocks, intra_only):
         return dict(zip(names, T.mul(T.tmean(nll), -1.0).backward(params)))
 
     pruned = m.predict(x, mask)
-    tok = T.token_at(m.forward_hidden(x, mask), 0, 0)
+    tok = T.token_at(m._run_blocks(x, mask, x.shape[1:3]), 0, 0)
     head = T.add(T.matmul(tok, m.params["head.w"]), m.params["head.b"])
     full = T.reshape(T.sigmoid(head), (4,))
     assert np.abs(pruned.data - full.data).max() <= 1e-12
@@ -232,9 +232,9 @@ def test_pruned_predict_matches_full_grid(variant, num_blocks, intra_only):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_no_grad_forward_is_bitwise_and_graph_free(variant, num_blocks, intra_only):
     """The frozen view runs the same numpy ops in the same order over
-    constant parameters, so inputs, predict and forward_hidden are byte-equal
-    to the graph-building forward, and no output holds a parent or a backward
-    function."""
+    constant parameters, so inputs, predict and the whole-grid block output
+    are byte-equal to the graph-building forward, and no output holds a parent
+    or a backward function."""
     m = CtrModel(field_num_ids=[5, 7, 4], embed_dim=8, num_blocks=num_blocks,
                  num_heads=2, mlp_ratio=2, variant=variant, intra_only=intra_only,
                  seed=3)
@@ -242,13 +242,13 @@ def test_no_grad_forward_is_bitwise_and_graph_free(variant, num_blocks, intra_on
     for p in m.parameters():
         p.data = p.data + rng.normal(0, 0.3, size=p.data.shape)
     x, mask, raw = random_batch(m, rng, b=4, k=4, n_pad=3)
-    graph = (x, m.predict(x, mask), m.forward_hidden(x, mask))
+    graph = (x, m.predict(x, mask), m._run_blocks(x, mask, x.shape[1:3]))
     view = m.frozen()
     assert type(view) is CtrModel and all(p.requires_grad for p in m.parameters())
     for p, c in zip(m.parameters(), view.parameters()):
         assert c.data is p.data and not c.requires_grad
     x_free, _ = build_input_batch(view, *raw)
-    free = (x_free, view.predict(x_free, mask), view.forward_hidden(x_free, mask))
+    free = (x_free, view.predict(x_free, mask), view._run_blocks(x_free, mask, x.shape[1:3]))
     assert np.ptp(graph[1].data) > 1e-3  # the predictions are not trivially equal
     for g, f in zip(graph, free):
         assert g._parents and g._backward_fn is not None
@@ -266,7 +266,7 @@ def test_zeroed_output_projections_make_blocks_identity():
                 p.data[...] = 0.0
         rng = np.random.default_rng(8)
         x, mask, _ = random_batch(m, rng, b=2, k=3, n_pad=1)
-        h = m.forward_hidden(x, mask)
+        h = m._run_blocks(x, mask, x.shape[1:3])
         assert np.array_equal(h.data, x.data), variant
 
 
@@ -291,9 +291,8 @@ def test_counter_matches_formula_during_forward():
         m = CtrModel(field_num_ids=[5, 5, 5], embed_dim=8, num_blocks=2,
                      num_heads=2, variant=variant, seed=1)
         x, mask, _ = random_batch(m, rng, b=2, k=5)
-        c = AttentionEntryCounter()
-        m.predict(x, mask, counter=c)
-        assert c.entries == 2 * per_layer, variant  # per example, L=2 layers
+        # per example, L=2 layers
+        assert attention_entries(m, x, mask) == 2 * per_layer, variant
 
 
 def test_parameter_count_hand_example():
