@@ -119,10 +119,12 @@ def _check_fields(ckpt_path: str, field_num_ids: list[int], ds: Dataset) -> None
 
 
 def _out_dir(cfg: dict, args) -> str:
+    """The output directory's path; _echo_run_config creates the directory."""
     out = _path(getattr(args, "out", None), cfg, "out_dir")
     if not out:
         raise UsageError("no output directory: pass --out or set out_dir in the config")
-    os.makedirs(out, exist_ok=True)
+    if os.path.exists(out) and not os.path.isdir(out):  # found now, not after training
+        raise UsageError(f"output directory {out} is not a directory")
     return out
 
 
@@ -262,6 +264,9 @@ def cmd_retrieve(args) -> int:
 
 
 def _echo_run_config(out: str, command: str, cfg: dict, tcfg: TrainConfig) -> None:
+    """Create out and write run_config.json, a command's first artifact, so
+    a command that fails before it writes anything leaves no directory."""
+    os.makedirs(out, exist_ok=True)
     _write_json({
         "command": command,
         "config": cfg,

@@ -285,6 +285,8 @@ def load_dataset(path: str) -> Dataset:
         schema = []
         for _ in range(nf):
             name = binio.read_str(fh)
+            if any(fs.name == name for fs in schema):  # a query would fill one of them
+                raise DataError(f"{path}: dataset field {name!r} is listed twice")
             vs = binio.read_u32(fh)
             schema.append(FieldSchema(name, [binio.read_str(fh) for _ in range(vs)]))
         labels = binio.read_array(fh, n, "<u1").astype(np.int64)

@@ -5,13 +5,14 @@ of size K+1 (target first), field axis of size F+1 (a label token at position
 0, then one token per field). Every attention is axial: MIXES below names the
 grid axes it attends along, and the other axes are batch. Intra-sample
 attention (ISA) mixes fields within a sample, cross-sample attention (CSA)
-mixes samples at a fixed field, and joint attention mixes both. Four block
+mixes samples at a fixed field, and joint attention mixes both. Five block
 layouts are supported, each described as data by LAYOUTS and BLOCK_KINDS:
 
   cascade  ISA then CSA then MLP, each with a pre-LN residual
   jm       one joint attention over all (K+1)(F+1) tokens, then MLP
   ce       alternating half-blocks: ISA+MLP, CSA+MLP (2L half-blocks for L)
   pa       ISA and CSA in parallel at width D/2, concatenated, then MLP
+  intra    ISA then MLP: the no-neighbor ablation, which reads no neighbors
 
 Padded neighbor samples are key-masked everywhere the sample axis is mixed,
 so their content can never reach the target's prediction.
@@ -20,9 +21,9 @@ The head reads one token, the target's label token (sample 0, field 0), so
 predict computes only what that token depends on. Walking back from the head,
 each layer's needed outputs are a (samples prefix x fields prefix) rectangle:
 LN, MLP and residuals keep it, ISA needs all fields of its samples, CSA all
-samples of its fields, and joint attention the whole grid. For the four
-variants only the last layer shrinks; an intra-only model, whose samples never
-mix, runs every layer on the target's sample alone.
+samples of its fields, and joint attention the whole grid. For the layouts
+that mix samples only the last layer shrinks; an intra model, whose samples
+never mix, runs every layer on the target's sample alone.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from . import tensor as T
 from .errors import DataError
 
 CHECKPOINT_MAGIC = b"RATM"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # variant -> the block kinds of one layer (num_blocks layers in all)
 LAYOUTS = {
@@ -46,9 +47,12 @@ LAYOUTS = {
     "jm": ("jm",),
     "ce": ("intra", "cross"),
     "pa": ("pa",),
+    "intra": ("intra",),
 }
-INTRA_ONLY_LAYOUT = ("intra",)
 VARIANTS = tuple(LAYOUTS)
+# the CtrModel settings besides its fields, as _layer_kinds takes them
+SETTINGS = ("embed_dim", "num_blocks", "num_heads", "mlp_ratio", "variant", "activation",
+            "seed")
 
 # block kind -> its pre-LN residual attention sub-layers as (LN name, attention
 # names). Attentions sharing one LN each run at width D/n and their outputs are
@@ -124,21 +128,23 @@ def _layout(field_num_ids: list[int], embed_dim: int, kinds: tuple[str, ...],
     return out
 
 
-def _layer_kinds(variant: str, activation: str, embed_dim: int, num_heads: int,
-                 mlp_ratio: int, intra_only: bool) -> tuple[str, ...]:
-    """The block kinds of one layer, or ValueError when the settings cannot
-    build them."""
-    for name, size in (("embed_dim", embed_dim), ("num_heads", num_heads),
-                       ("mlp_ratio", mlp_ratio)):
-        if size <= 0:
-            raise ValueError(f"{name} must be positive, got {size}")
+def _layer_kinds(embed_dim, num_blocks, num_heads, mlp_ratio, variant, activation,
+                 seed) -> tuple[str, ...]:
+    """The block kinds of one layer, or ValueError naming the first of the
+    SETTINGS that cannot build the model. This is the one check of model
+    settings: CtrModel, TrainConfig.from_dict and load_checkpoint call it."""
+    for name, value, least in (("embed_dim", embed_dim, 1), ("num_blocks", num_blocks, 0),
+                               ("num_heads", num_heads, 1), ("mlp_ratio", mlp_ratio, 1),
+                               ("seed", seed, 0)):
+        if type(value) is not int or value < least:  # a bool is not an integer here
+            raise ValueError(f"{name!r} must be an integer >= {least}, got {value!r}")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     if activation not in ("gelu", "relu"):
         raise ValueError(f"unknown activation {activation!r}")
     if embed_dim % num_heads != 0:
         raise ValueError(f"embed_dim {embed_dim} not divisible by {num_heads} heads")
-    kinds = INTRA_ONLY_LAYOUT if intra_only else LAYOUTS[variant]
+    kinds = LAYOUTS[variant]
     for kind in kinds:
         for _, names in BLOCK_KINDS[kind]:
             n = len(names)
@@ -156,10 +162,10 @@ class CtrModel:
 
     def __init__(self, field_num_ids: list[int], embed_dim: int = 16, num_blocks: int = 2,
                  num_heads: int = 2, mlp_ratio: int = 4, variant: str = "cascade",
-                 activation: str = "gelu", intra_only: bool = False, seed: int = 42,
+                 activation: str = "gelu", seed: int = 42,
                  values: dict[str, np.ndarray] | None = None):
-        self.kinds = _layer_kinds(variant, activation, embed_dim, num_heads, mlp_ratio,
-                                  intra_only) * num_blocks
+        self.kinds = _layer_kinds(embed_dim, num_blocks, num_heads, mlp_ratio, variant,
+                                  activation, seed) * num_blocks
         self.field_num_ids = list(field_num_ids)
         self.embed_dim = embed_dim
         self.num_blocks = num_blocks
@@ -167,7 +173,6 @@ class CtrModel:
         self.mlp_ratio = mlp_ratio
         self.variant = variant
         self.activation = activation
-        self.intra_only = intra_only
         self.seed = seed
         layout = _layout(self.field_num_ids, embed_dim, self.kinds, mlp_ratio)
         if values is None:
@@ -176,6 +181,14 @@ class CtrModel:
         # checkpoint name -> parameter, in checkpoint order
         self.params = {name: T.Tensor(values[name], requires_grad=True)
                        for name, _, _ in layout}
+
+    @property
+    def reads_neighbors(self) -> bool:
+        """Whether an attention mixes samples (axis 1). A model none of whose
+        attentions does reads the target's sample alone, so it needs no
+        neighbors."""
+        return any(1 in MIXES[name] for kind in self.kinds
+                   for _, names in BLOCK_KINDS[kind] for name in names)
 
     def named_parameters(self) -> list[tuple[str, T.Tensor]]:
         return list(self.params.items())
@@ -312,17 +325,8 @@ class CtrModel:
         return T.reshape(T.sigmoid(self._linear("head", tok)), (x.shape[0],))
 
     def config_dict(self) -> dict:
-        return {
-            "field_num_ids": self.field_num_ids,
-            "embed_dim": self.embed_dim,
-            "num_blocks": self.num_blocks,
-            "num_heads": self.num_heads,
-            "mlp_ratio": self.mlp_ratio,
-            "variant": self.variant,
-            "activation": self.activation,
-            "intra_only": self.intra_only,
-            "seed": self.seed,
-        }
+        return {"field_num_ids": self.field_num_ids,
+                **{name: getattr(self, name) for name in SETTINGS}}
 
 
 def build_input_batch(model: CtrModel, target_ids: np.ndarray,
@@ -382,42 +386,9 @@ def save_checkpoint(model: CtrModel, path: str, extra_config: dict | None = None
             binio.write_array(f, t.data, "<f8")
 
 
-def _count(v) -> bool:
-    return type(v) is int and v >= 0  # bool is not a count
-
-
-def _positive(v) -> bool:
-    return _count(v) and v > 0
-
-
-# what a stored model config must hold; CtrModel itself rejects unknown variant
-# and activation values and widths the heads do not divide
-_CONFIG_CHECKS = {
-    "field_num_ids": lambda v: type(v) is list and all(map(_count, v)),
-    "embed_dim": _positive, "num_blocks": _count, "mlp_ratio": _positive,
-    "num_heads": _positive,
-    "variant": lambda v: type(v) is str, "activation": lambda v: type(v) is str,
-    "intra_only": lambda v: type(v) is bool, "seed": _count,
-}
-_CONFIG_DEFAULTS = {"intra_only": False, "seed": 42}
-
-
-def _model_config(cfg) -> dict:
-    """CtrModel keyword arguments from a stored config, or ValueError."""
-    if not isinstance(cfg, dict):
-        raise ValueError("config is not a JSON object")
-    out = {}
-    for key, ok in _CONFIG_CHECKS.items():
-        if key not in cfg and key not in _CONFIG_DEFAULTS:
-            raise ValueError(f"missing {key!r}")
-        out[key] = cfg.get(key, _CONFIG_DEFAULTS.get(key))
-        if not ok(out[key]):
-            raise ValueError(f"ill-typed {key!r}: {out[key]!r}")
-    return out
-
-
 def load_checkpoint(path: str) -> tuple[CtrModel, dict]:
-    with binio.reading(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint") as fh:
+    hint = f" (this build reads {CHECKPOINT_VERSION}); retrain it with `ractr train`"
+    with binio.reading(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint", hint) as fh:
         try:
             cfg = json.loads(binio.read_str(fh))
         except json.JSONDecodeError as e:
@@ -433,16 +404,23 @@ def load_checkpoint(path: str) -> tuple[CtrModel, dict]:
             payload[name] = binio.read_array(fh, math.prod(shape), "<f8").reshape(shape)
 
     try:
-        mc = _model_config(cfg)
-        kinds = _layer_kinds(mc["variant"], mc["activation"], mc["embed_dim"],
-                             mc["num_heads"], mc["mlp_ratio"], mc["intra_only"])
+        if not isinstance(cfg, dict):
+            raise ValueError("config is not a JSON object")
+        for key in ("field_num_ids", *SETTINGS):
+            if key not in cfg:
+                raise ValueError(f"missing {key!r}")
+        ids = cfg["field_num_ids"]
+        if type(ids) is not list or not all(type(n) is int and n >= 0 for n in ids):
+            raise ValueError(f"'field_num_ids' must be a list of integers >= 0, got {ids!r}")
+        settings = {key: cfg[key] for key in SETTINGS}
+        kinds = _layer_kinds(**settings)
         # the block count first, so a corrupt one never sizes the layout
         blocks = {name.split(".")[1] for name in payload if name.startswith("block.")}
-        if len(blocks) != mc["num_blocks"] * len(kinds):
-            raise ValueError(f"config makes {mc['num_blocks'] * len(kinds)} blocks, "
-                             f"payload holds {len(blocks)}")
-        layout = _layout(mc["field_num_ids"], mc["embed_dim"], kinds * mc["num_blocks"],
-                         mc["mlp_ratio"])
+        n_blocks = settings["num_blocks"] * len(kinds)
+        if len(blocks) != n_blocks:
+            raise ValueError(f"config makes {n_blocks} blocks, payload holds {len(blocks)}")
+        layout = _layout(ids, settings["embed_dim"], kinds * settings["num_blocks"],
+                         settings["mlp_ratio"])
         # every name and shape, in layout order, before anything is allocated
         mismatch = f"{path}: checkpoint parameters do not match the model layout"
         for name, shape, _ in layout:
@@ -454,7 +432,7 @@ def load_checkpoint(path: str) -> tuple[CtrModel, dict]:
         extra = payload.keys() - {name for name, _, _ in layout}
         if extra:
             raise DataError(f"{mismatch}: {min(extra)} is not in it")
-        model = CtrModel(**mc, values=payload)
+        model = CtrModel(ids, **settings, values=payload)
     except ValueError as e:
         raise DataError(f"{path}: bad checkpoint config: {e}") from None
     return model, cfg

@@ -27,7 +27,7 @@ from . import tensor as T
 from .binio import atomic_open
 from .data import Dataset
 from .errors import DataError, UsageError
-from .model import CtrModel, _layer_kinds, build_input_batch
+from .model import SETTINGS, CtrModel, _layer_kinds, build_input_batch
 from .retrieval import RetrievalIndex, check_train_index, retrieve_batch
 
 # rows forwarded together: a predict_rows chunk and a training micro-batch.
@@ -36,7 +36,7 @@ from .retrieval import RetrievalIndex, check_train_index, retrieve_batch
 # 2,000 score-bigpool rows on 2 Xeon cores, median of 5: one thread took
 # 1.33 s at 512, 1.07 s at 128 and 0.95 s at 64 or 32; two took 0.74 s at 512
 # and 0.50 s at 64. Chunks of 64 and 32 gave the bits of 512 on all 20 models
-# tried (each variant and intra-only, 1 and 2 blocks, two datasets); chunks of
+# tried (each of five variants, 1 and 2 blocks, two datasets); chunks of
 # 97 on 15 of them. Training runs each 64-row part of a batch on its own
 # thread: train-majority on 2 vCPUs took 5.08 s a pass against 7.26 s for
 # whole 128-row batches on one thread (medians of 10 pairs).
@@ -44,9 +44,8 @@ CHUNK_ROWS = 64
 
 ABLATION_ORDER = ("jm", "ce", "pa", "cascade")
 ABLATION_HEADER = ("variant", "auc", "logloss", "params", "runtime_us")
-# TrainConfig integer -> its least valid value
-_INT_FLOORS = {"k": 0, "num_blocks": 0, "embed_dim": 1, "num_heads": 1, "mlp_ratio": 1,
-               "batch_size": 1, "max_epochs": 1, "seed": 0, "early_stop_patience": 0}
+# TrainConfig integer -> its least valid value; _layer_kinds checks the model's
+_INT_FLOORS = {"k": 0, "batch_size": 1, "max_epochs": 1, "early_stop_patience": 0}
 # TrainConfig float -> (its valid range as text, the test of a finite value)
 _FLOAT_RANGES = {
     "learning_rate": (">= 0", lambda v: v >= 0),
@@ -75,10 +74,13 @@ class TrainConfig:
     early_stop_patience: int = 2
     seed: int = 42
     logloss_clip_eps: float = 1e-7
-    intra_only: bool = False
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def model_settings(self) -> dict:
+        """The CtrModel keyword arguments besides field_num_ids."""
+        return {name: getattr(self, name) for name in SETTINGS}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -88,21 +90,17 @@ class TrainConfig:
             raise UsageError(f"unknown train config keys: {sorted(unknown)}")
         for key, least in _INT_FLOORS.items():
             if key in d and (type(d[key]) is not int or d[key] < least):
-                raise UsageError(f"train config {key!r} must be an integer >= {least}, "
+                raise UsageError(f"train config: {key!r} must be an integer >= {least}, "
                                  f"got {d[key]!r}")
         for key, (text, ok) in _FLOAT_RANGES.items():
             v = d.get(key)
             if key in d and (isinstance(v, bool) or not isinstance(v, (int, float))
                              or not math.isfinite(v) or not ok(v)):
-                raise UsageError(f"train config {key!r} must be a finite number {text}, "
+                raise UsageError(f"train config: {key!r} must be a finite number {text}, "
                                  f"got {v!r}")
-        if type(d.get("intra_only", False)) is not bool:
-            raise UsageError(f"train config 'intra_only' must be true or false, "
-                             f"got {d['intra_only']!r}")
         cfg = cls(**d)
         try:
-            _layer_kinds(cfg.variant, cfg.activation, cfg.embed_dim, cfg.num_heads,
-                         cfg.mlp_ratio, cfg.intra_only)
+            _layer_kinds(**cfg.model_settings())
         except ValueError as e:
             raise UsageError(f"train config: {e}") from None
         return cfg
@@ -311,17 +309,11 @@ def train(ds: Dataset, index: RetrievalIndex, cfg: TrainConfig,
     if vy.min() == vy.max():
         raise DataError("validation slice has a single class; AUC undefined")
 
-    k = 0 if cfg.intra_only else cfg.k
+    model = CtrModel([fs.num_ids for fs in ds.schema], **cfg.model_settings())
     if neighbors is None:
-        neighbors = precompute_neighbors(ds, index, k)
+        neighbors = precompute_neighbors(ds, index, cfg.k if model.reads_neighbors else 0)
     neigh, neigh_mask = neighbors
 
-    model = CtrModel(
-        field_num_ids=[fs.num_ids for fs in ds.schema],
-        embed_dim=cfg.embed_dim, num_blocks=cfg.num_blocks, num_heads=cfg.num_heads,
-        mlp_ratio=cfg.mlp_ratio, variant=cfg.variant, activation=cfg.activation,
-        intra_only=cfg.intra_only, seed=cfg.seed,
-    )
     params = model.parameters()
     opt = Adam(params, lr=cfg.learning_rate, beta1=cfg.adam_beta1,
                beta2=cfg.adam_beta2, eps=cfg.adam_eps)
@@ -396,18 +388,12 @@ def _parse_segment(name: str) -> int:
     raise UsageError(f"unknown segment {name!r}; supported: tail<percent>")
 
 
-def tail_user_ids(ds: Dataset, user_field: str, q: int) -> np.ndarray:
-    """Ids of the q% of users with the fewest train-slice records (count asc,
-    id asc; at least one user)."""
-    try:
-        f = [fs.name for fs in ds.schema].index(user_field)
-    except ValueError:
-        raise UsageError(f"user field {user_field!r} not in schema") from None
-    vids = ds.field_ids[:ds.train_end, f]
-    uniq, counts = np.unique(vids, return_counts=True)
-    order = np.lexsort((uniq, counts))
-    n_take = max(1, int(np.ceil(q / 100.0 * len(uniq))))
-    return uniq[order[:n_take]]
+def tail_user_ids(ds: Dataset, f: int, percents: list[int]) -> list[np.ndarray]:
+    """For each q in percents, the field-f ids of the q% of users with the
+    fewest train-slice records (count asc, id asc; at least one user)."""
+    uniq, counts = np.unique(ds.field_ids[:ds.train_end, f], return_counts=True)
+    users = uniq[np.lexsort((uniq, counts))]
+    return [users[:max(1, int(np.ceil(q / 100.0 * len(users))))] for q in percents]
 
 
 def evaluate(model: CtrModel, ds: Dataset, index: RetrievalIndex, cfg: TrainConfig,
@@ -415,8 +401,8 @@ def evaluate(model: CtrModel, ds: Dataset, index: RetrievalIndex, cfg: TrainConf
              user_field: str | None = None,
              neighbors: tuple[np.ndarray, np.ndarray] | None = None) -> EvalReport:
     """Metrics over one split, optionally broken out by user-frequency tail.
-    Whether the split retrieves neighbors is the model's intra_only, not
-    cfg's: cfg gives k and the logloss clip."""
+    Whether the split retrieves neighbors is the model's, not cfg's: cfg
+    gives k and the logloss clip."""
     check_train_index(index, ds)
     rows = ds.slice_indices(split)
     if len(rows) == 0:
@@ -426,7 +412,7 @@ def evaluate(model: CtrModel, ds: Dataset, index: RetrievalIndex, cfg: TrainConf
         raise DataError(f"{split} slice has a single class; AUC undefined")
 
     if neighbors is None:  # retrieve for this split's rows only
-        k = 0 if model.intra_only else cfg.k
+        k = cfg.k if model.reads_neighbors else 0
         neigh = np.zeros((len(ds), k), dtype=np.int64)
         neigh_mask = np.zeros((len(ds), k), dtype=bool)
         neigh[rows], neigh_mask[rows] = precompute_neighbors(ds, index, k, rows)
@@ -442,11 +428,10 @@ def evaluate(model: CtrModel, ds: Dataset, index: RetrievalIndex, cfg: TrainConf
         if user_field not in names:
             raise UsageError(f"user field {user_field!r} not in schema")
         f = names.index(user_field)
+        tails = tail_user_ids(ds, f, [_parse_segment(name) for name in segments])
         seg_out = {}
         row_users = ds.field_ids[rows, f]
-        for name in segments:
-            q = _parse_segment(name)
-            tail = tail_user_ids(ds, user_field, q)
+        for name, tail in zip(segments, tails):
             sel = np.isin(row_users, tail)
             ys, ps = y[sel], p[sel]
             entry: dict = {"n": int(sel.sum())}
@@ -495,8 +480,7 @@ def ablate(ds: Dataset, index: RetrievalIndex, cfg: TrainConfig) -> list[Ablatio
     timing_rows = test_rows[:min(256, len(test_rows))]
     out = []
     for variant in ABLATION_ORDER:
-        res = train(ds, index, replace(cfg, variant=variant, intra_only=False),
-                    neighbors=neighbors)
+        res = train(ds, index, replace(cfg, variant=variant), neighbors=neighbors)
         report = evaluate(res.model, ds, index, cfg, split="test", neighbors=neighbors)
         rt = time_forward_per_example(res.model, ds, neighbors, timing_rows)
         out.append(AblationRow(variant, report.auc, report.logloss,

@@ -77,14 +77,14 @@ def learnability_runs():
                        eval_train_records=3, seed=7)
     index = index_from_dataset(ds)
     out = {}
-    for intra in (False, True):
+    for variant in ("cascade", "intra"):
         cfg = TrainConfig(k=5, learning_rate=1e-3, batch_size=128,
                           max_epochs=1, early_stop_patience=1, seed=42,
-                          intra_only=intra)
+                          variant=variant)
         res = train(ds, index, cfg)
         rep = evaluate(res.model, ds, index, cfg, split="test",
                        neighbors=res.neighbors)
-        out["intra_only" if intra else "cascade"] = rep.auc
+        out[variant] = rep.auc
     return out
 
 
@@ -261,7 +261,7 @@ def test_criterion_05_variant_ordering_and_speed(ordering_runs):
 
 def test_criterion_06_neighbors_carry_the_signal(learnability_runs):
     full = learnability_runs["cascade"]
-    intra = learnability_runs["intra_only"]
+    intra = learnability_runs["intra"]
     assert full >= 0.90, f"cascade test AUC {full:.4f}"
     assert intra <= 0.60, f"intra-only test AUC {intra:.4f}"
     print(f"[criterion 6] PASS: cascade test AUC {full:.4f} >= 0.90 within "

@@ -475,21 +475,50 @@ def test_evaluate_malformed_stored_train_config_exits_2(ws, trained, tmp_path, c
 
 
 def test_evaluate_takes_intra_only_from_the_checkpoint(ws, trained, tmp_path, capsys):
-    """A cascade checkpoint's rows retrieve their neighbors whatever the
-    config's intra_only says: a config saying true reports the same bytes as
-    the stored one, not a score over padded neighbor slots."""
-    ckpt = os.path.join(trained, "checkpoint.ratm")
+    """The checkpoint's model decides whether evaluate retrieves: a cascade
+    checkpoint's rows retrieve their neighbors under a config whose variant
+    is "intra", and an intra checkpoint's rows retrieve none under a cascade
+    config, so each reports the bytes it does under the other config, not a
+    score over padded neighbor slots. The retired intra_only key is unknown."""
     intra_path = str(tmp_path / "intra.json")
     with open(intra_path, "w") as f:
+        json.dump(dict(ws["cfg"], train=dict(ws["cfg"]["train"], variant="intra")), f)
+    intra_run = str(tmp_path / "intra_run")
+    assert main(["train", "--config", ws["cfg_path"], "--out", intra_run, "--seed", "5",
+                 "--variant", "intra"]) == 0
+    for run in (trained, intra_run):
+        reports = []
+        for cfg_path in (ws["cfg_path"], intra_path):
+            out = str(tmp_path / "report.json")
+            rc = main(["evaluate", "--config", cfg_path, "--checkpoint",
+                       os.path.join(run, "checkpoint.ratm"), "--out", out])
+            assert rc == 0, capsys.readouterr().err
+            with open(out, "rb") as f:
+                reports.append(f.read())
+        assert reports[0] == reports[1]
+    with open(os.path.join(intra_run, "summary.json")) as f:
+        assert json.loads(reports[0])["auc"] == json.load(f)["test_auc"]
+
+    old_path = str(tmp_path / "old.json")
+    with open(old_path, "w") as f:
         json.dump(dict(ws["cfg"], train=dict(ws["cfg"]["train"], intra_only=True)), f)
-    reports = []
-    for cfg_path in (ws["cfg_path"], intra_path):
-        out = str(tmp_path / "report.json")
-        rc = main(["evaluate", "--config", cfg_path, "--checkpoint", ckpt, "--out", out])
-        assert rc == 0, capsys.readouterr().err
-        with open(out, "rb") as f:
-            reports.append(f.read())
-    assert reports[0] == reports[1]
+    capsys.readouterr()
+    rc = main(["evaluate", "--config", old_path, "--checkpoint",
+               os.path.join(trained, "checkpoint.ratm")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: unknown train config keys: ['intra_only']\n"
+
+
+def test_evaluate_of_a_version_1_checkpoint_exits_2(ws, trained, tmp_path, capsys):
+    with open(os.path.join(trained, "checkpoint.ratm"), "rb") as f:
+        blob = f.read()
+    old = str(tmp_path / "old.ratm")
+    with open(old, "wb") as f:
+        f.write(blob[:4] + (1).to_bytes(2, "little") + blob[6:])
+    capsys.readouterr()
+    assert main(["evaluate", "--config", ws["cfg_path"], "--checkpoint", old]) == 2
+    assert capsys.readouterr().err == (f"data error: {old}: unsupported checkpoint version 1 "
+                                       f"(this build reads 2); retrain it with `ractr train`\n")
 
 
 @pytest.mark.parametrize("other", ["five-columns", "singleton"])
@@ -687,10 +716,11 @@ def test_config_paths_must_be_strings(ws, tmp_path, capsys, monkeypatch, key, va
 
 @pytest.mark.parametrize("key,value,must", [
     ("embed_dim", 0, None), ("mlp_ratio", 0, None), ("k", -1, None),
-    ("intra_only", "no", "true or false"), ("learning_rate", "0.01", "a finite number >= 0"),
+    ("intra_only", "no", "unknown train config keys: ['intra_only']"),
+    ("learning_rate", "0.01", "'learning_rate' must be a finite number >= 0"),
     ("seed", "x", None), ("seed", -1, None), ("early_stop_patience", "2", None),
-    ("adam_beta1", 2, "a finite number in [0, 1)"),
-    ("learning_rate", math.nan, "a finite number >= 0"),
+    ("adam_beta1", 2, "'adam_beta1' must be a finite number in [0, 1)"),
+    ("learning_rate", math.nan, "'learning_rate' must be a finite number >= 0"),
 ], ids=("embed_dim-0", "mlp_ratio-0", "k--1", "intra_only-no", "learning_rate-str",
         "seed-x", "seed--1", "early_stop_patience-str", "adam_beta1-2", "learning_rate-nan"))
 def test_bad_sizes_exit_1(ws, tmp_path, capsys, key, value, must):
@@ -700,8 +730,25 @@ def test_bad_sizes_exit_1(ws, tmp_path, capsys, key, value, must):
     with open(cfg_path, "w") as f:
         json.dump(cfg, f)
     assert main(["train", "--config", cfg_path]) == 1
-    assert f"'{key}' must be {must or 'an integer >= '}" in capsys.readouterr().err
+    assert (must or f"'{key}' must be an integer >= ") in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_a_data_error_leaves_no_output_directory(ws, tmp_path, capsys, command):
+    """The output directory is made when the first artifact is written, so a
+    command that stops at its data makes none."""
+    cfg = dict(ws["cfg"], data=dict(ws["cfg"]["data"], path=str(tmp_path / "absent.csv")))
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as f:
+        json.dump(cfg, f)
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: cannot open {tmp_path}/absent.csv")
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+    # an output path that is a file is refused before any work
+    (tmp_path / "o").write_text("")
+    assert main([command, "--config", ws["cfg_path"], "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: output directory {tmp_path}/o is not a directory\n"
 
 
 def test_non_finite_training_loss_exits_2(ws, tmp_path, capsys):

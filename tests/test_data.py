@@ -264,6 +264,19 @@ def test_dataset_file_round_trip(tmp_path):
     np.testing.assert_array_equal(got.timestamps, ds.timestamps)
 
 
+def test_dataset_file_with_a_repeated_field_name_is_a_data_error(tmp_path):
+    """A query names its fields, so two fields of one name would put its
+    value into one of them only."""
+    schema = [FieldSchema("key", ["a", "b"]), FieldSchema("item", ["x"]),
+              FieldSchema("key", ["c"])]
+    ids = np.array([[1, 1, 1], [2, 0, 1], [1, 1, 0]])
+    ds = Dataset(schema, ids, np.array([0, 1, 0]), np.arange(3), train_end=1, valid_end=2)
+    p = str(tmp_path / "d.ratd")
+    save_dataset(ds, p)
+    with pytest.raises(DataError, match=f"{p}: dataset field 'key' is listed twice"):
+        load_dataset(p)
+
+
 def test_dataset_file_bytes_deterministic(tmp_path):
     ds = random_dataset(seed=5, n=40, n_fields=3, vocab=6)
     p1, p2 = str(tmp_path / "a.ratd"), str(tmp_path / "b.ratd")

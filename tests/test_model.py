@@ -10,7 +10,7 @@ import pytest
 from helpers import attention_entries, cascade_entries_per_layer, jm_entries_per_layer
 from ractr import model as model_mod
 from ractr import tensor as T
-from ractr.errors import DataError
+from ractr.errors import DataError, UsageError
 from ractr.model import (
     LABEL_UNKNOWN,
     MIXES,
@@ -19,14 +19,14 @@ from ractr.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from ractr.training import TrainConfig
 
 VARIANTS = ("cascade", "jm", "ce", "pa")
 
 
-def tiny_model(variant="cascade", intra_only=False, seed=42, d=8):
+def tiny_model(variant="cascade", seed=42, d=8):
     return CtrModel(field_num_ids=[5, 7, 4], embed_dim=d, num_blocks=1,
-                    num_heads=2, mlp_ratio=2, variant=variant,
-                    intra_only=intra_only, seed=seed)
+                    num_heads=2, mlp_ratio=2, variant=variant, seed=seed)
 
 
 def random_batch(model, rng, b=3, k=4, n_pad=0):
@@ -120,7 +120,7 @@ def test_padded_slot_content_cannot_change_prediction(variant):
 
 
 def test_intra_only_ignores_padding_too():
-    m = tiny_model(intra_only=True)
+    m = tiny_model("intra")
     rng = np.random.default_rng(3)
     x, mask, _ = random_batch(m, rng, b=3, k=3, n_pad=2)
     base = m.predict(x, mask).data.copy()
@@ -157,7 +157,7 @@ def test_neighbor_permutation_leaves_prediction_unchanged(variant):
 
 def test_intra_attention_is_sample_equivariant():
     # samples are batch entries for ISA: reordering them reorders the output
-    m = tiny_model(intra_only=True)
+    m = tiny_model("intra")
     rng = np.random.default_rng(6)
     x, mask, _ = random_batch(m, rng, b=2, k=4)
     h = m._run_blocks(x, mask, x.shape[1:3]).data
@@ -192,15 +192,15 @@ def test_attention_respects_its_axes(name):
 
 # ---------------------------------------------------------------- pruning
 
-@pytest.mark.parametrize("intra_only", (False, True), ids=("full", "intra_only"))
+@pytest.mark.parametrize("intra", (False, True), ids=("full", "intra_only"))
 @pytest.mark.parametrize("num_blocks", (1, 2))
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_pruned_predict_matches_full_grid(variant, num_blocks, intra_only):
+def test_pruned_predict_matches_full_grid(variant, num_blocks, intra):
     """predict computes only what token (0, 0) reads. The reference is the
     head applied to the whole-grid block output: predictions agree within
     1e-12 and every parameter gradient of a BCE loss within 1e-10 relative."""
     m = CtrModel(field_num_ids=[5, 7, 4], embed_dim=8, num_blocks=num_blocks,
-                 num_heads=2, mlp_ratio=2, variant=variant, intra_only=intra_only,
+                 num_heads=2, mlp_ratio=2, variant="intra" if intra else variant,
                  seed=3)
     rng = np.random.default_rng(31)
     for p in m.parameters():  # move off init: a zero head would hide any difference
@@ -227,16 +227,16 @@ def test_pruned_predict_matches_full_grid(variant, num_blocks, intra_only):
         assert np.abs(got[name] - g).max() <= 1e-10 * scale, name
 
 
-@pytest.mark.parametrize("intra_only", (False, True), ids=("full", "intra_only"))
+@pytest.mark.parametrize("intra", (False, True), ids=("full", "intra_only"))
 @pytest.mark.parametrize("num_blocks", (1, 2))
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_no_grad_forward_is_bitwise_and_graph_free(variant, num_blocks, intra_only):
+def test_no_grad_forward_is_bitwise_and_graph_free(variant, num_blocks, intra):
     """The frozen view runs the same numpy ops in the same order over
     constant parameters, so inputs, predict and the whole-grid block output
     are byte-equal to the graph-building forward, and no output holds a parent
     or a backward function."""
     m = CtrModel(field_num_ids=[5, 7, 4], embed_dim=8, num_blocks=num_blocks,
-                 num_heads=2, mlp_ratio=2, variant=variant, intra_only=intra_only,
+                 num_heads=2, mlp_ratio=2, variant="intra" if intra else variant,
                  seed=3)
     rng = np.random.default_rng(37)
     for p in m.parameters():
@@ -336,12 +336,17 @@ def _mlp(pre, d, hidden):
             (f"{pre}.lin2.w", (hidden, d)), (f"{pre}.lin2.b", (d,))]
 
 
-@pytest.mark.parametrize("variant,intra_only", [(v, False) for v in VARIANTS] + [("cascade", True)])
-def test_checkpoint_parameter_layout(variant, intra_only):
+# the (variant, intra) cases: each variant, then the intra layout
+LAYOUT_CASES = [(v, False) for v in VARIANTS] + [("cascade", True)]
+
+
+@pytest.mark.parametrize("variant,intra", LAYOUT_CASES)
+def test_checkpoint_parameter_layout(variant, intra):
     """Pins the ordered (name, shape) list a .ratm stores at num_blocks=2."""
     d, hidden = 8, 16
+    variant = "intra" if intra else variant
     m = CtrModel(field_num_ids=[5, 7], embed_dim=d, num_blocks=2, num_heads=2,
-                 mlp_ratio=2, variant=variant, intra_only=intra_only, seed=0)
+                 mlp_ratio=2, variant=variant, seed=0)
     per_block = {
         "cascade": lambda b: (_ln(f"{b}.ln1", d) + _att(f"{b}.isa", d, d)
                               + _ln(f"{b}.ln2", d) + _att(f"{b}.csa", d, d)),
@@ -352,9 +357,8 @@ def test_checkpoint_parameter_layout(variant, intra_only):
                          + _att(f"{b}.csa", d, d // 2)),
     }
     kinds = {"cascade": ["cascade"] * 2, "jm": ["jm"] * 2,
-             "ce": ["intra", "cross", "intra", "cross"], "pa": ["pa"] * 2}[variant]
-    if intra_only:
-        kinds = ["intra"] * 2
+             "ce": ["intra", "cross", "intra", "cross"], "pa": ["pa"] * 2,
+             "intra": ["intra"] * 2}[variant]
     want = [("emb.field.0", (5, d)), ("emb.field.1", (7, d)),
             ("emb.label", (3, d)), ("emb.pad", (d,))]
     for i, kind in enumerate(kinds):  # for ce, i counts half-blocks
@@ -364,14 +368,14 @@ def test_checkpoint_parameter_layout(variant, intra_only):
     assert [(n, t.data.shape) for n, t in m.named_parameters()] == want
 
 
-@pytest.mark.parametrize("variant,intra_only", [(v, False) for v in VARIANTS] + [("cascade", True)])
-def test_initial_weights_are_the_documented_draws(variant, intra_only):
+@pytest.mark.parametrize("variant,intra", LAYOUT_CASES)
+def test_initial_weights_are_the_documented_draws(variant, intra):
     """An oracle apart from the model's layout code: one generator seeded as
     the model draws every parameter in checkpoint order (pinned above):
     embeddings from N(0, 0.01), every weight but the head's from
     U(-sqrt(1/fan_in), sqrt(1/fan_in)), LN gammas ones, all else zeros."""
     m = CtrModel(field_num_ids=[5, 7], embed_dim=8, num_blocks=2, num_heads=2,
-                 mlp_ratio=2, variant=variant, intra_only=intra_only, seed=17)
+                 mlp_ratio=2, variant="intra" if intra else variant, seed=17)
     rng = np.random.default_rng(17)
     for name, t in m.named_parameters():
         shape = t.data.shape
@@ -398,8 +402,44 @@ def test_constructor_validation():
 
 @pytest.mark.parametrize("size", ("embed_dim", "mlp_ratio", "num_heads"))
 def test_zero_sizes_are_value_errors(size):
-    with pytest.raises(ValueError, match=f"{size} must be positive, got 0"):
+    with pytest.raises(ValueError, match=f"'{size}' must be an integer >= 1, got 0"):
         CtrModel([5], **{size: 0})
+
+
+@pytest.mark.parametrize("key,value,msg", [
+    ("embed_dim", 0, "'embed_dim' must be an integer >= 1, got 0"),
+    ("embed_dim", "8", "'embed_dim' must be an integer >= 1, got '8'"),
+    ("num_heads", 2.0, "'num_heads' must be an integer >= 1, got 2.0"),
+    ("mlp_ratio", True, "'mlp_ratio' must be an integer >= 1, got True"),
+    ("num_blocks", -1, "'num_blocks' must be an integer >= 0, got -1"),
+    ("num_blocks", False, "'num_blocks' must be an integer >= 0, got False"),
+    ("seed", -1, "'seed' must be an integer >= 0, got -1"),
+    ("seed", None, "'seed' must be an integer >= 0, got None"),
+    ("variant", "mlp", "unknown variant 'mlp'"),
+    ("variant", ["pa"], "unknown variant ['pa']"),
+    ("activation", "tanh", "unknown activation 'tanh'"),
+    ("embed_dim", 7, "embed_dim 7 not divisible by 2 heads"),
+])
+def test_a_bad_setting_reads_the_same_everywhere(tmp_path, key, value, msg):
+    """One check rejects a model setting wherever it comes from: CtrModel
+    raises ValueError, a train config UsageError and a stored checkpoint
+    config DataError, each with the one message naming the key and value."""
+    with pytest.raises(ValueError) as model_err:
+        CtrModel([5, 7, 4], **{key: value})
+    with pytest.raises(UsageError) as config_err:
+        TrainConfig.from_dict({key: value})
+    path = str(tmp_path / "m.ratm")
+    save_checkpoint(tiny_model(), path)
+    with open(path, "rb") as f:
+        blob = f.read()
+    cfg = dict(tiny_model().config_dict(), **{key: value})
+    with open(path, "wb") as f:
+        f.write(_with_config(blob, json.dumps(cfg)))
+    with pytest.raises(DataError) as file_err:
+        load_checkpoint(path)
+    assert str(model_err.value).startswith(msg)
+    assert str(config_err.value).startswith(f"train config: {msg}")
+    assert str(file_err.value).startswith(f"{path}: bad checkpoint config: {msg}")
 
 
 def test_same_seed_same_model():
@@ -514,6 +554,22 @@ def test_checkpoint_errors(tmp_path):
         load_checkpoint(str(tmp_path / "absent.ratm"))
 
 
+def test_a_version_1_checkpoint_asks_for_a_retrain(tmp_path):
+    """Version 1 stored an intra_only switch beside the variant; its config
+    does not name the model, so it is not read."""
+    path = str(tmp_path / "m.ratm")
+    save_checkpoint(tiny_model(), path)
+    with open(path, "rb") as f:
+        blob = f.read()
+    assert blob[4:6] == (2).to_bytes(2, "little")
+    with open(path, "wb") as f:
+        f.write(blob[:4] + (1).to_bytes(2, "little") + blob[6:])
+    with pytest.raises(DataError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == (f"{path}: unsupported checkpoint version 1 (this build "
+                              f"reads 2); retrain it with `ractr train`")
+
+
 def _with_config(blob: bytes, text: str) -> bytes:
     """A .ratm blob with its JSON config string replaced by text."""
     n = int.from_bytes(blob[6:10], "little")
@@ -525,25 +581,25 @@ def _with_config(blob: bytes, text: str) -> bytes:
     (lambda c: "{not json", "not valid JSON"),
     (lambda c: "[1, 2]", "not a JSON object"),
     (lambda c: {k: v for k, v in c.items() if k != "embed_dim"}, "missing 'embed_dim'"),
-    (lambda c: dict(c, embed_dim="8"), "ill-typed 'embed_dim'"),
-    (lambda c: dict(c, embed_dim=8.0), "ill-typed 'embed_dim'"),
-    (lambda c: dict(c, num_blocks=True), "ill-typed 'num_blocks'"),
-    (lambda c: dict(c, num_heads=0), "ill-typed 'num_heads'"),
-    (lambda c: dict(c, field_num_ids=[5, -7, 4]), "ill-typed 'field_num_ids'"),
-    (lambda c: dict(c, field_num_ids=5), "ill-typed 'field_num_ids'"),
-    (lambda c: dict(c, intra_only="no"), "ill-typed 'intra_only'"),
-    (lambda c: dict(c, seed=None), "ill-typed 'seed'"),
-    (lambda c: dict(c, variant=["pa"]), "ill-typed 'variant'"),
-    (lambda c: dict(c, variant="mlp"), "unknown variant"),
-    (lambda c: dict(c, activation="tanh"), "unknown activation"),
-    (lambda c: dict(c, embed_dim=7), "not divisible"),
-    (lambda c: dict(c, mlp_ratio=0), "ill-typed 'mlp_ratio'"),
+    (lambda c: dict(c, embed_dim="8"), "'embed_dim' must be an integer >= 1, got '8'"),
+    (lambda c: dict(c, embed_dim=8.0), "'embed_dim' must be an integer >= 1, got 8.0"),
+    (lambda c: dict(c, num_blocks=True), "'num_blocks' must be an integer >= 0, got True"),
+    (lambda c: dict(c, num_heads=0), "'num_heads' must be an integer >= 1, got 0"),
+    (lambda c: dict(c, field_num_ids=[5, -7, 4]),
+     r"'field_num_ids' must be a list of integers >= 0, got \[5, -7, 4\]"),
+    (lambda c: dict(c, field_num_ids=5), "'field_num_ids' must be a list of integers >= 0, got 5"),
+    (lambda c: dict(c, seed=None), "'seed' must be an integer >= 0, got None"),
+    (lambda c: dict(c, variant=["pa"]), r"unknown variant \['pa'\]"),
+    (lambda c: dict(c, variant="mlp"), "unknown variant 'mlp'"),
+    (lambda c: dict(c, activation="tanh"), "unknown activation 'tanh'"),
+    (lambda c: dict(c, embed_dim=7), "embed_dim 7 not divisible by 2 heads"),
+    (lambda c: dict(c, mlp_ratio=0), "'mlp_ratio' must be an integer >= 1, got 0"),
     (lambda c: dict(c, field_num_ids=[5, 10**12, 4]), r"emb.field.1 \(1000000000000, 8\)"),
     (lambda c: dict(c, mlp_ratio=10**12), r"block.0.mlp.lin1.w \(8, 8000000000000\)"),
     (lambda c: dict(c, num_blocks=3), "config makes 3 blocks, payload holds 1"),
     (lambda c: dict(c, num_blocks=10**12), "config makes 1000000000000 blocks, payload holds 1"),
 ], ids=["bad-json", "not-object", "missing-key", "str-int", "float-int", "bool-int",
-        "zero-heads", "negative-ids", "scalar-ids", "str-bool", "null-seed", "list-variant",
+        "zero-heads", "negative-ids", "scalar-ids", "null-seed", "list-variant",
         "unknown-variant", "unknown-activation", "indivisible-width", "zero-mlp-ratio",
         "huge-vocab", "huge-mlp", "block-count", "huge-block-count"])
 def test_checkpoint_config_errors(tmp_path, edit, msg):

@@ -158,7 +158,7 @@ def test_adam_momentum_continues_after_grads_stop():
 # ---------------------------------------------------------------- config
 
 def test_train_config_round_trip():
-    cfg = tiny_cfg(variant="pa", intra_only=True)
+    cfg = tiny_cfg(variant="intra", activation="relu")
     assert TrainConfig.from_dict(cfg.to_dict()) == cfg
 
 
@@ -170,7 +170,7 @@ def test_train_config_rejects_unknown_keys():
 # ---------------------------------------------------------------- neighbors
 
 # what each non-integer setting must be, as its error message says
-MUST_BE = {"intra_only": "true or false", "learning_rate": "a finite number >= 0",
+MUST_BE = {"learning_rate": "a finite number >= 0",
            "adam_beta1": "a finite number in [0, 1)", "adam_beta2": "a finite number in [0, 1)",
            "adam_eps": "a finite number > 0", "logloss_clip_eps": "a finite number in (0, 0.5)"}
 
@@ -187,14 +187,16 @@ MUST_BE = {"intra_only": "true or false", "learning_rate": "a finite number >= 0
     ("logloss_clip_eps", 0.5), ("logloss_clip_eps", 0),
 ])
 def test_train_config_rejects_bad_sizes(key, value):
-    must = re.escape(MUST_BE.get(key, "an integer >= "))
-    with pytest.raises(UsageError, match=f"'{key}' must be {must}"):
+    want = f"'{key}' must be " + re.escape(MUST_BE.get(key, "an integer >= "))
+    if key == "intra_only":  # the switch is gone: variant "intra" is that model
+        want = re.escape("unknown train config keys: ['intra_only']")
+    with pytest.raises(UsageError, match=want):
         TrainConfig.from_dict({key: value})
 
 
 def test_train_config_accepts_the_edges():
     edges = {"seed": 0, "early_stop_patience": 0, "learning_rate": 0, "adam_beta1": 0,
-             "adam_beta2": 0.0, "adam_eps": 1e-300, "logloss_clip_eps": 0.4999, "intra_only": True}
+             "adam_beta2": 0.0, "adam_eps": 1e-300, "logloss_clip_eps": 0.4999, "num_blocks": 0}
     assert TrainConfig.from_dict(edges).to_dict() == {**TrainConfig().to_dict(), **edges}
 
 
@@ -540,16 +542,16 @@ def test_training_same_bits_on_any_core_count(tmp_path, monkeypatch):
     assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
-@pytest.mark.parametrize("intra_only", (False, True), ids=("full", "intra_only"))
+@pytest.mark.parametrize("intra", (False, True), ids=("full", "intra_only"))
 @pytest.mark.parametrize("variant", ABLATION_ORDER)
-def test_part_gradients_sum_to_the_batch_gradient(variant, intra_only):
+def test_part_gradients_sum_to_the_batch_gradient(variant, intra):
     """The losses of a batch's 64-row parts sum to the batch's mean loss, and
     their summed gradients are one whole-batch graph's within 1e-12."""
     ds = tiny_task()
     neigh, mask = precompute_neighbors(ds, index_from_dataset(ds), k=5)
     mask[::4, 3:] = False                       # padded slots too
-    model = redrawn_model(ds, variant, embed_dim=8, num_heads=2, num_blocks=2,
-                          intra_only=intra_only)
+    model = redrawn_model(ds, "intra" if intra else variant, embed_dim=8, num_heads=2,
+                          num_blocks=2)
     params = model.parameters()
     batch = np.random.default_rng(4).permutation(ds.train_end)[:150]
     eps = 1e-7
@@ -622,12 +624,10 @@ def segment_dataset():
 
 def test_tail_user_ids_orders_by_count_then_id():
     ds = segment_dataset()
-    assert tail_user_ids(ds, "user", 10).tolist() == [2]
-    assert tail_user_ids(ds, "user", 33).tolist() == [2]  # ceil(0.99) = 1
-    assert tail_user_ids(ds, "user", 34).tolist() == [2, 1]  # ceil(1.02) = 2
-    assert tail_user_ids(ds, "user", 100).tolist() == [2, 1, 3]
-    with pytest.raises(UsageError, match="not in schema"):
-        tail_user_ids(ds, "account", 10)
+    tails = tail_user_ids(ds, 0, [10, 33, 34, 100])
+    # ceil(0.3) = 1, ceil(0.99) = 1, ceil(1.02) = 2
+    assert [t.tolist() for t in tails] == [[2], [2], [2, 1], [2, 1, 3]]
+    assert tail_user_ids(ds, 1, [50])[0].tolist() == [1]  # items a:4 = b:4, id asc
 
 
 def test_evaluate_reports_segments():
@@ -671,6 +671,29 @@ def test_evaluate_retrieves_only_its_split(monkeypatch):
         got = evaluate(res.model, ds, index, cfg, split=split)
         assert queried == [(eligibility, list(ds.slice_indices(split)))]
         assert got == evaluate(res.model, ds, index, cfg, split=split, neighbors=res.neighbors)
+
+
+def test_an_intra_model_retrieves_nothing(monkeypatch):
+    """A model whose attentions never mix samples reads the target alone:
+    train and evaluate retrieve no neighbors for it, whatever cfg.k says."""
+    ds = tiny_task()
+    index = index_from_dataset(ds)
+    calls = []
+    real = training.retrieve_batch
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(training, "retrieve_batch", counting)
+    for cfg in (tiny_cfg(variant="intra", max_epochs=1), tiny_cfg(num_blocks=0, max_epochs=1)):
+        res = train(ds, index, cfg)
+        assert not res.model.reads_neighbors and cfg.k == 5
+        assert res.neighbors[0].shape == (len(ds), 0)
+        got = evaluate(res.model, ds, index, cfg)
+        assert got == evaluate(res.model, ds, index, cfg, neighbors=res.neighbors)
+    assert calls == []
+    assert all(CtrModel([3], variant=v).reads_neighbors for v in ABLATION_ORDER)
 
 
 def test_evaluate_segment_validation():
