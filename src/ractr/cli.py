@@ -1,10 +1,9 @@
-"""Command-line front end: index building, ad-hoc retrieval, training,
-evaluation, and the variant ablation, driven by a JSON config file.
+"""Command-line front end: ad-hoc retrieval, training, evaluation, and the
+variant ablation, driven by a JSON config file.
 
 Config keys (all optional unless a command needs them):
   data        {path, label_col, feature_cols, timestamp_col?, delimiter?, ratios?}
   dataset     path to an encoded .ratd file (alternative to data)
-  index       path to a prebuilt .rati file
   checkpoint  path to a .ratm checkpoint (evaluate)
   out_dir     where a command writes its artifacts
   user_field  field name used for long-tail segment reports
@@ -20,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-import time
 import traceback
 from contextlib import nullcontext
 
@@ -31,8 +29,7 @@ from .binio import atomic_open
 from .data import CsvSpec, Dataset, load_csv, load_dataset
 from .errors import DataError, UsageError
 from .model import VARIANTS, load_checkpoint, save_checkpoint
-from .retrieval import (check_train_index, index_from_dataset, load_index, retrieve_batch,
-                        save_index)
+from .retrieval import index_from_dataset, retrieve_batch
 from .synthetic import majority_task, singleton_pool, write_csv
 from .training import TrainConfig, ablate, evaluate, train, write_ablation_csv
 
@@ -97,12 +94,6 @@ def _resolve_train_cfg(cfg: dict, args, base: dict | None = None) -> TrainConfig
     return TrainConfig.from_dict(d)
 
 
-def _check_k(k: int, ds: Dataset) -> None:
-    """A k past the train pool only adds padding, to tables allocated whole."""
-    if k > ds.train_end:
-        raise UsageError(f"k must be at most the train pool size, {ds.train_end}, got {k}")
-
-
 def _check_fields(ckpt_path: str, field_num_ids: list[int], ds: Dataset) -> None:
     """A checkpoint scores only the fields it was trained on: the dataset
     must have as many, each with as many ids."""
@@ -142,21 +133,6 @@ def _segments_list(args) -> list[str] | None:
     if not out:
         raise UsageError("--segments given but empty")
     return out
-
-
-def cmd_build_index(args) -> int:
-    cfg = _load_config(args.config)
-    ds = _load_any_dataset(cfg, args.dataset)
-    out = args.out or os.path.join(_path(None, cfg, "out_dir") or ".", "index.rati")
-    t0 = time.perf_counter()
-    index = index_from_dataset(ds)
-    build_ms = (time.perf_counter() - t0) * 1000.0
-    save_index(index, out)
-    print(f"pool records: {index.pool_size}")
-    print(f"distinct terms: {index.num_terms}")
-    print(f"build time: {build_ms:.1f} ms")
-    print(f"index written to {out}")
-    return 0
 
 
 def _encode_query(ds: Dataset, fields: dict) -> np.ndarray:
@@ -224,16 +200,13 @@ def _write_neighbors(index, group: list[np.ndarray], k: int, out_f) -> None:
 
 def cmd_retrieve(args) -> int:
     cfg = _load_config(args.config)
-    index_path = _path(args.index, cfg, "index")
-    if not index_path:
-        raise UsageError("no index: pass --index or set 'index' in the config")
-    index = load_index(index_path)
+    k = _resolve_train_cfg(cfg, args).k
+    if k < 1:
+        raise UsageError(f"k must be an integer >= 1, got {k}")
     ds = _load_any_dataset(cfg, args.dataset)
-    check_train_index(index, ds)
-    k = args.k if args.k is not None else cfg.get("train", {}).get("k", 5)
-    if type(k) is not int or k < 1:
-        raise UsageError(f"k must be an integer >= 1, got {k!r}")
-    _check_k(k, ds)
+    index = index_from_dataset(ds)
+    if k > index.pool_size:
+        raise UsageError(f"k must be at most the train pool size, {index.pool_size}, got {k}")
 
     if args.queries == "-":
         # the bytes under a text stdin, so that they decode as a file's do
@@ -281,7 +254,6 @@ def cmd_train(args) -> int:
     out = _out_dir(cfg, args)
     ds = _load_any_dataset(cfg)
     index = index_from_dataset(ds)
-    _check_k(tcfg.k, ds)
 
     res = train(ds, index, tcfg)
 
@@ -336,9 +308,7 @@ def cmd_evaluate(args) -> int:
     tcfg = _resolve_train_cfg(cfg, args, base=stored)
     ds = _load_any_dataset(cfg)
     _check_fields(ckpt_path, model.field_num_ids, ds)
-    index_path = _path(args.index, cfg, "index")
-    index = load_index(index_path) if index_path else index_from_dataset(ds)
-    _check_k(tcfg.k, ds)
+    index = index_from_dataset(ds)
 
     segments = _segments_list(args)
     report = evaluate(model, ds, index, tcfg, split=args.split,
@@ -357,7 +327,6 @@ def cmd_ablate(args) -> int:
     out = _out_dir(cfg, args)
     ds = _load_any_dataset(cfg)
     index = index_from_dataset(ds)
-    _check_k(tcfg.k, ds)
 
     rows = ablate(ds, index, tcfg)
     _echo_run_config(out, "ablate", cfg, tcfg)
@@ -410,16 +379,9 @@ def build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=f"ractr {__version__}")
     sub = p.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    bi = sub.add_parser("build-index", help="build a retrieval index over the train slice")
-    bi.add_argument("--config", help="JSON config file")
-    bi.add_argument("--dataset", help="encoded .ratd dataset (overrides config)")
-    bi.add_argument("--out", help="output index path (default out_dir/index.rati)")
-    bi.set_defaults(func=cmd_build_index)
-
-    rt = sub.add_parser("retrieve", help="score ad-hoc queries against an index")
+    rt = sub.add_parser("retrieve", help="score ad-hoc queries against the train slice")
     rt.add_argument("--config", help="JSON config file")
-    rt.add_argument("--index", help="index .rati path (overrides config)")
-    rt.add_argument("--dataset", help="encoded .ratd dataset for the schema (overrides config)")
+    rt.add_argument("--dataset", help="encoded .ratd dataset (overrides config)")
     rt.add_argument("--queries", default="-",
                     help="JSONL file of {\"fields\": {...}} objects; - for stdin")
     rt.add_argument("--k", type=int, help="neighbors per query")
@@ -437,7 +399,6 @@ def build_parser() -> _Parser:
     ev = sub.add_parser("evaluate", help="evaluate a checkpoint on a split")
     ev.add_argument("--config", required=True, help="JSON config file")
     ev.add_argument("--checkpoint", help=".ratm checkpoint (overrides config)")
-    ev.add_argument("--index", help="index .rati path (default: rebuild from dataset)")
     ev.add_argument("--split", default="test", choices=("train", "valid", "test"))
     ev.add_argument("--segments", help="comma-separated tail<percent> segment names")
     ev.add_argument("--k", type=int, help="neighbors per target (overrides config)")

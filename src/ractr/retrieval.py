@@ -437,7 +437,7 @@ def save_index(index: RetrievalIndex, path: str) -> None:
 
 def load_index(path: str) -> RetrievalIndex:
     """Read a RATI v3 file and index its pool exactly as build_index does."""
-    hint = f" (this build reads {INDEX_VERSION}); rebuild it with `ractr build-index`"
+    hint = f" (this build reads {INDEX_VERSION}); rebuild it with `ractr.retrieval.save_index`"
     with binio.reading(path, INDEX_MAGIC, INDEX_VERSION, "index", hint) as fh:
         nf = binio.read_u32(fh)
         n = binio.read_u64(fh)
@@ -461,4 +461,4 @@ def check_train_index(index: RetrievalIndex, ds) -> None:
     if not (np.array_equal(index.pool_field_ids, ds.field_ids[:te])
             and np.array_equal(index.timestamps, ds.timestamps[:te])):
         raise DataError("index was built from a different train slice; "
-                        "rebuild it with `ractr build-index`")
+                        "rebuild it with `ractr.retrieval.index_from_dataset`")

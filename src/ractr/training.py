@@ -194,7 +194,10 @@ def precompute_neighbors(ds: Dataset, index: RetrievalIndex, k: int,
                          rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Neighbor table for `rows` (every record when None), row i for rows[i]:
     strictly-earlier eligibility inside the train slice, whole-train-pool for
-    validation and test rows."""
+    validation and test rows. A k past the pool would only add padding, to
+    tables allocated whole: a usage error."""
+    if k > index.pool_size:
+        raise UsageError(f"k must be at most the train pool size, {index.pool_size}, got {k}")
     rows = np.arange(len(ds)) if rows is None else np.asarray(rows, dtype=np.int64)
     neigh = np.zeros((len(rows), k), dtype=np.int64)
     mask = np.zeros((len(rows), k), dtype=bool)
@@ -413,9 +416,10 @@ def evaluate(model: CtrModel, ds: Dataset, index: RetrievalIndex, cfg: TrainConf
 
     if neighbors is None:  # retrieve for this split's rows only
         k = cfg.k if model.reads_neighbors else 0
+        split_neighbors = precompute_neighbors(ds, index, k, rows)  # checks k first
         neigh = np.zeros((len(ds), k), dtype=np.int64)
         neigh_mask = np.zeros((len(ds), k), dtype=bool)
-        neigh[rows], neigh_mask[rows] = precompute_neighbors(ds, index, k, rows)
+        neigh[rows], neigh_mask[rows] = split_neighbors
     else:
         neigh, neigh_mask = neighbors
     p = predict_rows(model, ds, rows, neigh, neigh_mask)

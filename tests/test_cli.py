@@ -1,5 +1,6 @@
-"""End-to-end command-line flows: synth -> build-index -> train -> evaluate ->
-ablate, plus retrieve conventions, exit codes, and idempotence."""
+"""End-to-end command-line flows: synth -> train -> evaluate -> ablate, plus
+retrieve conventions, exit codes, and idempotence. Every command indexes the
+dataset's train slice itself."""
 
 import io
 import json
@@ -14,7 +15,7 @@ import pytest
 from ractr.cli import RETRIEVE_GROUP, _encode_query, _query_lines, _write_json, main
 from ractr.data import CsvSpec, load_csv, save_dataset
 from ractr.model import load_checkpoint
-from ractr.retrieval import load_index, retrieve
+from ractr.retrieval import index_from_dataset, retrieve
 from ractr.training import ABLATION_ORDER
 
 
@@ -60,34 +61,6 @@ def test_synth_output_shape(ws, capsys):
     assert cfg["data"]["feature_cols"][0] == "key"
 
 
-# ---------------------------------------------------------------- build-index
-
-def test_build_index_prints_and_is_deterministic(ws, capsys):
-    p1 = str(ws["base"] / "i1.rati")
-    p2 = str(ws["base"] / "i2.rati")
-    assert main(["build-index", "--config", ws["cfg_path"], "--out", p1]) == 0
-    out = capsys.readouterr().out
-    assert "pool records: 192" in out
-    assert "distinct terms:" in out
-    assert "build time:" in out
-    assert f"index written to {p1}" in out
-    assert main(["build-index", "--config", ws["cfg_path"], "--out", p2]) == 0
-    with open(p1, "rb") as f1, open(p2, "rb") as f2:
-        assert f1.read() == f2.read()
-
-
-def test_build_index_accepts_encoded_dataset(ws, capsys, tmp_path):
-    cfg = ws["cfg"]
-    ds = load_csv(cfg["data"]["path"], CsvSpec.from_dict(cfg["data"]))
-    ratd = str(tmp_path / "d.ratd")
-    save_dataset(ds, ratd)
-    out_idx = str(tmp_path / "via_ratd.rati")
-    assert main(["build-index", "--dataset", ratd, "--out", out_idx]) == 0
-    with open(str(ws["base"] / "i1.rati"), "rb") as f1, open(out_idx, "rb") as f2:
-        assert f1.read() == f2.read()
-    capsys.readouterr()
-
-
 # ---------------------------------------------------------------- retrieve
 
 def queries_file(path, lines):
@@ -96,16 +69,50 @@ def queries_file(path, lines):
     return str(path)
 
 
+def test_build_index_and_index_flags_exit_1(ws, trained, tmp_path, capsys):
+    """The index is the train slice's, so no command reads or writes one."""
+    query = queries_file(tmp_path / "q.jsonl", [json.dumps({"fields": {"key": "g3"}})])
+    ckpt = os.path.join(trained, "checkpoint.ratm")
+    capsys.readouterr()
+    x = str(tmp_path / "x")
+    assert main(["build-index", "--config", ws["cfg_path"], "--out", x]) == 1
+    assert "invalid choice: 'build-index'" in capsys.readouterr().err
+    for argv in (["retrieve", "--queries", query], ["evaluate", "--checkpoint", ckpt]):
+        assert main(argv + ["--config", ws["cfg_path"], "--index", x]) == 1
+        assert f"unrecognized arguments: --index {x}" in capsys.readouterr().err
+    assert not os.path.exists(x)
+
+
+def test_retrieve_accepts_encoded_dataset(ws, tmp_path, capsys):
+    """A .ratd dataset retrieves the bytes its CSV config does."""
+    cfg = ws["cfg"]
+    ds = load_csv(cfg["data"]["path"], CsvSpec.from_dict(cfg["data"]))
+    ratd = str(tmp_path / "d.ratd")
+    save_dataset(ds, ratd)
+    q = queries_file(tmp_path / "q.jsonl", [
+        json.dumps({"fields": {"key": "g3", "noise0": "v1"}}),
+        "",
+        json.dumps({"fields": {"key": "no-such-key"}}),
+        json.dumps({"fields": {"key": None, "noise1": ""}}),
+    ])
+    outs = []
+    for source in (["--config", ws["cfg_path"]], ["--dataset", ratd]):
+        outs.append(str(tmp_path / f"res{len(outs)}.jsonl"))
+        assert main(["retrieve", *source, "--queries", q, "--k", "3", "--out", outs[-1]]) == 0
+    with open(outs[0], "rb") as f1, open(outs[1], "rb") as f2:
+        assert f1.read() == f2.read()
+    capsys.readouterr()
+
+
 def test_retrieve_jsonl_conventions(ws, tmp_path, capsys):
-    idx = str(ws["base"] / "i1.rati")
     q = queries_file(tmp_path / "q.jsonl", [
         json.dumps({"fields": {"key": "g3"}}),
         "",  # blank lines are skipped
         json.dumps({"fields": {"key": "no-such-key"}}),
     ])
     out_path = str(tmp_path / "res.jsonl")
-    rc = main(["retrieve", "--config", ws["cfg_path"], "--index", idx,
-               "--queries", q, "--k", "3", "--out", out_path])
+    rc = main(["retrieve", "--config", ws["cfg_path"], "--queries", q, "--k", "3",
+               "--out", out_path])
     assert rc == 0
     with open(out_path) as f:
         recs = [json.loads(line) for line in f.read().splitlines()]
@@ -131,14 +138,10 @@ def test_retrieve_null_is_a_missing_cell(tmp_path, capsys):
     with open(cfg_path, "w") as f:
         json.dump({"data": {"path": str(csv_path), "label_col": "label",
                             "timestamp_col": "ts", "feature_cols": ["key"]}}, f)
-    idx = str(tmp_path / "i.rati")
-    assert main(["build-index", "--config", cfg_path, "--out", idx]) == 0
-    capsys.readouterr()
     q = queries_file(tmp_path / "q.jsonl", [json.dumps({"fields": {"key": None}}),
                                             json.dumps({"fields": {}}),
                                             json.dumps({"fields": {"key": "None"}})])
-    assert main(["retrieve", "--config", cfg_path, "--index", idx, "--queries", q,
-                 "--k", "3"]) == 0
+    assert main(["retrieve", "--config", cfg_path, "--queries", q, "--k", "3"]) == 0
     null, omitted, literal = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert null == omitted
     assert null["scores"] == [0.0, 0.0, 0.0]
@@ -147,10 +150,9 @@ def test_retrieve_null_is_a_missing_cell(tmp_path, capsys):
 
 
 def test_retrieve_k_defaults_to_config(ws, tmp_path, capsys, monkeypatch):
-    idx = str(ws["base"] / "i1.rati")
     monkeypatch.setattr(sys, "stdin", io.StringIO(
         json.dumps({"fields": {"key": "g0"}}) + "\n"))
-    rc = main(["retrieve", "--config", ws["cfg_path"], "--index", idx])
+    rc = main(["retrieve", "--config", ws["cfg_path"]])
     out = capsys.readouterr().out
     assert rc == 0
     rec = json.loads(out.strip())
@@ -158,8 +160,7 @@ def test_retrieve_k_defaults_to_config(ws, tmp_path, capsys, monkeypatch):
 
 
 def test_retrieve_error_reporting(ws, tmp_path, capsys):
-    idx = str(ws["base"] / "i1.rati")
-    base = ["retrieve", "--config", ws["cfg_path"], "--index", idx, "--queries"]
+    base = ["retrieve", "--config", ws["cfg_path"], "--queries"]
 
     bad_json = queries_file(tmp_path / "bad.jsonl", ["{nope"])
     assert main(base + [bad_json]) == 2
@@ -188,13 +189,13 @@ def test_retrieve_error_reporting(ws, tmp_path, capsys):
         assert "query field 'key': expected a string, number or null" in err
 
     assert main(["retrieve", "--queries", bad_json]) == 1
-    assert "no index" in capsys.readouterr().err
+    assert "config needs a 'data' or 'dataset' entry" in capsys.readouterr().err
 
 
-def single_query_records(cfg, idx_path, lines, k):
+def single_query_records(cfg, lines, k):
     """What `ractr retrieve` prints: one per-query retrieve per line."""
     ds = load_csv(cfg["data"]["path"], CsvSpec.from_dict(cfg["data"]))
-    index = load_index(idx_path)
+    index = index_from_dataset(ds)
     out = []
     for line in lines:
         res = retrieve(index, _encode_query(ds, json.loads(line)["fields"]), k, "all")
@@ -205,7 +206,6 @@ def single_query_records(cfg, idx_path, lines, k):
 
 
 def test_retrieve_groups_equal_single_queries(ws, capsys, monkeypatch):
-    idx = str(ws["base"] / "i1.rati")
     rng = np.random.default_rng(4)
     keys = [f"g{i}" for i in range(30)] + ["no-such-key", None]
     lines = []
@@ -216,17 +216,16 @@ def test_retrieve_groups_equal_single_queries(ws, capsys, monkeypatch):
         lines.append(json.dumps({"fields": fields}))
     monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines[:40]) + "\n\n"
                                                   + "\n".join(lines[40:]) + "\n"))
-    assert main(["retrieve", "--config", ws["cfg_path"], "--index", idx, "--k", "4"]) == 0
-    assert capsys.readouterr().out == single_query_records(ws["cfg"], idx, lines, 4)
+    assert main(["retrieve", "--config", ws["cfg_path"], "--k", "4"]) == 0
+    assert capsys.readouterr().out == single_query_records(ws["cfg"], lines, 4)
 
 
 def test_retrieve_writes_good_records_before_a_bad_line(ws, capsys, monkeypatch):
-    idx = str(ws["base"] / "i1.rati")
     good = [json.dumps({"fields": {"key": f"g{i}"}}) for i in range(5)]
     monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(good + ["{nope"] + good) + "\n"))
-    assert main(["retrieve", "--config", ws["cfg_path"], "--index", idx, "--k", "3"]) == 2
+    assert main(["retrieve", "--config", ws["cfg_path"], "--k", "3"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == single_query_records(ws["cfg"], idx, good, 3)
+    assert captured.out == single_query_records(ws["cfg"], good, 3)
     assert "queries line 6: invalid JSON" in captured.err
 
 
@@ -239,13 +238,12 @@ def test_query_lines_split_as_splitlines():
 
 @pytest.mark.parametrize("source", ("file", "stdin"))
 def test_retrieve_undecodable_line_is_a_data_error(ws, tmp_path, capsys, monkeypatch, source):
-    idx = str(ws["base"] / "i1.rati")
     good = [json.dumps({"fields": {"key": f"g{i}"}}) for i in range(3)]
     # line 3 is blank and line 4 a "\r"-separated pair, so line numbers count
     # logical lines; line 7 holds a byte that is no UTF-8
     lines = [good[0], good[1], "", good[2] + "\r" + good[0]]
     blob = "\n".join(lines).encode() + b'\n\n{"fields": {"key": "g\xff"}}\n' + good[1].encode()
-    cmd = ["retrieve", "--config", ws["cfg_path"], "--index", idx, "--k", "3"]
+    cmd = ["retrieve", "--config", ws["cfg_path"], "--k", "3"]
     if source == "file":
         path = tmp_path / "bytes.jsonl"
         path.write_bytes(blob)
@@ -255,7 +253,7 @@ def test_retrieve_undecodable_line_is_a_data_error(ws, tmp_path, capsys, monkeyp
                                                             errors="surrogateescape"))
     assert main(cmd) == 2
     captured = capsys.readouterr()
-    assert captured.out == single_query_records(ws["cfg"], idx, good + [good[0]], 3)
+    assert captured.out == single_query_records(ws["cfg"], good + [good[0]], 3)
     assert "data error: queries line 7: not UTF-8 text" in captured.err
     assert "Traceback" not in captured.err
 
@@ -367,67 +365,6 @@ def test_evaluate_on_other_splits(ws, trained, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert json.loads(out)["n"] == 48
-
-
-def test_evaluate_with_prebuilt_index_checks_coverage(ws, trained, tmp_path, capsys):
-    ckpt = os.path.join(trained, "checkpoint.ratm")
-    idx = str(ws["base"] / "i1.rati")
-    rc = main(["evaluate", "--config", ws["cfg_path"], "--checkpoint", ckpt,
-               "--index", idx])
-    assert rc == 0
-    capsys.readouterr()
-
-    # an index over the wrong pool is a data error, not a crash
-    other = str(tmp_path / "other")
-    assert main(["synth", "--out-dir", other, "--seed", "9",
-                 "--history-groups", "6", "--eval-groups", "6",
-                 "--eval-train-records", "3"]) == 0
-    assert main(["build-index", "--config", os.path.join(other, "config.json"),
-                 "--out", os.path.join(other, "idx.rati")]) == 0
-    capsys.readouterr()
-    rc = main(["evaluate", "--config", ws["cfg_path"], "--checkpoint", ckpt,
-               "--index", os.path.join(other, "idx.rati")])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "index covers" in err
-
-
-def test_index_of_another_dataset_or_format_exits_2(ws, trained, tmp_path, capsys):
-    ckpt = os.path.join(trained, "checkpoint.ratm")
-    # same sizes as the workspace dataset, other seed: same pool size, other records
-    other = str(tmp_path / "other")
-    assert main(["synth", "--out-dir", other, "--seed", "4", "--history-groups", "12",
-                 "--eval-groups", "24", "--eval-train-records", "3"]) == 0
-    same_size = os.path.join(other, "idx.rati")
-    assert main(["build-index", "--config", os.path.join(other, "config.json"),
-                 "--out", same_size]) == 0
-    assert "pool records: 192" in capsys.readouterr().out
-
-    with open(str(ws["base"] / "i1.rati"), "rb") as f:
-        blob = f.read()
-    v1, v2 = str(tmp_path / "v1.rati"), str(tmp_path / "v2.rati")
-    for version, path in ((1, v1), (2, v2)):
-        with open(path, "wb") as f:
-            f.write(blob[:4] + version.to_bytes(2, "little") + blob[6:])
-    empty = str(tmp_path / "empty.rati")
-    with open(empty, "wb") as f:
-        f.write(blob[:10] + (0).to_bytes(8, "little"))
-    n = int.from_bytes(blob[10:18], "little")
-    unsorted = str(tmp_path / "unsorted.rati")
-    with open(unsorted, "wb") as f:
-        ts = np.frombuffer(blob[18:18 + 8 * n], dtype="<i8")
-        f.write(blob[:18] + ts[::-1].tobytes() + blob[18 + 8 * n:])
-
-    queries = queries_file(tmp_path / "q.jsonl", [json.dumps({"fields": {"key": "g3"}})])
-    for idx, msg in ((same_size, "different train slice"),
-                     (v1, "rebuild it with `ractr build-index`"),
-                     (v2, "rebuild it with `ractr build-index`"), (empty, "empty pool"),
-                     (unsorted, "timestamps are not sorted")):
-        for argv in (["evaluate", "--checkpoint", ckpt], ["retrieve", "--queries", queries]):
-            rc = main(argv + ["--config", ws["cfg_path"], "--index", idx])
-            err = capsys.readouterr().err
-            assert rc == 2, (argv[0], idx)
-            assert err.startswith("data error:") and msg in err
 
 
 def test_evaluate_corrupt_checkpoint_config_exits_2(ws, trained, tmp_path, capsys):
@@ -625,19 +562,19 @@ def test_usage_errors_exit_1(ws, tmp_path, capsys):
     assert main(["train", "--config", no_out]) == 1
     assert "no output directory" in capsys.readouterr().err
 
-    idx = str(tmp_path / "i.rati")
-    assert main(["build-index", "--config", ws["cfg_path"], "--out", idx]) == 0
+    # retrieve reads k as train and evaluate do, and needs one neighbor at least
     query = queries_file(tmp_path / "q.jsonl", [json.dumps({"fields": {"key": "g1"}})])
-    retrieve = ["retrieve", "--config", ws["cfg_path"], "--index", idx, "--queries", query]
-    for k in ("0", "-3"):
-        assert main(retrieve + ["--k", k]) == 1
-        assert f"k must be an integer >= 1, got {k}" in capsys.readouterr().err
+    retrieve = ["retrieve", "--config", ws["cfg_path"], "--queries", query]
+    assert main(retrieve + ["--k", "0"]) == 1
+    assert capsys.readouterr().err == "error: k must be an integer >= 1, got 0\n"
+    assert main(retrieve + ["--k", "-3"]) == 1
+    assert "train config: 'k' must be an integer >= 0, got -3" in capsys.readouterr().err
     for k in (2.5, "5", True, None):
         cfg_k = str(tmp_path / "cfg_k.json")
         with open(cfg_k, "w") as f:
             json.dump(dict(ws["cfg"], train={"k": k}), f)
-        assert main(["retrieve", "--config", cfg_k, "--index", idx, "--queries", query]) == 1
-        assert f"k must be an integer >= 1, got {k!r}" in capsys.readouterr().err
+        assert main(["retrieve", "--config", cfg_k, "--queries", query]) == 1
+        assert f"train config: 'k' must be an integer >= 0, got {k!r}" in capsys.readouterr().err
 
 
 def test_data_errors_exit_2(ws, tmp_path, capsys):
@@ -652,16 +589,18 @@ def test_data_errors_exit_2(ws, tmp_path, capsys):
     assert err.startswith("data error:")
     assert missing_csv in err
 
-    idx = tmp_path / "i.rati"
+    query = queries_file(tmp_path / "q.jsonl", [json.dumps({"fields": {"key": "g1"}})])
+    res = tmp_path / "res.jsonl"
     for key, value, must in (("delimiter", 5, "a one-character string"),
                              ("delimiter", ";;", "a one-character string"),
                              ("ratios", "abc", "a list of three numbers"),
                              ("feature_cols", "key", "a list of strings")):
         with open(cfg_path, "w") as f:
             json.dump({"data": dict(ws["cfg"]["data"], **{key: value})}, f)
-        assert main(["build-index", "--config", cfg_path, "--out", str(idx)]) == 2
+        assert main(["retrieve", "--config", cfg_path, "--queries", query,
+                     "--out", str(res)]) == 2
         assert f"data error: csv spec '{key}' must be {must}" in capsys.readouterr().err
-        assert not idx.exists()
+        assert not res.exists()
 
 
 @pytest.mark.parametrize("cols,message", [
@@ -676,10 +615,8 @@ def test_feature_columns_must_be_distinct_non_label_columns(ws, tmp_path, capsys
     cfg_path = str(tmp_path / "cfg.json")
     with open(cfg_path, "w") as f:
         json.dump(cfg, f)
-    idx = str(tmp_path / "i.rati")
-    assert main(["build-index", "--config", ws["cfg_path"], "--out", idx]) == 0
     query = queries_file(tmp_path / "q.jsonl", [json.dumps({"fields": {"key": "g1"}})])
-    for command in (["train"], ["retrieve", "--index", idx, "--queries", query]):
+    for command in (["train"], ["retrieve", "--queries", query]):
         assert main(command[:1] + ["--config", cfg_path] + command[1:]) == 2
         assert f"data error: csv spec {message}" in capsys.readouterr().err
 
@@ -691,12 +628,11 @@ def test_evaluate_takes_no_seed(ws, capsys):
 
 
 @pytest.mark.parametrize("key,value,command", [
-    ("data.path", 0, ["build-index", "--out", "i.rati"]),
-    ("dataset", 0, ["build-index", "--out", "i.rati"]),
-    ("out_dir", 3, ["build-index"]),
-    ("index", 7, ["retrieve", "--queries", "q.jsonl"]),
+    ("data.path", 0, ["retrieve", "--queries", "q.jsonl"]),
+    ("dataset", 0, ["retrieve", "--queries", "q.jsonl"]),
+    ("out_dir", 3, ["train"]),
     ("checkpoint", 7, ["evaluate"]),
-], ids=("data.path", "dataset", "out_dir", "index", "checkpoint"))
+], ids=("data.path", "dataset", "out_dir", "checkpoint"))
 def test_config_paths_must_be_strings(ws, tmp_path, capsys, monkeypatch, key, value, command):
     """A number would reach open() as a file descriptor (0 is stdin)."""
     monkeypatch.chdir(tmp_path)
@@ -790,10 +726,8 @@ def test_diverged_loss_warns_nothing_before_its_data_error(tmp_path, capsys, mon
 def test_k_past_the_train_pool_exits_1(ws, trained, tmp_path, capsys, command):
     # a k this large would allocate (queries, k) tables of terabytes
     pool = load_csv(ws["cfg"]["data"]["path"], CsvSpec.from_dict(ws["cfg"]["data"])).train_end
-    idx = str(tmp_path / "i.rati")
-    assert main(["build-index", "--config", ws["cfg_path"], "--out", idx]) == 0
     query = queries_file(tmp_path / "q.jsonl", [json.dumps({"fields": {"key": "g1"}})])
-    args = {"retrieve": ["--index", idx, "--queries", query],
+    args = {"retrieve": ["--queries", query],
             "train": ["--out", str(tmp_path / "o")],
             "evaluate": ["--checkpoint", os.path.join(trained, "checkpoint.ratm")],
             "ablate": ["--out", str(tmp_path / "o")]}[command]
@@ -814,6 +748,27 @@ def test_k_past_the_train_pool_exits_1(ws, trained, tmp_path, capsys, command):
         assert f"train pool size, {pool}, got {10**11}" in capsys.readouterr().err
 
 
+def test_an_intra_model_trains_on_a_pool_smaller_than_k(tmp_path, capsys):
+    """An intra model retrieves no neighbors, so the default k of 5 may pass
+    a train pool of 4 records; a model that retrieves may not."""
+    csv_path = tmp_path / "d.csv"
+    csv_path.write_text("ts,key,label\n" + "".join(
+        f"{i},{'ab'[i % 3 == 0]},{i % 2}\n" for i in range(12)))
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as f:
+        json.dump({"data": {"path": str(csv_path), "label_col": "label", "timestamp_col": "ts",
+                            "feature_cols": ["key"], "ratios": [1 / 3, 1 / 3, 1 / 3]},
+                   "train": {"embed_dim": 8, "num_blocks": 1, "max_epochs": 1}}, f)
+    run = str(tmp_path / "intra")
+    assert main(["train", "--config", cfg_path, "--out", run, "--variant", "intra"]) == 0
+    assert main(["evaluate", "--config", cfg_path,
+                 "--checkpoint", os.path.join(run, "checkpoint.ratm")]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: k must be at most the train pool size, 4, got 5\n"
+    assert not os.path.exists(tmp_path / "o")
+
+
 def test_failed_artifact_write_leaves_old_file(ws, tmp_path, capsys):
     """JSON artifacts and retrieve --out go through a temp file: a write that
     fails part way leaves the earlier file and no partial one."""
@@ -824,15 +779,13 @@ def test_failed_artifact_write_leaves_old_file(ws, tmp_path, capsys):
         _write_json({"a": 1, "b": object()}, str(path))  # dumps "a" first
     assert path.read_bytes() == before
 
-    idx = str(tmp_path / "i.rati")
-    assert main(["build-index", "--config", ws["cfg_path"], "--out", idx]) == 0
     out = tmp_path / "res.jsonl"
     out.write_text("earlier\n")
     q = queries_file(tmp_path / "q.jsonl", [json.dumps({"fields": {"key": "g3"}}), "{nope"])
-    assert main(["retrieve", "--config", ws["cfg_path"], "--index", idx,
-                 "--queries", q, "--out", str(out)]) == 2
+    assert main(["retrieve", "--config", ws["cfg_path"], "--queries", q,
+                 "--out", str(out)]) == 2
     assert out.read_text() == "earlier\n"
-    assert sorted(os.listdir(tmp_path)) == ["i.rati", "q.jsonl", "res.jsonl", "summary.json"]
+    assert sorted(os.listdir(tmp_path)) == ["q.jsonl", "res.jsonl", "summary.json"]
     capsys.readouterr()
 
 
@@ -865,11 +818,9 @@ def test_internal_errors_exit_3(ws, tmp_path, capsys, monkeypatch):
 
 def test_help_everywhere(capsys):
     flags = {
-        "build-index": ["--config", "--dataset", "--out"],
-        "retrieve": ["--config", "--index", "--dataset", "--queries", "--k", "--out"],
+        "retrieve": ["--config", "--dataset", "--queries", "--k", "--out"],
         "train": ["--config", "--out", "--seed", "--k", "--variant"],
-        "evaluate": ["--config", "--checkpoint", "--index", "--split",
-                     "--segments", "--k", "--out"],
+        "evaluate": ["--config", "--checkpoint", "--split", "--segments", "--k", "--out"],
         "ablate": ["--config", "--out", "--seed", "--k"],
         "synth": ["--out-dir", "--kind", "--seed", "--history-groups",
                   "--eval-groups", "--eval-train-records"],

@@ -326,7 +326,7 @@ def test_index_file_errors(tmp_path):
         with open(old, "wb") as f:
             f.write(blob[:4] + version.to_bytes(2, "little") + blob[6:])
         with pytest.raises(DataError,
-                           match=f"version {version} .*rebuild it with `ractr build-index`"):
+                           match=f"version {version} .*rebuild it with `ractr.retrieval.save_index`"):
             load_index(old)
 
     # a file whose timestamps run backwards is no chronological pool

@@ -264,6 +264,10 @@ def test_train_input_validation():
 
     with pytest.raises(DataError, match="index covers"):
         train(ds, build_index(ds.field_ids, ds.timestamps), tiny_cfg())
+    te = ds.train_end  # as many records, one row later
+    with pytest.raises(DataError, match="different train slice; rebuild it with "
+                                        "`ractr.retrieval.index_from_dataset`"):
+        train(ds, build_index(ds.field_ids[1:te + 1], ds.timestamps[1:te + 1]), tiny_cfg())
 
     flat = Dataset(ds.schema, ds.field_ids, np.zeros(len(ds), dtype=np.int64),
                    ds.timestamps, ds.train_end, ds.valid_end)
