@@ -2,7 +2,7 @@
 records feeding a two-axis attention model (field axis within a sample, sample
 axis across retrieved neighbors)."""
 
-from .data import CsvSpec, Dataset, FieldSchema, load_csv, load_dataset, save_dataset
+from .data import CsvSpec, Dataset, FieldSchema, load_csv
 from .errors import DataError, UsageError
 from .model import CtrModel, build_input_batch, load_checkpoint, save_checkpoint
 from .retrieval import (
@@ -20,7 +20,7 @@ from .training import EvalReport, TrainConfig, ablate, auc, evaluate, logloss, t
 __version__ = "0.1.0"
 
 __all__ = [
-    "CsvSpec", "Dataset", "FieldSchema", "load_csv", "load_dataset", "save_dataset",
+    "CsvSpec", "Dataset", "FieldSchema", "load_csv",
     "DataError", "UsageError",
     "CtrModel", "build_input_batch", "load_checkpoint", "save_checkpoint",
     "RetrievalIndex", "RetrievalResult", "build_index",

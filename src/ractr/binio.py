@@ -1,7 +1,7 @@
 """Little-endian binary read/write primitives for the on-disk formats, the
 atomic file writer every artifact goes through, and the container framing the
-.ratd, .rati and .ratm formats share: a 4-byte magic, a u16 version, the
-format's body and nothing after it."""
+.rati and .ratm formats share: a 4-byte magic, a u16 version, the format's
+body and nothing after it."""
 
 from __future__ import annotations
 

@@ -3,7 +3,6 @@ variant ablation, driven by a JSON config file.
 
 Config keys (all optional unless a command needs them):
   data        {path, label_col, feature_cols, timestamp_col?, delimiter?, ratios?}
-  dataset     path to an encoded .ratd file (alternative to data)
   checkpoint  path to a .ratm checkpoint (evaluate)
   out_dir     where a command writes its artifacts
   user_field  field name used for long-tail segment reports
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .binio import atomic_open
-from .data import CsvSpec, Dataset, load_csv, load_dataset
+from .data import CsvSpec, Dataset, load_csv
 from .errors import DataError, UsageError
 from .model import VARIANTS, load_checkpoint, save_checkpoint
 from .retrieval import index_from_dataset, retrieve_batch
@@ -41,9 +40,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
             cfg = json.load(f)
@@ -56,6 +53,9 @@ def _load_config(path: str | None) -> dict:
     for section in ("data", "train"):
         if not isinstance(cfg.get(section, {}), dict):
             raise UsageError(f"config {path}: '{section}' must be a JSON object")
+    if "dataset" in cfg:  # an encoded-file path; ignored, it would swap in the CSV unnoticed
+        raise UsageError(f"config {path}: there is no 'dataset' key; "
+                         "the dataset's CSV goes under 'data'")
     return cfg
 
 
@@ -69,17 +69,14 @@ def _path(flag: str | None, section: dict, key: str) -> str | None:
     return value
 
 
-def _load_any_dataset(cfg: dict, dataset_flag: str | None = None) -> Dataset:
-    dataset = _path(dataset_flag, cfg, "dataset")
-    if dataset is not None:
-        return load_dataset(dataset)
-    if "data" in cfg:
-        d = cfg["data"]
-        path = _path(None, d, "path")
-        if path is None:
-            raise UsageError("config data section needs a 'path'")
-        return load_csv(path, CsvSpec.from_dict(d))
-    raise UsageError("config needs a 'data' or 'dataset' entry")
+def _load_data(cfg: dict) -> Dataset:
+    if "data" not in cfg:
+        raise UsageError("config needs a 'data' entry")
+    d = cfg["data"]
+    path = _path(None, d, "path")
+    if path is None:
+        raise UsageError("config data section needs a 'path'")
+    return load_csv(path, CsvSpec.from_dict(d))
 
 
 def _resolve_train_cfg(cfg: dict, args, base: dict | None = None) -> TrainConfig:
@@ -203,7 +200,7 @@ def cmd_retrieve(args) -> int:
     k = _resolve_train_cfg(cfg, args).k
     if k < 1:
         raise UsageError(f"k must be an integer >= 1, got {k}")
-    ds = _load_any_dataset(cfg, args.dataset)
+    ds = _load_data(cfg)
     index = index_from_dataset(ds)
     if k > index.pool_size:
         raise UsageError(f"k must be at most the train pool size, {index.pool_size}, got {k}")
@@ -252,7 +249,7 @@ def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     tcfg = _resolve_train_cfg(cfg, args)
     out = _out_dir(cfg, args)
-    ds = _load_any_dataset(cfg)
+    ds = _load_data(cfg)
     index = index_from_dataset(ds)
 
     res = train(ds, index, tcfg)
@@ -306,7 +303,7 @@ def cmd_evaluate(args) -> int:
     except UsageError as e:  # the fault is in the file, not the command line
         raise DataError(f"{ckpt_path}: bad stored train config: {e}") from None
     tcfg = _resolve_train_cfg(cfg, args, base=stored)
-    ds = _load_any_dataset(cfg)
+    ds = _load_data(cfg)
     _check_fields(ckpt_path, model.field_num_ids, ds)
     index = index_from_dataset(ds)
 
@@ -325,7 +322,7 @@ def cmd_ablate(args) -> int:
     cfg = _load_config(args.config)
     tcfg = _resolve_train_cfg(cfg, args)
     out = _out_dir(cfg, args)
-    ds = _load_any_dataset(cfg)
+    ds = _load_data(cfg)
     index = index_from_dataset(ds)
 
     rows = ablate(ds, index, tcfg)
@@ -380,8 +377,7 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     rt = sub.add_parser("retrieve", help="score ad-hoc queries against the train slice")
-    rt.add_argument("--config", help="JSON config file")
-    rt.add_argument("--dataset", help="encoded .ratd dataset (overrides config)")
+    rt.add_argument("--config", required=True, help="JSON config file")
     rt.add_argument("--queries", default="-",
                     help="JSONL file of {\"fields\": {...}} objects; - for stdin")
     rt.add_argument("--k", type=int, help="neighbors per query")

@@ -12,11 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import binio
 from .errors import DataError
-
-DATASET_MAGIC = b"RATD"
-DATASET_VERSION = 1
 
 
 class FieldSchema:
@@ -34,10 +30,6 @@ class FieldSchema:
         return self._ids.get(value, 0)
 
     @property
-    def vocab_size(self) -> int:
-        return len(self.values)
-
-    @property
     def num_ids(self) -> int:
         """Rows an embedding table needs: vocab plus the id-0 sentinel."""
         return len(self.values) + 1
@@ -50,7 +42,7 @@ class Dataset:
     Storage is columnar. split_marks = (train_end, valid_end): train is
     [0, train_end), validation [train_end, valid_end), test [valid_end, n).
     raw_values (each record's cells) is set only by the synthetic generators,
-    for write_csv; a Dataset loaded from CSV or .ratd keeps no raw strings, so
+    for write_csv; a Dataset loaded from CSV keeps no raw strings, so
     re-splitting means reloading the CSV with other ratios.
     """
     schema: list[FieldSchema]
@@ -59,9 +51,6 @@ class Dataset:
     timestamps: np.ndarray     # (n,) int64
     train_end: int
     valid_end: int
-    missing_cells: int = 0
-    oov_cells: int = 0
-    has_timestamp_column: bool = True
     raw_values: list[list[str]] | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -218,12 +207,10 @@ def load_csv(path: str, spec: CsvSpec | dict) -> Dataset:
         timestamps=timestamps[order],
         train_end=train_end,
         valid_end=valid_end,
-        has_timestamp_column=has_ts,
     )
 
 
-def _encode(schema_names, rows, labels, timestamps, train_end, valid_end,
-            has_timestamp_column) -> Dataset:
+def _encode(schema_names, rows, labels, timestamps, train_end, valid_end) -> Dataset:
     """Encode each record's raw cells (in time order) one column at a time.
 
     A field's vocabulary is its non-empty train-slice values in first-appearance
@@ -231,14 +218,12 @@ def _encode(schema_names, rows, labels, timestamps, train_end, valid_end,
     """
     schema = []
     ids = np.zeros((len(rows), len(schema_names)), dtype=np.int64)
-    missing = 0
     for f, (name, col) in enumerate(zip(schema_names, zip(*rows))):
         vocab = dict.fromkeys(col[:train_end])
         vocab.pop("", None)
         fs = FieldSchema(name, vocab)
         ids[:, f] = [fs._ids.get(v, 0) for v in col]
         schema.append(fs)
-        missing += col.count("")
 
     return Dataset(
         schema=schema,
@@ -247,64 +232,4 @@ def _encode(schema_names, rows, labels, timestamps, train_end, valid_end,
         timestamps=timestamps,
         train_end=train_end,
         valid_end=valid_end,
-        missing_cells=missing,
-        oov_cells=int(np.count_nonzero(ids == 0)) - missing,
-        has_timestamp_column=has_timestamp_column,
-    )
-
-
-def save_dataset(ds: Dataset, path: str) -> None:
-    """Serialize to the RATD container (little-endian, layout in README)."""
-    with binio.writing(path, DATASET_MAGIC, DATASET_VERSION) as f:
-        binio.write_u8(f, 1 if ds.has_timestamp_column else 0)
-        binio.write_u32(f, ds.num_fields)
-        binio.write_u64(f, len(ds))
-        binio.write_u64(f, ds.train_end)
-        binio.write_u64(f, ds.valid_end)
-        binio.write_u64(f, ds.missing_cells)
-        binio.write_u64(f, ds.oov_cells)
-        for fs in ds.schema:
-            binio.write_str(f, fs.name)
-            binio.write_u32(f, fs.vocab_size)
-            for v in fs.values:
-                binio.write_str(f, v)
-        binio.write_array(f, ds.labels, "<u1")
-        binio.write_array(f, ds.timestamps, "<i8")
-        binio.write_array(f, ds.field_ids, "<u4")
-
-
-def load_dataset(path: str) -> Dataset:
-    with binio.reading(path, DATASET_MAGIC, DATASET_VERSION, "dataset") as fh:
-        has_ts = bool(binio.read_u8(fh))
-        nf = binio.read_u32(fh)
-        n = binio.read_u64(fh)
-        train_end = binio.read_u64(fh)
-        valid_end = binio.read_u64(fh)
-        missing = binio.read_u64(fh)
-        oov = binio.read_u64(fh)
-        schema = []
-        for _ in range(nf):
-            name = binio.read_str(fh)
-            if any(fs.name == name for fs in schema):  # a query would fill one of them
-                raise DataError(f"{path}: dataset field {name!r} is listed twice")
-            vs = binio.read_u32(fh)
-            schema.append(FieldSchema(name, [binio.read_str(fh) for _ in range(vs)]))
-        labels = binio.read_array(fh, n, "<u1").astype(np.int64)
-        timestamps = binio.read_array(fh, n, "<i8").astype(np.int64)
-        field_ids = binio.read_array(fh, n * nf, "<u4").astype(np.int64).reshape(n, nf)
-    if np.any(labels > 1) or np.any(field_ids > [fs.vocab_size for fs in schema]):
-        raise DataError(f"{path}: labels must be 0 or 1 and ids at most their field's vocab size")
-    if np.any(timestamps[1:] < timestamps[:-1]):
-        raise DataError(f"{path}: timestamps are not sorted")
-
-    return Dataset(
-        schema=schema,
-        field_ids=field_ids,
-        labels=labels,
-        timestamps=timestamps,
-        train_end=train_end,
-        valid_end=valid_end,
-        missing_cells=missing,
-        oov_cells=oov,
-        has_timestamp_column=has_ts,
     )

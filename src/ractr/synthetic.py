@@ -29,7 +29,7 @@ from .data import Dataset, _encode
 
 def _generated(names, rows, labels, timestamps, train_end, valid_end) -> Dataset:
     """Encode generated rows and keep their raw cells, which write_csv emits."""
-    ds = _encode(names, rows, labels, timestamps, train_end, valid_end, has_timestamp_column=True)
+    ds = _encode(names, rows, labels, timestamps, train_end, valid_end)
     ds.raw_values = rows
     return ds
 

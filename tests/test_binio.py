@@ -1,4 +1,4 @@
-"""The container framing .ratd, .rati and .ratm share: every loader reads a
+"""The container framing .rati and .ratm share: every loader reads a
 container from a stream that cannot seek (a pipe) as it reads the file."""
 
 import os
@@ -8,8 +8,6 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import random_dataset
-from ractr.data import load_dataset, save_dataset
 from ractr.errors import DataError
 from ractr.model import CtrModel, load_checkpoint, save_checkpoint
 from ractr.retrieval import build_index, load_index, save_index
@@ -35,11 +33,6 @@ def piped(path, blob: bytes):
         writer.join(timeout=10)
 
 
-def _ratd(path):
-    save_dataset(random_dataset(seed=4, n=40, n_fields=3, vocab=5), path)
-    return load_dataset, save_dataset
-
-
 def _rati(path):
     rng = np.random.default_rng(3)
     save_index(build_index(rng.integers(0, 4, size=(30, 2)), np.arange(30)), path)
@@ -53,7 +46,7 @@ def _ratm(path):
     return load_checkpoint, lambda loaded, p: save_checkpoint(loaded[0], p, loaded[1])
 
 
-@pytest.mark.parametrize("make", [_ratd, _rati, _ratm], ids=["ratd", "rati", "ratm"])
+@pytest.mark.parametrize("make", [_rati, _ratm], ids=["rati", "ratm"])
 def test_container_reads_from_a_pipe(tmp_path, make):
     """What a loader reads through a pipe saves back to the bytes of the file
     load, and a truncated container through a pipe is the file's data error."""

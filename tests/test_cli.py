@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ractr.cli import RETRIEVE_GROUP, _encode_query, _query_lines, _write_json, main
-from ractr.data import CsvSpec, load_csv, save_dataset
+from ractr.data import CsvSpec, load_csv
 from ractr.model import load_checkpoint
 from ractr.retrieval import index_from_dataset, retrieve
 from ractr.training import ABLATION_ORDER
@@ -81,27 +81,6 @@ def test_build_index_and_index_flags_exit_1(ws, trained, tmp_path, capsys):
         assert main(argv + ["--config", ws["cfg_path"], "--index", x]) == 1
         assert f"unrecognized arguments: --index {x}" in capsys.readouterr().err
     assert not os.path.exists(x)
-
-
-def test_retrieve_accepts_encoded_dataset(ws, tmp_path, capsys):
-    """A .ratd dataset retrieves the bytes its CSV config does."""
-    cfg = ws["cfg"]
-    ds = load_csv(cfg["data"]["path"], CsvSpec.from_dict(cfg["data"]))
-    ratd = str(tmp_path / "d.ratd")
-    save_dataset(ds, ratd)
-    q = queries_file(tmp_path / "q.jsonl", [
-        json.dumps({"fields": {"key": "g3", "noise0": "v1"}}),
-        "",
-        json.dumps({"fields": {"key": "no-such-key"}}),
-        json.dumps({"fields": {"key": None, "noise1": ""}}),
-    ])
-    outs = []
-    for source in (["--config", ws["cfg_path"]], ["--dataset", ratd]):
-        outs.append(str(tmp_path / f"res{len(outs)}.jsonl"))
-        assert main(["retrieve", *source, "--queries", q, "--k", "3", "--out", outs[-1]]) == 0
-    with open(outs[0], "rb") as f1, open(outs[1], "rb") as f2:
-        assert f1.read() == f2.read()
-    capsys.readouterr()
 
 
 def test_retrieve_jsonl_conventions(ws, tmp_path, capsys):
@@ -189,7 +168,7 @@ def test_retrieve_error_reporting(ws, tmp_path, capsys):
         assert "query field 'key': expected a string, number or null" in err
 
     assert main(["retrieve", "--queries", bad_json]) == 1
-    assert "config needs a 'data' or 'dataset' entry" in capsys.readouterr().err
+    assert "the following arguments are required: --config" in capsys.readouterr().err
 
 
 def single_query_records(cfg, lines, k):
@@ -564,6 +543,11 @@ def test_usage_errors_exit_1(ws, tmp_path, capsys):
 
     # retrieve reads k as train and evaluate do, and needs one neighbor at least
     query = queries_file(tmp_path / "q.jsonl", [json.dumps({"fields": {"key": "g1"}})])
+    no_data = str(tmp_path / "no_data.json")
+    with open(no_data, "w") as f:
+        json.dump({"train": {}}, f)
+    assert main(["retrieve", "--config", no_data, "--queries", query]) == 1
+    assert capsys.readouterr().err == "error: config needs a 'data' entry\n"
     retrieve = ["retrieve", "--config", ws["cfg_path"], "--queries", query]
     assert main(retrieve + ["--k", "0"]) == 1
     assert capsys.readouterr().err == "error: k must be an integer >= 1, got 0\n"
@@ -629,10 +613,9 @@ def test_evaluate_takes_no_seed(ws, capsys):
 
 @pytest.mark.parametrize("key,value,command", [
     ("data.path", 0, ["retrieve", "--queries", "q.jsonl"]),
-    ("dataset", 0, ["retrieve", "--queries", "q.jsonl"]),
     ("out_dir", 3, ["train"]),
     ("checkpoint", 7, ["evaluate"]),
-], ids=("data.path", "dataset", "out_dir", "checkpoint"))
+], ids=("data.path", "out_dir", "checkpoint"))
 def test_config_paths_must_be_strings(ws, tmp_path, capsys, monkeypatch, key, value, command):
     """A number would reach open() as a file descriptor (0 is stdin)."""
     monkeypatch.chdir(tmp_path)
@@ -647,6 +630,26 @@ def test_config_paths_must_be_strings(ws, tmp_path, capsys, monkeypatch, key, va
     assert main(command[:1] + ["--config", "cfg.json"] + command[1:]) == 1
     name = key.split(".")[-1]
     assert f"error: config '{name}' must be a string path, got {value}" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "q.jsonl"]
+
+
+def test_a_dataset_key_or_flag_exits_1(ws, trained, tmp_path, capsys, monkeypatch):
+    """A dataset enters only as its CSV under 'data'. A config that still
+    names 'dataset' beside 'data' is refused, not ignored: ignoring it would
+    score the CSV instead of the file it names, with no error."""
+    monkeypatch.chdir(tmp_path)
+    queries_file(tmp_path / "q.jsonl", [json.dumps({"fields": {"key": "g1"}})])
+    with open("cfg.json", "w") as f:
+        json.dump(dict(ws["cfg"], dataset="d.ratd", out_dir="o"), f)
+    ckpt = os.path.join(trained, "checkpoint.ratm")
+    for command in (["retrieve", "--queries", "q.jsonl"], ["train"],
+                    ["evaluate", "--checkpoint", ckpt], ["ablate"]):
+        assert main(command[:1] + ["--config", "cfg.json"] + command[1:]) == 1
+        assert capsys.readouterr().err == ("error: config cfg.json: there is no 'dataset' key; "
+                                           "the dataset's CSV goes under 'data'\n")
+    assert main(["retrieve", "--config", ws["cfg_path"], "--queries", "q.jsonl",
+                 "--dataset", "d.ratd"]) == 1
+    assert "unrecognized arguments: --dataset d.ratd" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["cfg.json", "q.jsonl"]
 
 
@@ -818,7 +821,7 @@ def test_internal_errors_exit_3(ws, tmp_path, capsys, monkeypatch):
 
 def test_help_everywhere(capsys):
     flags = {
-        "retrieve": ["--config", "--dataset", "--queries", "--k", "--out"],
+        "retrieve": ["--config", "--queries", "--k", "--out"],
         "train": ["--config", "--out", "--seed", "--k", "--variant"],
         "evaluate": ["--config", "--checkpoint", "--split", "--segments", "--k", "--out"],
         "ablate": ["--config", "--out", "--seed", "--k"],

@@ -1,6 +1,4 @@
-"""CSV loading, vocabularies, chronological splits, RATD round trips."""
-
-import os
+"""CSV loading, vocabularies, chronological splits."""
 
 import numpy as np
 import pytest
@@ -12,8 +10,6 @@ from ractr.data import (
     FieldSchema,
     _split_bounds,
     load_csv,
-    load_dataset,
-    save_dataset,
 )
 from ractr.errors import DataError
 from ractr.synthetic import write_csv
@@ -36,7 +32,6 @@ def test_row_order_is_time_when_no_timestamp_column(tmp_path):
     spec = CsvSpec(label_col="label", feature_cols=["city", "device"])
     ds = load_csv(p, spec)
     assert len(ds) == 4
-    assert not ds.has_timestamp_column
     assert ds.timestamps.tolist() == [0, 1, 2, 3]
     assert ds.labels.tolist() == [0, 1, 0, 1]
 
@@ -46,7 +41,6 @@ def test_empty_timestamp_col_names_a_header_column(tmp_path):
     spec = CsvSpec(label_col="label", feature_cols=["city"], timestamp_col="")
     p = write(tmp_path / "a.csv", "city,,label\na,5,0\nb,3,1\n")
     ds = load_csv(p, spec)
-    assert ds.has_timestamp_column
     assert ds.timestamps.tolist() == [3, 5]
     assert ds.labels.tolist() == [1, 0]
 
@@ -63,7 +57,7 @@ def test_vocab_ids_start_at_one_and_round_trip(tmp_path):
     ds = load_csv(p, SPEC)
     city = ds.schema[0]
     assert city.name == "city"
-    assert city.vocab_size == 2 and city.num_ids == 3
+    assert city.num_ids == 3
     assert city.id_for("a") == 1 and city.id_for("b") == 2
     assert city.values == ["a", "b"]  # id i decodes to values[i - 1]; id 0 to nothing
     assert city.id_for("never-seen") == 0 and city.id_for("") == 0
@@ -106,20 +100,16 @@ def test_vocab_built_from_train_rows_only(tmp_path):
     ds = load_csv(p, spec)
     assert ds.schema[0].id_for("late") == 0
     assert ds.field_ids[7, 0] == 0 and ds.field_ids[9, 0] == 0
-    assert ds.oov_cells == 2
-    assert ds.missing_cells == 0
 
 
-def test_missing_and_oov_counted_separately(tmp_path):
+def test_missing_and_unseen_cells_encode_to_zero(tmp_path):
     p = write(tmp_path / "a.csv",
               "ts,city,device,label\n0,a,,0\n1,b,y,1\n2,,y,0\n3,zz,y,1\n")
     spec = CsvSpec(label_col="label", feature_cols=["city", "device"],
                    timestamp_col="ts", ratios=(0.5, 0.25, 0.25))
     ds = load_csv(p, spec)
     # row 0 device and row 2 city are empty; zz is unseen in train
-    assert ds.missing_cells == 2
-    assert ds.oov_cells == 1
-    assert ds.missing_cells / (len(ds) * ds.num_fields) == pytest.approx(2 / 8)
+    assert ds.field_ids.tolist() == [[1, 0], [2, 1], [0, 1], [0, 1]]
 
 
 def test_no_ratios_marks_everything_train(tmp_path):
@@ -245,147 +235,6 @@ def test_unknown_split_name():
         ds.slice_indices("dev")
 
 
-# ---------------------------------------------------------------- RATD
-
-def test_dataset_file_round_trip(tmp_path):
-    ds = random_dataset(seed=3, n=60, n_fields=4, vocab=9, missing_rate=0.1)
-    p = str(tmp_path / "d.ratd")
-    save_dataset(ds, p)
-    got = load_dataset(p)
-    assert len(got) == len(ds)
-    assert got.split_marks == ds.split_marks
-    assert got.has_timestamp_column == ds.has_timestamp_column
-    assert got.missing_cells == ds.missing_cells
-    assert got.oov_cells == ds.oov_cells
-    assert [fs.name for fs in got.schema] == [fs.name for fs in ds.schema]
-    assert [fs.values for fs in got.schema] == [fs.values for fs in ds.schema]
-    np.testing.assert_array_equal(got.field_ids, ds.field_ids)
-    np.testing.assert_array_equal(got.labels, ds.labels)
-    np.testing.assert_array_equal(got.timestamps, ds.timestamps)
-
-
-def test_dataset_file_with_a_repeated_field_name_is_a_data_error(tmp_path):
-    """A query names its fields, so two fields of one name would put its
-    value into one of them only."""
-    schema = [FieldSchema("key", ["a", "b"]), FieldSchema("item", ["x"]),
-              FieldSchema("key", ["c"])]
-    ids = np.array([[1, 1, 1], [2, 0, 1], [1, 1, 0]])
-    ds = Dataset(schema, ids, np.array([0, 1, 0]), np.arange(3), train_end=1, valid_end=2)
-    p = str(tmp_path / "d.ratd")
-    save_dataset(ds, p)
-    with pytest.raises(DataError, match=f"{p}: dataset field 'key' is listed twice"):
-        load_dataset(p)
-
-
-def test_dataset_file_bytes_deterministic(tmp_path):
-    ds = random_dataset(seed=5, n=40, n_fields=3, vocab=6)
-    p1, p2 = str(tmp_path / "a.ratd"), str(tmp_path / "b.ratd")
-    save_dataset(ds, p1)
-    save_dataset(ds, p2)
-    with open(p1, "rb") as f1, open(p2, "rb") as f2:
-        assert f1.read() == f2.read()
-
-
-def test_dataset_file_errors(tmp_path):
-    ds = random_dataset(seed=1, n=20, n_fields=2, vocab=4)
-    p = str(tmp_path / "d.ratd")
-    save_dataset(ds, p)
-
-    bad = str(tmp_path / "magic.ratd")
-    with open(p, "rb") as f:
-        blob = f.read()
-    write_bytes = lambda path, b: open(path, "wb").write(b)
-    write_bytes(bad, b"XXXX" + blob[4:])
-    with pytest.raises(DataError, match="bad magic"):
-        load_dataset(bad)
-
-    trunc = str(tmp_path / "trunc.ratd")
-    write_bytes(trunc, blob[:-5])
-    with pytest.raises(DataError, match="truncated"):
-        load_dataset(trunc)
-
-    tail = str(tmp_path / "tail.ratd")
-    write_bytes(tail, blob + b"\x00")
-    with pytest.raises(DataError, match="trailing bytes"):
-        load_dataset(tail)
-
-    with pytest.raises(DataError, match="cannot open"):
-        load_dataset(str(tmp_path / "missing.ratd"))
-
-    # the payload ends with labels (n x u1), timestamps (n x i8), ids (n*F x u4)
-    labels_at = len(blob) - len(ds) * (1 + 8 + 4 * ds.num_fields)
-    label = str(tmp_path / "label.ratd")
-    write_bytes(label, blob[:labels_at] + b"\x02" + blob[labels_at + 1:])
-    with pytest.raises(DataError, match="labels must be 0 or 1"):
-        load_dataset(label)
-
-    past_vocab = ds.schema[-1].vocab_size + 1
-    vid = str(tmp_path / "id.ratd")
-    write_bytes(vid, blob[:-4] + past_vocab.to_bytes(4, "little"))
-    with pytest.raises(DataError, match="ids at most their field's vocab size"):
-        load_dataset(vid)
-
-    # the first timestamp pushed past the second
-    ts_at = labels_at + len(ds)
-    later = int(ds.timestamps[1]) + 1
-    unsorted = str(tmp_path / "unsorted.ratd")
-    write_bytes(unsorted, blob[:ts_at] + later.to_bytes(8, "little", signed=True)
-                + blob[ts_at + 8:])
-    with pytest.raises(DataError, match="timestamps are not sorted"):
-        load_dataset(unsorted)
-
-
-def test_dataset_file_rejects_ids_past_u32(tmp_path):
-    ds = random_dataset(seed=1, n=20, n_fields=2, vocab=4)
-    ds.field_ids[3, 1] = 2**32
-    with pytest.raises(DataError, match="do not fit uint32"):
-        save_dataset(ds, str(tmp_path / "d.ratd"))
-
-
-def test_failed_dataset_save_leaves_old_file(tmp_path):
-    ds = random_dataset(seed=1, n=20, n_fields=2, vocab=4)
-    path = tmp_path / "d.ratd"
-    save_dataset(ds, str(path))
-    before = path.read_bytes()
-    ds.field_ids[3, 1] = 2**32  # ids come last, so the save fails part way
-    with pytest.raises(DataError, match="do not fit uint32"):
-        save_dataset(ds, str(path))
-    with pytest.raises(DataError, match="do not fit uint32"):
-        save_dataset(ds, str(tmp_path / "new.ratd"))
-    assert path.read_bytes() == before
-    assert os.listdir(tmp_path) == ["d.ratd"]
-
-
-def test_dataset_version_check(tmp_path):
-    ds = random_dataset(seed=1, n=20, n_fields=2, vocab=4)
-    p = str(tmp_path / "d.ratd")
-    save_dataset(ds, p)
-    with open(p, "rb") as f:
-        blob = bytearray(f.read())
-    blob[4:6] = (99).to_bytes(2, "little")
-    bad = str(tmp_path / "v99.ratd")
-    with open(bad, "wb") as f:
-        f.write(bytes(blob))
-    with pytest.raises(DataError, match="unsupported dataset version 99"):
-        load_dataset(bad)
-
-
-def test_dataset_invalid_utf8_name_is_data_error(tmp_path):
-    ds = random_dataset(seed=1, n=20, n_fields=2, vocab=4)
-    p = str(tmp_path / "d.ratd")
-    save_dataset(ds, p)
-    with open(p, "rb") as f:
-        blob = bytearray(f.read())
-    name = ds.schema[1].name.encode()
-    at = blob.index(len(name).to_bytes(4, "little") + name) + 4
-    blob[at] = 0xFF  # never valid in UTF-8
-    bad = str(tmp_path / "utf8.ratd")
-    with open(bad, "wb") as f:
-        f.write(bytes(blob))
-    with pytest.raises(DataError, match="invalid UTF-8"):
-        load_dataset(bad)
-
-
 # ---------------------------------------------------------------- property
 
 def test_random_csv_round_trips_keep_time_order():
@@ -421,8 +270,6 @@ def test_write_csv_then_load_matches(tmp_path):
     np.testing.assert_array_equal(got.labels, ds.labels)
     np.testing.assert_array_equal(got.timestamps, ds.timestamps)
     np.testing.assert_array_equal(got.field_ids, ds.field_ids)
-    assert got.missing_cells == ds.missing_cells
-    assert got.oov_cells == ds.oov_cells
 
 
 def test_ids_follow_time_order_not_file_order(tmp_path):
@@ -446,6 +293,7 @@ def test_ids_follow_time_order_not_file_order(tmp_path):
                          "\n".join([header] + [lines[i] for i in perm]) + "\n")
 
     names = [fs.name for fs in ds.schema]
+    empty = np.array(ds.raw_values) == ""
     for ratios in ((0.7, 0.2, 0.1), None):
         spec = CsvSpec(label_col="label", feature_cols=names, timestamp_col="ts", ratios=ratios)
         want, got = load_csv(sorted_csv, spec), load_csv(shuffled_csv, spec)
@@ -454,5 +302,6 @@ def test_ids_follow_time_order_not_file_order(tmp_path):
         np.testing.assert_array_equal(got.labels, want.labels)
         np.testing.assert_array_equal(got.timestamps, want.timestamps)
         assert [fs.values for fs in got.schema] == [fs.values for fs in want.schema]
-        assert (got.missing_cells, got.oov_cells) == (want.missing_cells, want.oov_cells)
-        assert got.missing_cells > 0 and (ratios is None or got.oov_cells > 0)
+        # both kinds of id 0 occur: empty cells, and with a split, unseen values
+        assert empty.any() and (got.field_ids[empty] == 0).all()
+        assert (ratios is None) != (got.field_ids[~empty] == 0).any()
