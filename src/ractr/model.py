@@ -209,7 +209,7 @@ class CtrModel:
     # forward pieces: each reads its parameters under a checkpoint-name prefix
 
     def _linear(self, pre: str, x: T.Tensor) -> T.Tensor:
-        return T.add(T.matmul(x, self.params[f"{pre}.w"]), self.params[f"{pre}.b"])
+        return T.linear(x, self.params[f"{pre}.w"], self.params[f"{pre}.b"])
 
     def _norm(self, pre: str, x: T.Tensor) -> T.Tensor:
         return T.layer_norm(x, self.params[f"{pre}.gamma"], self.params[f"{pre}.beta"])
@@ -231,15 +231,11 @@ class CtrModel:
         scale = 1.0 / np.sqrt(dh)
 
         def heads(part, x3, n):
-            y = T.reshape(self._linear(f"{pre}.{part}", x3), (g, n, h, dh))
-            return T.transpose(y, (0, 2, 1, 3))
+            return T.reshape(self._linear(f"{pre}.{part}", x3), (g, n, h, dh))
 
-        q, k, v = heads("q", q3, tq), heads("k", kv3, tk), heads("v", kv3, tk)
-        scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), scale)
-        mask4 = None if key_mask is None else key_mask.reshape(g, 1, 1, tk)
-        attn = T.softmax_lastdim(scores, mask4)
-        ctx = T.matmul(attn, v)
-        ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (g, tq, h * dh))
+        ctx = T.attention(heads("q", q3, tq), heads("k", kv3, tk), heads("v", kv3, tk),
+                          scale, key_mask)
+        ctx = T.reshape(ctx, (g, tq, h * dh))
         out = self._linear(f"{pre}.o", ctx)
         if query_mask is not None:
             out = T.mul(out, query_mask.reshape(g, tq, 1).astype(np.float64))

@@ -157,6 +157,62 @@ def matmul(a, b) -> Tensor:
     return _node(out_data, (a, b), bw)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one node. x: (..., d_in), w: (d_in, d_out), b: (d_out,).
+
+    The products are matmul's over x's leading dims, a GEMM per matrix: one
+    2-D BLAS call over all of x's rows was slower, and OpenBLAS's threads
+    then fight the training threads. The bias gradient is an einsum column
+    sum, without a temporary."""
+    out_data = np.matmul(x.data, w.data)
+    out_data += b.data
+
+    def bw(g):
+        gx = np.matmul(g, w.data.T)
+        gw = _unbroadcast(np.matmul(x.data.swapaxes(-1, -2), g), w.data.shape)
+        gb = np.einsum("ij->j", g.reshape(-1, g.shape[-1]))
+        return [(x, gx), (w, gw), (b, gb)]
+
+    return _node(out_data, (x, w, b), bw)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
+              key_mask: np.ndarray | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention as one node: per group and
+    head, softmax(scale * q k^T) over the unmasked keys, times v.
+
+    q: (G, Tq, H, dh); k, v: (G, Tk, H, dh); key_mask: (G, Tk) bool, whose
+    False keys get exactly zero weight and zero gradient. Returns (G, Tq, H,
+    dh). A query with every key masked is an error. The forward is
+    softmax_lastdim's; the node keeps only the weights, and its backward is
+    the analytic one of the softmax and the two products (cf. FlashAttention,
+    Dao et al. 2022)."""
+    qh, kh, vh = (_heads_first(t.data) for t in (q, k, v))
+    mask = None if key_mask is None else key_mask[:, None, None, :]
+    p = _softmax(np.matmul(qh, kh.swapaxes(-1, -2)) * scale, mask)
+    out_data = np.empty(q.shape[:2] + v.shape[2:])
+    np.matmul(p, vh, out=_heads_first(out_data))
+
+    def bw(g):
+        gh = _heads_first(g)
+        gq, gk, gv = (np.empty(t.shape) for t in (q, k, v))
+        np.matmul(p.swapaxes(-1, -2), gh, out=_heads_first(gv))
+        gs = np.matmul(gh, vh.swapaxes(-1, -2))  # d/d(weights), then d/d(scores)
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gs *= scale
+        np.matmul(gs, kh, out=_heads_first(gq))
+        np.matmul(gs.swapaxes(-1, -2), qh, out=_heads_first(gk))
+        return [(q, gq), (k, gk), (v, gv)]
+
+    return _node(out_data, (q, k, v), bw)
+
+
+def _heads_first(x: np.ndarray) -> np.ndarray:
+    """A (G, T, H, dh) array as a (G, H, T, dh) view."""
+    return x.transpose(0, 2, 1, 3)
+
+
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
@@ -242,14 +298,23 @@ def relu(a: Tensor) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact erf-based GELU."""
+    """Exact erf-based GELU, x * Phi(x). The backward reuses the forward's Phi."""
     x = a.data
-    phi = 0.5 * (1.0 + erf(x / _SQRT2))
+    phi = np.divide(x, _SQRT2)
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
     out_data = x * phi
 
     def bw(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        return [(a, g * (phi + x * pdf))]
+        d = np.multiply(x, -0.5)  # g * (Phi + x * pdf), one buffer
+        d *= x
+        np.exp(d, out=d)
+        d *= _INV_SQRT_2PI
+        d *= x
+        d += phi
+        d *= g
+        return [(a, d)]
 
     return _node(out_data, (a,), bw)
 
@@ -266,18 +331,7 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
 def softmax_lastdim(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """Softmax over the last dim. mask: bool, broadcastable; False entries get
     exactly zero weight. A fully masked row is an error."""
-    x = a.data
-    if mask is not None:
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-        xm = np.where(mask, x, -np.inf)
-    else:
-        xm = x
-    m = xm.max(axis=-1, keepdims=True)
-    if not np.isfinite(m).all():
-        raise ValueError("softmax row fully masked (or non-finite logits)")
-    e = np.exp(xm - m)
-    s = e.sum(axis=-1, keepdims=True)
-    out_data = e / s
+    out_data = _softmax(a.data, mask)
 
     def bw(g):
         inner = (g * out_data).sum(axis=-1, keepdims=True)
@@ -286,25 +340,43 @@ def softmax_lastdim(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
     return _node(out_data, (a,), bw)
 
 
+def _softmax(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    # out of place: in place, it sped the joint layout's forward far more than
+    # the cascade's, past criterion 5's gate on their ratio (ROADMAP item 5)
+    if mask is not None:
+        mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
+        x = np.where(mask, x, -np.inf)
+    m = x.max(axis=-1, keepdims=True)
+    if not np.isfinite(m).all():
+        raise ValueError("softmax row fully masked (or non-finite logits)")
+    e = np.exp(x - m)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last dim to zero mean / unit variance, then scale and shift."""
+    """Normalize the last dim to zero mean / unit variance, then scale and
+    shift by gamma and beta, both of the last dim's size."""
     x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out_data = gamma.data * xhat + beta.data
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    out_data = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(out_data.mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    np.multiply(xhat, gamma.data, out=out_data)
+    out_data += beta.data
 
     def bw(g):
+        # inv * (gx - mean(gx) - xhat * mean(gx * xhat)), gx = d(out)/d(xhat)
         d = x.shape[-1]
-        dxhat = g * gamma.data
-        t1 = dxhat.mean(axis=-1, keepdims=True)
-        t2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        ga = inv * (dxhat - t1 - xhat * t2)
-        ggamma = _unbroadcast(g * xhat, gamma.data.shape)
-        gbeta = _unbroadcast(g, beta.data.shape)
-        return [(a, ga), (gamma, ggamma), (beta, gbeta)]
+        gx = g * gamma.data
+        t = gx * xhat
+        t2 = t.mean(axis=-1, keepdims=True)
+        gx -= gx.mean(axis=-1, keepdims=True)
+        np.multiply(xhat, t2, out=t)
+        gx -= t
+        gx *= inv
+        g2 = g.reshape(-1, d)
+        ggamma = np.einsum("ij,ij->j", g2, xhat.reshape(-1, d))
+        return [(a, gx), (gamma, ggamma), (beta, np.einsum("ij->j", g2))]
 
     return _node(out_data, (a, gamma, beta), bw)
 

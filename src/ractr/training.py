@@ -33,13 +33,15 @@ from .retrieval import RetrievalIndex, check_train_index, retrieve_batch
 # rows forwarded together: a predict_rows chunk and a training micro-batch.
 # A cascade chunk's (rows, K+1, F+1, 4D) MLP activations take 58 KB a row, so
 # 64 rows (3.7 MB) stay near a core's 2 MB L2 where 512 (30 MB) do not. The
-# 2,000 score-bigpool rows on 2 Xeon cores, median of 5: one thread took
-# 1.33 s at 512, 1.07 s at 128 and 0.95 s at 64 or 32; two took 0.74 s at 512
-# and 0.50 s at 64. Chunks of 64 and 32 gave the bits of 512 on all 20 models
-# tried (each of five variants, 1 and 2 blocks, two datasets); chunks of
-# 97 on 15 of them. Training runs each 64-row part of a batch on its own
-# thread: train-majority on 2 vCPUs took 5.08 s a pass against 7.26 s for
-# whole 128-row batches on one thread (medians of 10 pairs).
+# 2,000 score-bigpool rows on 2 vCPUs with the fused ops, medians of 5 in two
+# runs: one thread took 0.92-1.02 s at 512, 0.71-0.83 s at 128 and 0.64-0.78 s
+# at 64; two took 0.54-0.62 s at 512 and 0.43-0.47 s at 64 (before the fused
+# ops: 1.33 s and 0.95 s on one thread, 0.74 s and 0.50 s on two). Chunks of
+# 64 and 32 gave the bits of 512 on all 20 models tried (each of five
+# variants, 1 and 2 blocks, two datasets); chunks of 97 on 15 of them.
+# Training runs each 64-row part of a batch on its own thread: train-majority
+# on 2 vCPUs took 5.08 s a pass against 7.26 s for whole 128-row batches on
+# one thread (medians of 10 pairs, before the fused ops).
 CHUNK_ROWS = 64
 
 ABLATION_ORDER = ("jm", "ce", "pa", "cascade")
@@ -303,7 +305,9 @@ class TrainResult:
 
 def train(ds: Dataset, index: RetrievalIndex, cfg: TrainConfig,
           neighbors: tuple[np.ndarray, np.ndarray] | None = None) -> TrainResult:
-    """Train one model; early stopping on validation AUC, best weights kept."""
+    """Train one model; early stopping on validation AUC, best weights kept.
+    The best epoch has the highest valid AUC and, among equal AUCs, the
+    lowest valid logloss."""
     if ds.train_end >= ds.valid_end:
         raise DataError("training needs a non-empty validation slice")
     check_train_index(index, ds)
@@ -324,7 +328,7 @@ def train(ds: Dataset, index: RetrievalIndex, cfg: TrainConfig,
 
     train_rows = np.arange(ds.train_end)
 
-    best_auc = -np.inf
+    best_auc, best_ll = -np.inf, np.inf
     best_epoch = -1
     best_state: dict[str, np.ndarray] | None = None
     since_best = 0
@@ -361,8 +365,9 @@ def train(ds: Dataset, index: RetrievalIndex, cfg: TrainConfig,
             "wall_ms": wall_ms,
         })
 
-        if v_auc > best_auc:
-            best_auc = v_auc
+        # a saturated AUC ties: the lower valid logloss breaks the tie
+        if v_auc > best_auc or (v_auc == best_auc and v_ll < best_ll):
+            best_auc, best_ll = v_auc, v_ll
             best_epoch = epoch
             best_state = {name: t.data.copy() for name, t in model.named_parameters()}
             since_best = 0

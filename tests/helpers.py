@@ -1,10 +1,13 @@
 """Test-only generators and formulas, kept out of the library."""
 
+import contextlib
 import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
+from ractr import tensor as T
 from ractr.model import CtrModel
 from ractr.retrieval import _counted_weights, _pair_score
 from ractr.synthetic import _generated
@@ -88,3 +91,58 @@ def adam_steps(values, grad_steps, lr, beta1, beta2, eps):
             vhat = v[i] / c2
             values[i] = values[i] - lr * mhat / (np.sqrt(vhat) + eps)
     return values
+
+
+# ---------------------------------------------------------------- unfused ops
+# The model's fused ops written as the separate nodes they replace, with the
+# formulas of their first versions: a reference for forwards and gradients.
+
+def unfused_linear(x, w, b):
+    return T.add(T.matmul(x, w), b)
+
+
+def unfused_attention(q, k, v, scale, key_mask=None):
+    """q: (G, Tq, H, dh) and k, v: (G, Tk, H, dh) through transpose, matmul,
+    mul and softmax_lastdim nodes."""
+    g = q.shape[0]
+    q, k, v = (T.transpose(t, (0, 2, 1, 3)) for t in (q, k, v))
+    scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), scale)
+    mask = None if key_mask is None else key_mask.reshape(g, 1, 1, -1)
+    return T.transpose(T.matmul(T.softmax_lastdim(scores, mask), v), (0, 2, 1, 3))
+
+
+def unfused_layer_norm(a, gamma, beta, eps=1e-5):
+    x = a.data
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * inv
+
+    def bw(g):
+        dxhat = g * gamma.data
+        t1 = dxhat.mean(axis=-1, keepdims=True)
+        t2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        return [(a, inv * (dxhat - t1 - xhat * t2)),
+                (gamma, T._unbroadcast(g * xhat, gamma.data.shape)),
+                (beta, T._unbroadcast(g, beta.data.shape))]
+
+    return T._node(gamma.data * xhat + beta.data, (a, gamma, beta), bw)
+
+
+def unfused_gelu(a):
+    x = a.data
+    phi = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+
+    def bw(g):
+        return [(a, g * (phi + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)))]
+
+    return T._node(x * phi, (a,), bw)
+
+
+@contextlib.contextmanager
+def unfused_ops():
+    """Within the block, ractr.tensor's linear, attention, layer_norm and
+    gelu are the unfused references above, so the model runs on them."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("linear", "attention", "layer_norm", "gelu"):
+            mp.setattr(T, name, globals()[f"unfused_{name}"])
+        yield

@@ -7,7 +7,12 @@ import os
 import numpy as np
 import pytest
 
-from helpers import attention_entries, cascade_entries_per_layer, jm_entries_per_layer
+from helpers import (
+    attention_entries,
+    cascade_entries_per_layer,
+    jm_entries_per_layer,
+    unfused_ops,
+)
 from ractr import model as model_mod
 from ractr import tensor as T
 from ractr.errors import DataError, UsageError
@@ -225,6 +230,40 @@ def test_pruned_predict_matches_full_grid(variant, num_blocks, intra):
         # is 0 and both paths hold only rounding (~1e-17): the 1e-6 floor
         scale = max(np.abs(g).max(), 1e-6)
         assert np.abs(got[name] - g).max() <= 1e-10 * scale, name
+
+
+@pytest.mark.parametrize("num_blocks", (1, 2))
+@pytest.mark.parametrize("variant", model_mod.VARIANTS)
+def test_fused_ops_match_the_unfused_model(variant, num_blocks):
+    """The model on its fused linear, attention, layer_norm and gelu nodes
+    against the same model on the separate nodes they replace, with padded
+    neighbor rows. The fused forwards run the same numpy ops in the same
+    order, so predictions are bitwise equal; the backwards sum in another
+    order, so every parameter gradient of a BCE loss agrees within 1e-10
+    relative."""
+    m = CtrModel(field_num_ids=[5, 7, 4], embed_dim=8, num_blocks=num_blocks,
+                 num_heads=2, mlp_ratio=2, variant=variant, seed=5)
+    rng = np.random.default_rng(41)
+    for p in m.parameters():  # move off init: a zero head would hide any difference
+        p.data = p.data + rng.normal(0, 0.3, size=p.data.shape)
+    x, mask, _ = random_batch(m, rng, b=4, k=4, n_pad=3)
+    y = np.array([1.0, 0.0, 0.0, 1.0])
+    names, params = zip(*m.named_parameters())
+
+    def run():
+        p = m.predict(x, mask)
+        nll = T.add(T.mul(y, T.tlog(p)), T.mul(1.0 - y, T.tlog(T.sub(1.0, p))))
+        return p.data, T.mul(T.tmean(nll), -1.0).backward(params)
+
+    fused, fused_grads = run()
+    with unfused_ops():
+        unfused, unfused_grads = run()
+    assert np.ptp(unfused) > 1e-3  # the predictions are not trivially equal
+    assert fused.tobytes() == unfused.tobytes()
+    for name, got, want in zip(names, fused_grads, unfused_grads):
+        # a key bias's true gradient is 0, so both hold only rounding: the 1e-6 floor
+        scale = max(np.abs(want).max(), 1e-6)
+        assert np.abs(got - want).max() <= 1e-10 * scale, name
 
 
 @pytest.mark.parametrize("intra", (False, True), ids=("full", "intra_only"))

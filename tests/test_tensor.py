@@ -4,6 +4,7 @@ numerical stability, and graph bookkeeping."""
 import numpy as np
 import pytest
 
+from helpers import unfused_attention, unfused_gelu, unfused_layer_norm, unfused_linear
 import ractr.tensor as T
 
 
@@ -264,6 +265,87 @@ def test_gradients_deterministic():
     assert l1 == l2
     assert np.array_equal(ga1, ga2)
     assert np.array_equal(gb1, gb2)
+
+
+# ---------------------------------------------------------------- fused ops
+
+@pytest.mark.parametrize("lead", ((2, 3), (2, 3, 2)), ids=("3d", "4d"))
+def test_linear_gradients_match_finite_differences(lead):
+    rng = np.random.default_rng(21)
+    proj = scalarize(rng)
+    x = T.Tensor(rng.normal(size=(*lead, 4)), requires_grad=True)
+    w = T.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    b = T.Tensor(rng.normal(size=(5,)), requires_grad=True)
+    check_op(lambda: proj(T.linear(x, w, b)), [x, w, b])
+
+
+def attention_inputs(rng, g=3, tq=2, tk=4, h=2, dh=3):
+    """Queries and keys/values of different lengths, and a key mask that
+    pads some keys of every group but the first."""
+    q, k, v = (T.Tensor(rng.normal(size=(g, t, h, dh)), requires_grad=True)
+               for t in (tq, tk, tk))
+    key_mask = np.ones((g, tk), dtype=bool)
+    key_mask[1:, tk // 2:] = False
+    return q, k, v, key_mask
+
+
+def test_attention_gradients_match_finite_differences():
+    rng = np.random.default_rng(22)
+    proj = scalarize(rng)
+    q, k, v, key_mask = attention_inputs(rng)
+    check_op(lambda: proj(T.attention(q, k, v, 0.5, key_mask)), [q, k, v])
+    check_op(lambda: proj(T.attention(q, k, v, 0.5)), [q, k, v])
+
+
+def test_masked_keys_get_zero_weight_and_zero_gradient():
+    rng = np.random.default_rng(23)
+    q, k, v, key_mask = attention_inputs(rng)
+    w = rng.normal(size=(3, 2, 2, 3))
+    out = T.attention(q, k, v, 0.5, key_mask)
+    gq, gk, gv = T.tsum(T.mul(out, w)).backward([q, k, v])
+    assert np.all(gk[~key_mask] == 0.0) and np.all(gv[~key_mask] == 0.0)
+    assert np.all(gk[key_mask] != 0.0) and np.all(gv[key_mask] != 0.0)
+    # zero weight: a masked key's content changes no output bit
+    noisy_k, noisy_v = k.data.copy(), v.data.copy()
+    noisy_k[~key_mask] += rng.normal(0, 100.0, size=noisy_k[~key_mask].shape)
+    noisy_v[~key_mask] += rng.normal(0, 100.0, size=noisy_v[~key_mask].shape)
+    got = T.attention(q, T.Tensor(noisy_k), T.Tensor(noisy_v), 0.5, key_mask)
+    assert got.data.tobytes() == out.data.tobytes()
+
+
+def test_attention_fully_masked_row_raises():
+    rng = np.random.default_rng(24)
+    q, k, v, key_mask = attention_inputs(rng)
+    key_mask[2] = False
+    with pytest.raises(ValueError):
+        T.attention(q, k, v, 0.5, key_mask)
+
+
+@pytest.mark.parametrize("masked", (False, True), ids=("unmasked", "masked"))
+def test_fused_ops_match_the_unfused_nodes(masked):
+    """Each fused op against the separate nodes it replaces: the forward
+    bit for bit, the gradients within rounding."""
+    rng = np.random.default_rng(25)
+    q, k, v, key_mask = attention_inputs(rng)
+    key_mask = key_mask if masked else None
+    x = T.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    w = T.Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+    gamma, beta = (T.Tensor(rng.normal(size=4), requires_grad=True) for _ in range(2))
+    cases = [
+        ((lambda: T.attention(q, k, v, 0.5, key_mask)),
+         (lambda: unfused_attention(q, k, v, 0.5, key_mask)), [q, k, v]),
+        ((lambda: T.linear(x, w, gamma)), (lambda: unfused_linear(x, w, gamma)), [x, w, gamma]),
+        ((lambda: T.layer_norm(x, gamma, beta)),
+         (lambda: unfused_layer_norm(x, gamma, beta)), [x, gamma, beta]),
+        ((lambda: T.gelu(x)), (lambda: unfused_gelu(x)), [x]),
+    ]
+    for fused, unfused, params in cases:
+        f, u = fused(), unfused()
+        assert f.data.tobytes() == u.data.tobytes()
+        wts = rng.normal(size=f.shape)
+        for gf, gu in zip(T.tsum(T.mul(f, wts)).backward(params),
+                          T.tsum(T.mul(u, wts)).backward(params)):
+            assert np.abs(gf - gu).max() <= 1e-13 * max(1.0, np.abs(gu).max())
 
 
 # ---------------------------------------------------------------- stability

@@ -318,6 +318,24 @@ def test_zero_lr_stops_early_on_flat_auc():
     assert res.best_epoch == 0
 
 
+def test_tied_valid_auc_keeps_the_lower_valid_logloss(monkeypatch):
+    """A saturated validation AUC ties in every epoch. The epoch kept is the
+    one with the lowest valid logloss, not the first, and the restored
+    weights score that logloss exactly."""
+    ds = tiny_task()
+    index = index_from_dataset(ds)
+    monkeypatch.setattr(training, "auc", lambda y, s: 1.0)
+    res = train(ds, index, tiny_cfg(max_epochs=3, early_stop_patience=3))
+    lls = [rec["valid_logloss"] for rec in res.log]
+    assert len(lls) == 3 and lls[-1] < lls[0]
+    assert res.best_epoch == int(np.argmin(lls)) > 0
+
+    neigh, mask = res.neighbors
+    valid = ds.slice_indices("valid")
+    vp = predict_rows(res.model, ds, valid, neigh, mask)
+    assert logloss(ds.labels[valid], vp) == lls[res.best_epoch]
+
+
 def test_precomputed_neighbors_reused_identically():
     ds = tiny_task()
     index = index_from_dataset(ds)
