@@ -91,19 +91,40 @@ def _resolve_train_cfg(cfg: dict, args, base: dict | None = None) -> TrainConfig
     return TrainConfig.from_dict(d)
 
 
-def _check_fields(ckpt_path: str, field_num_ids: list[int], ds: Dataset) -> None:
+def _fields(ds: Dataset) -> list[dict]:
+    """The dataset's fields as a checkpoint records them: name and vocabulary
+    digest, in column order."""
+    return [{"name": fs.name, "vocab_sha256": fs.digest} for fs in ds.schema]
+
+
+def _check_fields(ckpt_path: str, field_num_ids: list[int], fields, ds: Dataset) -> None:
     """A checkpoint scores only the fields it was trained on: the dataset
-    must have as many, each with as many ids."""
+    must have as many, each with as many ids and, where the checkpoint
+    records its fields (fields not None), the same names and vocabularies."""
+    misfit = f"{ckpt_path}: checkpoint does not fit the dataset"
     ours = [fs.num_ids for fs in ds.schema]
-    if ours == field_num_ids:
+    if ours != field_num_ids:
+        f = next(f for f in range(max(len(ours), len(field_num_ids)))
+                 if ours[f:f + 1] != field_num_ids[f:f + 1])
+        name = f" {ds.schema[f].name!r}" if f < len(ours) else ""
+        ids = [f"{nums[f]} ids" if f < len(nums) else "no field" for nums in (field_num_ids, ours)]
+        raise DataError(f"{misfit}: it has {len(field_num_ids)} fields, the dataset {len(ours)}; "
+                        f"first differing field {f}{name}: {ids[0]} in the checkpoint, "
+                        f"{ids[1]} in the dataset")
+    if fields is None:  # written before checkpoints recorded their fields
         return
-    f = next(f for f in range(max(len(ours), len(field_num_ids)))
-             if ours[f:f + 1] != field_num_ids[f:f + 1])
-    name = f" {ds.schema[f].name!r}" if f < len(ours) else ""
-    ids = [f"{nums[f]} ids" if f < len(nums) else "no field" for nums in (field_num_ids, ours)]
-    raise DataError(f"{ckpt_path}: checkpoint does not fit the dataset: it has "
-                    f"{len(field_num_ids)} fields, the dataset {len(ours)}; first differing "
-                    f"field {f}{name}: {ids[0]} in the checkpoint, {ids[1]} in the dataset")
+    if not (type(fields) is list and len(fields) == len(ours) and all(
+            type(e) is dict and e.keys() == {"name", "vocab_sha256"}
+            and all(type(v) is str for v in e.values()) for e in fields)):
+        raise DataError(f"{ckpt_path}: bad stored fields: expected a list of "
+                        f"{len(ours)} {{name, vocab_sha256}} objects of strings")
+    for f, (saved, mine) in enumerate(zip(fields, _fields(ds))):
+        if saved["name"] != mine["name"]:
+            raise DataError(f"{misfit}: field {f} is {saved['name']!r} in the checkpoint, "
+                            f"{mine['name']!r} in the dataset")
+        if saved != mine:
+            raise DataError(f"{misfit}: field {f} {mine['name']!r} has another vocabulary: "
+                            "its ids stand for other values than in training")
 
 
 def _out_dir(cfg: dict, args) -> str:
@@ -275,7 +296,7 @@ def cmd_train(args) -> int:
 
     _echo_run_config(out, "train", cfg, tcfg)
     save_checkpoint(res.model, os.path.join(out, "checkpoint.ratm"),
-                    extra_config={"train": tcfg.to_dict()})
+                    extra_config={"train": tcfg.to_dict(), "fields": _fields(ds)})
     with atomic_open(os.path.join(out, "train_log.jsonl"), "w", encoding="utf-8") as f:
         for rec in res.log:
             f.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -304,7 +325,7 @@ def cmd_evaluate(args) -> int:
         raise DataError(f"{ckpt_path}: bad stored train config: {e}") from None
     tcfg = _resolve_train_cfg(cfg, args, base=stored)
     ds = _load_data(cfg)
-    _check_fields(ckpt_path, model.field_num_ids, ds)
+    _check_fields(ckpt_path, model.field_num_ids, ckpt_cfg.get("fields"), ds)
     index = index_from_dataset(ds)
 
     segments = _segments_list(args)

@@ -8,6 +8,8 @@ embedding consumer never needs a separate OOV path.
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +35,12 @@ class FieldSchema:
     def num_ids(self) -> int:
         """Rows an embedding table needs: vocab plus the id-0 sentinel."""
         return len(self.values) + 1
+
+    @property
+    def digest(self) -> str:
+        """SHA-256 of the vocabulary in id order: two fields share it only if
+        each id stands for the same value in both."""
+        return hashlib.sha256(json.dumps(self.values).encode("ascii")).hexdigest()
 
 
 @dataclass

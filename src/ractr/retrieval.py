@@ -19,15 +19,17 @@ at most NARROW_IDS distinct pool ids are packed into groups, and each pool
 row holds one uint8 code per group that spells its ids in the group's
 fields. A block builds, per group, a (query, code) table of the query's
 summed match weights, and a row's approximate score is one table lookup per
-group plus a dense compare pass per wider field. The lookups add the same
-weights as the formula in another order, so each approximate score is
-within 2e_q of the exact one, e_q = gamma_F * sum_f |w_qf| (Higham 2002,
-ch. 3-4). Every row of the exact top-k therefore scores at least tau - 4e_q
+group plus a dense compare pass per wider field. This pass runs in float32,
+which halves the bytes it moves: it adds the same weights as the formula,
+each rounded to float32, in another order, so each approximate score is
+within e_q = gamma_F(2**-24) * sum_f |w_qf| of the real sum (Higham 2002,
+ch. 3-4), and _slack bounds its distance from the exact float64 sum. Every
+row of the exact top-k therefore scores at least tau - 2 slack_q
 approximately, where tau is the k-th largest approximate score. The second
-pass rescores just those rows exactly, adding each field's weight in
-ascending field order from +0.0 as the per-pair sum does, and sorts them by
-(score desc, position desc). Scores and neighbors are bitwise equal to the
-per-pair sum and its order.
+pass rescores just those rows exactly in float64, adding each field's
+weight in ascending field order from +0.0 as the per-pair sum does, and
+sorts them by (score desc, position desc). Scores and neighbors are bitwise
+equal to the per-pair sum and its order.
 
 A query with no live weight (all its ids missing or unseen) scores +0.0
 on every row, so its top-k is the last k rows of its prefix, newest first,
@@ -52,13 +54,15 @@ INDEX_VERSION = 3
 
 ELIGIBILITY = ("earlier", "all")
 
-# queries scored together. A block's score, lookup and match buffers take
-# 17 bytes per query per pool row, in each worker. Both eligibilities of the
-# 13,600-row, 15,600-query benchmark pool on 2 Xeon cores (2 MB of L2 each),
-# median of 8 interleaved rounds: blocks of 8 took 1.33 s, 16 1.01 s, 32
-# 0.84 s. Each doubling halves the per-block table and call overhead but
-# doubles the buffers; 16 keeps them at 3.7 MB a worker.
-QUERY_BLOCK = 16
+# queries scored together. A block's float32 score and lookup buffers and
+# its match buffer take 9 bytes per query per pool row, in each worker.
+# Neighbor tables of the two benchmark pools (seed 1; 6,000 and 15,600
+# queries) on 2 Xeon cores, median of 9 interleaved rounds: blocks of 16 took
+# 0.25 and 0.93 s, 32 0.18 and 0.79 s, 64 0.15 and 0.73 s. Each doubling
+# halves the per-block table and call overhead but doubles the buffers; 32
+# keeps them at 3.9 MB a worker on the 13,600-row pool, as 16 float64
+# queries (17 bytes a row) took before.
+QUERY_BLOCK = 32
 
 # a field with at most this many distinct pool ids is narrow: its ids and 0
 # fit one uint8 code. Narrow fields share a code in groups of at most
@@ -224,27 +228,46 @@ class _Queries:
 def _slack(weights: np.ndarray) -> np.ndarray:
     """Per query, a bound on |approximate - exact| score over every pool row.
 
-    Both add the same at most F match weights, in different orders. Any
-    order lands within e = gamma_F * sum |w| of the real sum, gamma_n =
-    n*u / (1 - n*u) with u = 2**-53 (Higham 2002, ch. 3-4), so the two differ
-    by at most 2e. Taking gamma at F + 2 covers the rounding of this bound
-    and of the threshold built from it.
+    Both add the same at most F of the query's match weights w; call their
+    real sum x. The approximate pass rounds each weight to float32 (relative
+    error at most u = 2**-24) and adds the rounded terms in float32, in some
+    order (at most F - 1 more roundings), so it lands within gamma_F(2**-24)
+    * sum |w| of x, where gamma_n(u) = n*u / (1 - n*u) (Higham 2002, ch. 3-4,
+    lemma 3.3). The exact pass adds the float64 weights in float64, within
+    gamma_F(2**-53) * sum |w| of x.
+
+    A rounded weight keeps that relative error only if it is a normal
+    float32, and it is: w = ln((N - n + 0.5) / (n + 0.5)) is exactly 0 when
+    N = 2n, and otherwise |w| >= 1 / (N + 0.5), far above float32's smallest
+    normal 2**-126 for any pool an int64 can count.
+
+    The bound adds the two errors, taking gamma at F + 3 for float32: the
+    extra 3 * 2**-24 * sum |w| covers the float64 rounding of this bound and
+    of the threshold built from it. It then doubles the sum as a margin,
+    which adds next to no rescored rows: rows that close are nearly all
+    exact ties, rescored anyway.
     """
-    nu = (weights.shape[1] + 2) * 2.0 ** -53
-    return 2 * nu / (1 - nu) * np.abs(weights).sum(axis=1)
+    f = weights.shape[1]
+    total = np.abs(weights).sum(axis=1)
+    return 2 * (_gamma(f + 3, 2.0 ** -24) + _gamma(f, 2.0 ** -53)) * total
+
+
+def _gamma(n: int, u: float) -> float:
+    return n * u / (1 - n * u)
 
 
 def _approximate_scores(index: RetrievalIndex, queries: _Queries, rows: np.ndarray,
                         s: np.ndarray, t: np.ndarray, eq: np.ndarray, match: np.ndarray,
                         tables: np.ndarray) -> None:
-    """Fill s (rows x prefix) with the block's scores up to rounding.
+    """Fill s (rows x prefix, float32) with the block's scores up to rounding.
 
     Each group gets a (query, code) table, the sum of the query's weights on
     the group's fields whose digit of the code is the query's slot, and is
     read with one lookup of its pool codes. Wide fields add a dense pass.
+    Weights, tables and buffers are float32, within _slack of the exact sum.
     """
     m = s.shape[1]
-    w = queries.weights[rows]
+    w = queries.weights[rows].astype(np.float32)
     w_narrow = w[:, index._narrow]
     np.equal(index._digits, queries.digits[rows, :, None], out=match)
     first = True
@@ -292,10 +315,11 @@ def _score_blocks(index: RetrievalIndex, queries: _Queries, prefix: np.ndarray,
     """Score each block of query rows (ascending prefix, longest last) with
     this worker's own buffers, writing only those rows of positions/scores."""
     size = max(rows.size * int(prefix[rows[-1]]) for rows in blocks)
-    s_buf, t_buf, eq_buf = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+    s_buf, t_buf = np.empty(size, np.float32), np.empty(size, np.float32)
+    eq_buf = np.empty(size, dtype=bool)
     most = max(rows.size for rows in blocks)
     match = np.empty((most, *index._digits.shape), dtype=bool)
-    tables = np.empty((most, len(index._groups), GROUP_CODES))
+    tables = np.empty((most, len(index._groups), GROUP_CODES), np.float32)
     for rows in blocks:
         p = prefix[rows]
         m = int(p[-1])
@@ -309,7 +333,8 @@ def _score_blocks(index: RetrievalIndex, queries: _Queries, prefix: np.ndarray,
         # Every row of the exact top-k scores at least this in s: a row x of
         # it outranks some row y of the approximate top-k (or is one), so
         # s_x >= exact_x - slack >= exact_y - slack >= s_y - 2 slack. The
-        # floor keeps ineligible rows out when fewer than kk are eligible.
+        # floor is float64, and so is the comparison. It keeps ineligible
+        # rows out when fewer than kk are eligible.
         floor = np.maximum(t[:, m - kk] - 2 * queries.slack[rows], -np.finfo(np.float64).max)
         np.greater_equal(s, floor[:, None], out=eq)
         r, c = np.divmod(np.flatnonzero(eq), m)

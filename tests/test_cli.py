@@ -2,6 +2,7 @@
 retrieve conventions, exit codes, and idempotence. Every command indexes the
 dataset's train slice itself."""
 
+import csv
 import io
 import json
 import math
@@ -14,7 +15,7 @@ import pytest
 
 from ractr.cli import RETRIEVE_GROUP, _encode_query, _query_lines, _write_json, main
 from ractr.data import CsvSpec, load_csv
-from ractr.model import load_checkpoint
+from ractr.model import load_checkpoint, save_checkpoint
 from ractr.retrieval import index_from_dataset, retrieve
 from ractr.training import ABLATION_ORDER
 
@@ -463,6 +464,85 @@ def test_evaluate_on_a_dataset_of_other_fields_exits_2(ws, trained, tmp_path, ca
     assert err.startswith(f"data error: {ckpt}: checkpoint does not fit the dataset: it has "
                           f"{len(_num_ids(ws))} fields, the dataset ")
     assert first in err and "Traceback" not in err
+
+
+def _rewrite_csv(ws, path, edit):
+    """The dataset's CSV with edit(header, rows) applied, written to path."""
+    with open(ws["cfg"]["data"]["path"], newline="") as f:
+        header, *rows = list(csv.reader(f))
+    edit(header, rows)
+    with open(path, "w", newline="") as f:
+        csv.writer(f).writerows([header, *rows])
+
+
+@pytest.mark.parametrize("change", ["swapped-columns", "renamed-column", "reordered-vocabulary"])
+def test_evaluate_on_same_size_fields_of_other_names_or_values_exits_2(ws, trained, tmp_path,
+                                                                        capsys, change):
+    """Every field keeps its number of ids, so the count check passes; the
+    checkpoint's field names and vocabulary digests catch the rest."""
+    data = dict(ws["cfg"]["data"])
+    cols = list(data["feature_cols"])
+    if change == "swapped-columns":
+        # noise0 and noise2 even share their vocabulary, v1 then v0
+        cols[1], cols[3] = cols[3], cols[1]
+        data["feature_cols"] = cols
+        want = "field 1 is 'noise0' in the checkpoint, 'noise2' in the dataset"
+    elif change == "renamed-column":
+        data["path"] = str(tmp_path / "renamed.csv")
+        _rewrite_csv(ws, data["path"], lambda header, rows: header.__setitem__(
+            header.index("noise0"), "noise0b"))
+        data["feature_cols"] = [c if c != "noise0" else "noise0b" for c in cols]
+        want = "field 1 is 'noise0' in the checkpoint, 'noise0b' in the dataset"
+    else:
+        # the first two keys swap everywhere: the same ids, meaning the other key
+        data["path"] = str(tmp_path / "reordered.csv")
+
+        def swap_keys(header, rows):
+            j = header.index("key")
+            first = list(dict.fromkeys(r[j] for r in rows))[:2]
+            for r in rows:
+                if r[j] in first:
+                    r[j] = first[1 - first.index(r[j])]
+        _rewrite_csv(ws, data["path"], swap_keys)
+        want = ("field 0 'key' has another vocabulary: its ids stand for other values "
+                "than in training")
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as f:
+        json.dump(dict(ws["cfg"], data=data), f)
+    spec = CsvSpec.from_dict(data)
+    assert [fs.num_ids for fs in load_csv(data["path"], spec).schema] == _num_ids(ws)
+    capsys.readouterr()
+    ckpt = os.path.join(trained, "checkpoint.ratm")
+    rc = main(["evaluate", "--config", cfg_path, "--checkpoint", ckpt])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err == f"data error: {ckpt}: checkpoint does not fit the dataset: {want}\n"
+
+
+def test_checkpoint_records_field_names_and_vocabularies(ws, trained, tmp_path, capsys):
+    """A checkpoint written without the fields key is checked by count and
+    ids only; a malformed one is a data error."""
+    model, cfg = load_checkpoint(os.path.join(trained, "checkpoint.ratm"))
+    spec = CsvSpec.from_dict(ws["cfg"]["data"])
+    schema = load_csv(ws["cfg"]["data"]["path"], spec).schema
+    assert cfg["fields"] == [{"name": fs.name, "vocab_sha256": fs.digest} for fs in schema]
+    assert len({fs.digest for fs in schema}) == 3     # key's, and v1-v0 and v0-v1 noise
+    capsys.readouterr()
+    want = main(["evaluate", "--config", ws["cfg_path"], "--checkpoint",
+                 os.path.join(trained, "checkpoint.ratm")]), capsys.readouterr().out
+    for name, fields, rc in (("unnamed", None, 0), ("short", cfg["fields"][1:], 2),
+                             ("not-strings", [dict(e, name=1) for e in cfg["fields"]], 2)):
+        path = str(tmp_path / f"{name}.ratm")
+        kept = {key: v for key, v in cfg.items() if key != "fields"}
+        save_checkpoint(model, path, kept if fields is None else dict(kept, fields=fields))
+        got = main(["evaluate", "--config", ws["cfg_path"], "--checkpoint", path])
+        out, err = capsys.readouterr()
+        assert got == rc, err
+        if rc == 0:
+            assert (got, out) == want
+        else:
+            assert err == (f"data error: {path}: bad stored fields: expected a list of "
+                           f"{len(schema)} {{name, vocab_sha256}} objects of strings\n")
 
 
 def _num_ids(ws):

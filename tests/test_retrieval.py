@@ -769,16 +769,18 @@ def exact_dense_scores(index, query_ids, weights, m):
 @pytest.mark.parametrize("around", ("lookup", "exact"))
 @pytest.mark.parametrize("ds", worker_datasets(), ids=("random-small", "random-wide", "majority"))
 def test_scores_inside_the_rounding_bound_change_nothing(ds, around, monkeypatch):
-    # Any order of summing a query's F match weights lands within e = gamma_F
-    # * sum |w| of the real sum, so the lookup sums and the exact ones differ
-    # by at most 2e. Approximate scores anywhere inside that bound, around
-    # the lookup sums (+-e) or the exact ones (+-2e), must give the same bits.
+    # The lookup pass rounds each weight to float32 and sums at most F of
+    # them in float32, so it lands within e = gamma_F(2**-24) * sum |w| of
+    # the real sum, and the exact float64 sum lands far closer. Approximate
+    # scores anywhere inside that bound, around the lookup sums (+-e) or the
+    # exact ones (+-2e), must give the same bits.
     idx = index_from_dataset(ds)
     rows = np.arange(len(ds))
-    u = 2.0 ** -53
+    u = 2.0 ** -24
     gamma = idx.num_fields * u / (1 - idx.num_fields * u)
     rng = np.random.default_rng(17)
     approximate = retrieval._approximate_scores
+    default = retrieval.QUERY_BLOCK
 
     def noisy(index, queries, block, s, *buffers):
         approximate(index, queries, block, s, *buffers)
@@ -793,7 +795,7 @@ def test_scores_inside_the_rounding_bound_change_nothing(ds, around, monkeypatch
         want = all_bits(retrieve_batch(idx, ds.field_ids, 5, elig, **pos))
         with monkeypatch.context() as m:
             m.setattr(retrieval, "_approximate_scores", noisy)
-            for block in (1, 16):
+            for block in (1, default):
                 m.setattr(retrieval, "QUERY_BLOCK", block)
                 got = all_bits(retrieve_batch(idx, ds.field_ids, 5, elig, **pos))
                 for a, b in zip(got, want):
@@ -803,6 +805,40 @@ def test_scores_inside_the_rounding_bound_change_nothing(ds, around, monkeypatch
             ref = brute_force_retrieve(idx, ds.field_ids[i], 5, elig, **one)
             assert want[0][i].tolist() == ref.neighbor_indices.tolist()
             assert want[2][i].tolist() == ref.scores.view(np.int64).tolist()
+
+
+def test_near_ties_below_float32_resolution_go_by_the_exact_scores(monkeypatch):
+    # Fields 0-2 and 3-5 hold id 1 in 3, 3 and 7 rows, and 7, 3 and 3 rows,
+    # so they weigh x, y, z and z, x, y. Row a matches the query's ids in
+    # fields 0-2 and scores (x + y) + z; row b, in fields 3-5, scores
+    # (z + x) + y. The two differ in float64 by less than float32 resolution:
+    # only the exact rescoring orders them. Row t matches all six and leads.
+    n, counts = 400, [3, 3, 7, 7, 3, 3]
+    ids = np.full((n, 6), 2)
+    t, a, b = n - 3, n - 2, n - 1
+    ids[t] = 1
+    ids[a, :3] = 1
+    ids[b, 3:] = 1
+    filler = 0
+    for f, c in enumerate(counts):
+        ids[filler:filler + c - 2, f] = 1           # c rows with id 1, t and a or b among them
+        filler += c - 2
+    idx = build_index(ids, np.arange(n))
+    ones = np.ones(6, dtype=np.int64)
+    ref = brute_force_retrieve(idx, ones, 3)
+    assert sorted(ref.neighbor_indices[1:].tolist()) == [a, b]
+    hi, lo = ref.scores[1:]
+    assert 0 < hi - lo < np.spacing(np.float32(hi))
+    if ref.neighbor_indices[1] == b:                # the older of the two must score higher,
+        ids[[a, b]] = ids[[b, a]]                   # so that a tie would rank it wrong
+        idx = build_index(ids, np.arange(n))
+    assert brute_force_retrieve(idx, ones, 3).neighbor_indices.tolist() == [t, a, b]
+    # the query at several prefixes: a and b eligible, only a, neither
+    q_idx = np.array([n, n + 5, b, a, t, 2, n, n - 10])
+    queries = np.tile(ones, (len(q_idx), 1))
+    queries[-2:, 1] = 0                             # without field 1, b outranks a plainly
+    for k in (1, 2, 3):
+        check_against_oracle(idx, queries, k, q_idx, q_idx, monkeypatch)
 
 
 def test_chunked_rescoring_when_every_row_ties(monkeypatch):
