@@ -15,7 +15,8 @@ layouts are supported, each described as data by LAYOUTS and BLOCK_KINDS:
   intra    ISA then MLP: the no-neighbor ablation, which reads no neighbors
 
 Padded neighbor samples are key-masked everywhere the sample axis is mixed,
-so their content can never reach the target's prediction.
+so their content can never reach the target's prediction nor any gradient;
+no parameter serves them.
 
 The head reads one token, the target's label token (sample 0, field 0), so
 predict computes only what that token depends on. Walking back from the head,
@@ -39,7 +40,7 @@ from . import tensor as T
 from .errors import DataError
 
 CHECKPOINT_MAGIC = b"RATM"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # variant -> the block kinds of one layer (num_blocks layers in all)
 LAYOUTS = {
@@ -98,15 +99,16 @@ def _layout(field_num_ids: list[int], embed_dim: int, kinds: tuple[str, ...],
     """Every parameter as (checkpoint name, shape, init), in checkpoint
     order, which is also the order of the seed's draws.
 
-    Per-field embedding tables (row 0 = missing/OOV), a 3-row label table
-    (unclick, click, unknown) and a pad row for padded neighbors are drawn
-    from N(0, 0.01); then each block's parameters, named by BLOCK_KINDS, with
-    every weight drawn from U(-sqrt(1/fan_in), sqrt(1/fan_in)); then a zero
-    head. Biases and LN betas start at zero, LN gammas at one.
+    Per-field embedding tables (row 0 = missing/OOV) and a 3-row label
+    table (unclick, click, unknown) are drawn from N(0, 0.01); then each
+    block's parameters, named by BLOCK_KINDS, with every weight drawn from
+    U(-sqrt(1/fan_in), sqrt(1/fan_in)); then a zero head. Biases and LN betas
+    start at zero, LN gammas at one. An attention's q, v and o projections
+    have a weight and a bias, its k projection a weight only.
     """
     d = embed_dim
     out = [(f"emb.field.{i}", (n, d), "normal") for i, n in enumerate(field_num_ids)]
-    out += [("emb.label", (3, d), "normal"), ("emb.pad", (d,), "normal")]
+    out.append(("emb.label", (3, d), "normal"))
 
     def linear(pre, fan_in, fan_out, init="uniform"):
         out.extend([(f"{pre}.w", (fan_in, fan_out), init), (f"{pre}.b", (fan_out,), "zeros")])
@@ -118,9 +120,11 @@ def _layout(field_num_ids: list[int], embed_dim: int, kinds: tuple[str, ...],
         for ln, names in BLOCK_KINDS[kind]:
             norm(f"block.{i}.{ln}")
             for name in names:
-                w = d // len(names)
-                for part, fan_in in (("q", d), ("k", d), ("v", d), ("o", w)):
-                    linear(f"block.{i}.{name}.{part}", fan_in, w)
+                w, pre = d // len(names), f"block.{i}.{name}"
+                linear(f"{pre}.q", d, w)
+                out.append((f"{pre}.k.w", (d, w), "uniform"))  # no key bias: see _mha
+                linear(f"{pre}.v", d, w)
+                linear(f"{pre}.o", w, w)
         norm(f"block.{i}.ln_mlp")
         linear(f"block.{i}.mlp.lin1", d, mlp_ratio * d)
         linear(f"block.{i}.mlp.lin2", mlp_ratio * d, d)
@@ -220,36 +224,37 @@ class CtrModel:
         return self._linear(f"{pre}.lin2", h)
 
     def _mha(self, q3: T.Tensor, kv3: T.Tensor, pre: str,
-             key_mask: np.ndarray | None, query_mask: np.ndarray | None) -> T.Tensor:
+             key_mask: np.ndarray | None) -> T.Tensor:
         """q3: (G, Tq, D_in) queries over kv3: (G, Tk, D_in) keys and values ->
-        (G, Tq, D_attn), by the attention under prefix pre. key_mask: (G, Tk),
-        query_mask: (G, Tq), bool."""
+        (G, Tq, D_attn), by the attention under prefix pre. key_mask: (G, Tk)
+        bool."""
         g, tq, _ = q3.shape
         tk = kv3.shape[1]
         h = self.num_heads
         dh = self.params[f"{pre}.q.w"].shape[1] // h
         scale = 1.0 / np.sqrt(dh)
 
-        def heads(part, x3, n):
-            return T.reshape(self._linear(f"{pre}.{part}", x3), (g, n, h, dh))
+        def heads(x, n):
+            return T.reshape(x, (g, n, h, dh))
 
-        ctx = T.attention(heads("q", q3, tq), heads("k", kv3, tk), heads("v", kv3, tk),
-                          scale, key_mask)
-        ctx = T.reshape(ctx, (g, tq, h * dh))
-        out = self._linear(f"{pre}.o", ctx)
-        if query_mask is not None:
-            out = T.mul(out, query_mask.reshape(g, tq, 1).astype(np.float64))
-        return out
+        q = heads(self._linear(f"{pre}.q", q3), tq)
+        # no key bias: q . (k + b) adds q . b to every score of a softmax row,
+        # which the softmax cancels, so such a bias has no effect and no gradient
+        k = heads(T.matmul(kv3, self.params[f"{pre}.k.w"]), tk)
+        v = heads(self._linear(f"{pre}.v", kv3), tk)
+        ctx = T.attention(q, k, v, scale, key_mask)
+        return self._linear(f"{pre}.o", T.reshape(ctx, (g, tq, h * dh)))
 
     def _attend(self, q: T.Tensor, kv: T.Tensor, pre: str,
                 mask: np.ndarray, axes: tuple[int, ...]) -> T.Tensor:
         """Attention `pre` of queries q: (B, Sq, Tq, D) over keys/values kv: (B, Sk,
         Tk, D), both grid prefixes, along the grid `axes` (a MIXES value); the
         other axes are batch. Returns (B, Sq, Tq, D_attn) updates. When samples
-        mix, padded samples (mask: (B, S) bool) are key-masked and, as queries,
-        get a zero update (residual pass-through); otherwise a padded sample
-        only ever attends to itself. Passing kv is q reuses the query reshape,
-        so a full-grid layer builds the same graph as self-attention."""
+        mix, padded samples (mask: (B, S) bool) are key-masked; otherwise a
+        padded sample only ever attends to itself. Either way no real sample
+        reads a padded one, so a padded query's update is never read either.
+        Passing kv is q reuses the query reshape, so a full-grid layer builds
+        the same graph as self-attention."""
         perm = (0, *(a for a in (1, 2) if a not in axes), *axes, 3)
         nb = 3 - len(axes)  # leading axes after perm: B and the unmixed grid axis, if any
 
@@ -263,8 +268,7 @@ class CtrModel:
 
         q3 = grouped(q)
         kv3 = q3 if kv is q else grouped(kv)
-        masks = (grouped_mask(kv), grouped_mask(q)) if 1 in axes else (None, None)
-        out = self._mha(q3, kv3, pre, *masks)
+        out = self._mha(q3, kv3, pre, grouped_mask(kv) if 1 in axes else None)
         out = T.reshape(out, (*(q.shape[a] for a in perm[:3]), out.shape[-1]))
         return out if perm == (0, 1, 2, 3) else T.transpose(out, np.argsort(perm))
 
@@ -330,11 +334,11 @@ def build_input_batch(model: CtrModel, target_ids: np.ndarray,
                       pool_field_ids: np.ndarray, pool_labels: np.ndarray
                       ) -> tuple[T.Tensor, np.ndarray]:
     """Assemble model's (B, K+1, F+1, D) inputs plus the (B, K+1) sample mask
-    from its embedding parameters (emb.label, emb.field.{f}, emb.pad).
+    from its embedding parameters (emb.label, emb.field.{f}).
 
     Row 0 is the target with the UNKNOWN label token at field position 0;
-    rows 1..K are neighbors with their observed label tokens. Padded slots
-    become the learned pad row across all F+1 positions.
+    rows 1..K are neighbors with their observed label tokens. A padded slot
+    holds the tokens of pool row 0, which the sample mask hides.
     """
     target_ids = np.asarray(target_ids, dtype=np.int64)
     b, nf = target_ids.shape
@@ -359,10 +363,7 @@ def build_input_batch(model: CtrModel, target_ids: np.ndarray,
     for f in range(nf):
         cols.append(T.gather_rows(p[f"emb.field.{f}"], all_fields[:, :, f]))
     x = T.stack(cols, axis=2)                                  # (B, K+1, F+1, D)
-
-    sample_mask = np.concatenate([np.ones((b, 1), dtype=bool), real], axis=1)
-    x = T.where_mask(sample_mask[:, :, None, None], x, p["emb.pad"])
-    return x, sample_mask
+    return x, np.concatenate([np.ones((b, 1), dtype=bool), real], axis=1)
 
 
 def save_checkpoint(model: CtrModel, path: str, extra_config: dict | None = None) -> None:

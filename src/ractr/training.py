@@ -123,7 +123,9 @@ class EvalReport:
 
 
 def logloss(y_true, p_pred, clip_eps: float = 1e-7) -> float:
-    """Mean negative log-likelihood with predictions clipped away from 0/1."""
+    """Mean negative log-likelihood with predictions clipped away from 0/1.
+    Not finite, without a warning, when a prediction is not a number or
+    stays a certainty after the clip (clip_eps below the float spacing at 1)."""
     y = np.asarray(y_true, dtype=np.float64)
     p = np.asarray(p_pred, dtype=np.float64)
     if y.shape != p.shape:
@@ -131,7 +133,8 @@ def logloss(y_true, p_pred, clip_eps: float = 1e-7) -> float:
     if y.size == 0:
         raise ValueError("logloss of an empty slice")
     pc = np.clip(p, clip_eps, 1.0 - clip_eps)
-    return float(-(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)).mean())
+    with np.errstate(divide="ignore", invalid="ignore"):  # log(0) and 0 * inf
+        return float(-(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)).mean())
 
 
 def auc(y_true, scores) -> float:
@@ -335,6 +338,8 @@ def train(ds: Dataset, index: RetrievalIndex, cfg: TrainConfig,
     stopped_early = False
     log: list[dict] = []
     step = 0
+    diverged = (f"the model diverged (learning_rate {cfg.learning_rate!r}, "
+                f"logloss_clip_eps {cfg.logloss_clip_eps!r})")
 
     for epoch in range(cfg.max_epochs):
         t0 = time.perf_counter()
@@ -346,16 +351,17 @@ def train(ds: Dataset, index: RetrievalIndex, cfg: TrainConfig,
                                              cfg.logloss_clip_eps)
             if not math.isfinite(batch_loss):
                 raise DataError(f"training loss is {batch_loss} in epoch {epoch + 1} of "
-                                f"{cfg.max_epochs}, step {step + 1}: the model diverged "
-                                f"(learning_rate {cfg.learning_rate!r}, logloss_clip_eps "
-                                f"{cfg.logloss_clip_eps!r})")
+                                f"{cfg.max_epochs}, step {step + 1}: {diverged}")
             opt.step(grads)
             step += 1
             loss_sum += batch_loss * len(batch)
 
         valid_p = predict_rows(model, ds, valid_rows, neigh, neigh_mask)
-        v_auc = auc(vy, valid_p)
         v_ll = logloss(vy, valid_p, cfg.logloss_clip_eps)
+        if not math.isfinite(v_ll):  # the last step diverged
+            raise DataError(f"validation logloss is {v_ll} after epoch {epoch + 1} of "
+                            f"{cfg.max_epochs}: {diverged}")
+        v_auc = auc(vy, valid_p)
         wall_ms = (time.perf_counter() - t0) * 1000.0
         log.append({
             "step": step,
@@ -428,6 +434,11 @@ def evaluate(model: CtrModel, ds: Dataset, index: RetrievalIndex, cfg: TrainConf
     else:
         neigh, neigh_mask = neighbors
     p = predict_rows(model, ds, rows, neigh, neigh_mask)
+    ll = logloss(y, p, cfg.logloss_clip_eps)  # each segment's is then finite too
+    if not math.isfinite(ll):
+        raise DataError(f"{split} logloss is {ll}: the model predicts a certainty that a "
+                        f"label contradicts, or no number (logloss_clip_eps "
+                        f"{cfg.logloss_clip_eps!r})")
 
     seg_out = None
     if segments:
@@ -451,7 +462,7 @@ def evaluate(model: CtrModel, ds: Dataset, index: RetrievalIndex, cfg: TrainConf
 
     return EvalReport(
         auc=auc(y, p),
-        logloss=logloss(y, p, cfg.logloss_clip_eps),
+        logloss=ll,
         n=len(rows),
         segments=seg_out,
     )

@@ -426,16 +426,19 @@ def test_evaluate_takes_intra_only_from_the_checkpoint(ws, trained, tmp_path, ca
     assert capsys.readouterr().err == "error: unknown train config keys: ['intra_only']\n"
 
 
-def test_evaluate_of_a_version_1_checkpoint_exits_2(ws, trained, tmp_path, capsys):
+@pytest.mark.parametrize("version", (1, 2))
+def test_evaluate_of_an_older_checkpoint_version_exits_2(ws, trained, tmp_path, capsys,
+                                                         version):
     with open(os.path.join(trained, "checkpoint.ratm"), "rb") as f:
         blob = f.read()
     old = str(tmp_path / "old.ratm")
     with open(old, "wb") as f:
-        f.write(blob[:4] + (1).to_bytes(2, "little") + blob[6:])
+        f.write(blob[:4] + version.to_bytes(2, "little") + blob[6:])
     capsys.readouterr()
     assert main(["evaluate", "--config", ws["cfg_path"], "--checkpoint", old]) == 2
-    assert capsys.readouterr().err == (f"data error: {old}: unsupported checkpoint version 1 "
-                                       f"(this build reads 2); retrain it with `ractr train`\n")
+    assert capsys.readouterr().err == (f"data error: {old}: unsupported checkpoint version "
+                                       f"{version} (this build reads 3); retrain it with "
+                                       f"`ractr train`\n")
 
 
 @pytest.mark.parametrize("other", ["five-columns", "singleton"])
@@ -803,6 +806,30 @@ def test_diverged_loss_warns_nothing_before_its_data_error(tmp_path, capsys, mon
         assert main(["train", "--config", "demo/config.json"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: training loss is nan in epoch 1 of 2, step ")
+
+
+def test_divergence_in_an_epochs_last_step_exits_2(tmp_path, capsys, monkeypatch):
+    # one batch an epoch: the step that saturates p at exactly 1.0 is the
+    # last, so no batch loss sees it and validation's logloss is not finite;
+    # that is the same divergence, and no NaN reaches train_log or summary
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--out-dir", "demo", "--history-groups", "20",
+                 "--eval-groups", "40", "--eval-train-records", "3"]) == 0
+    with open("demo/config.json") as f:
+        cfg = json.load(f)
+    cfg["train"].update(learning_rate=1e3, logloss_clip_eps=1e-300, max_epochs=1,
+                        early_stop_patience=1, batch_size=100000, embed_dim=8, num_blocks=1)
+    with open("demo/config.json", "w") as f:
+        json.dump(cfg, f)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["train", "--config", "demo/config.json", "--out", "run"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: validation logloss is ")
+    assert err.endswith(" after epoch 1 of 1: the model diverged (learning_rate 1000.0, "
+                        "logloss_clip_eps 1e-300)\n")
+    assert not os.path.exists("run")
 
 
 @pytest.mark.parametrize("command", ["retrieve", "train", "evaluate", "ablate"])

@@ -14,7 +14,7 @@ from ractr import parallel, training
 from ractr import tensor as T
 from ractr.data import Dataset, FieldSchema
 from ractr.errors import DataError, UsageError
-from ractr.model import CtrModel, build_input_batch, save_checkpoint
+from ractr.model import VARIANTS, CtrModel, build_input_batch, save_checkpoint
 from ractr.retrieval import brute_force_retrieve, build_index, index_from_dataset
 from ractr.synthetic import majority_task
 from ractr.training import (
@@ -564,16 +564,14 @@ def test_training_same_bits_on_any_core_count(tmp_path, monkeypatch):
     assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
-@pytest.mark.parametrize("intra", (False, True), ids=("full", "intra_only"))
-@pytest.mark.parametrize("variant", ABLATION_ORDER)
-def test_part_gradients_sum_to_the_batch_gradient(variant, intra):
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_part_gradients_sum_to_the_batch_gradient(variant):
     """The losses of a batch's 64-row parts sum to the batch's mean loss, and
     their summed gradients are one whole-batch graph's within 1e-12."""
     ds = tiny_task()
     neigh, mask = precompute_neighbors(ds, index_from_dataset(ds), k=5)
     mask[::4, 3:] = False                       # padded slots too
-    model = redrawn_model(ds, "intra" if intra else variant, embed_dim=8, num_heads=2,
-                          num_blocks=2)
+    model = redrawn_model(ds, variant, embed_dim=8, num_heads=2, num_blocks=2)
     params = model.parameters()
     batch = np.random.default_rng(4).permutation(ds.train_end)[:150]
     eps = 1e-7
@@ -627,8 +625,28 @@ def test_diverged_part_is_a_data_error_on_the_caller(cores, monkeypatch):
     threads = threading.active_count()
     with pytest.raises(DataError, match=r"^training loss is nan in epoch 1 of 3, step 2: "):
         train(ds, index_from_dataset(ds),
-              tiny_cfg(learning_rate=1e3, logloss_clip_eps=1e-300, batch_size=150))
+              tiny_cfg(learning_rate=1e3, logloss_clip_eps=1e-300, batch_size=128))
     assert threading.active_count() == threads
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_divergence_in_an_epochs_last_step_is_a_data_error():
+    """The same saturating run with the 320-row train slice as one batch:
+    its one step an epoch is the last, so no batch loss sees the divergence
+    and validation meets p of exactly 1.0. A logloss that is not finite is
+    that divergence, raised before the epoch is logged and without a numpy
+    warning. evaluate of such a model reports no logloss either."""
+    ds = tiny_task()
+    index = index_from_dataset(ds)
+    cfg = tiny_cfg(learning_rate=1e3, logloss_clip_eps=1e-300, batch_size=320)
+    with pytest.raises(DataError, match=r"^validation logloss is (nan|inf) after epoch 1 "
+                                        r"of 3: the model diverged \(learning_rate 1000.0, "
+                                        r"logloss_clip_eps 1e-300\)$"):
+        train(ds, index, cfg)
+    model = CtrModel([fs.num_ids for fs in ds.schema], **cfg.model_settings())
+    model.params["head.b"].data[:] = 1e3  # p is exactly 1.0 on every row
+    with pytest.raises(DataError, match=r"^test logloss is (nan|inf): "):
+        evaluate(model, ds, index, cfg)
 
 
 # ---------------------------------------------------------------- evaluation
