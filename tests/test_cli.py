@@ -426,9 +426,7 @@ def test_evaluate_takes_intra_only_from_the_checkpoint(ws, trained, tmp_path, ca
     assert capsys.readouterr().err == "error: unknown train config keys: ['intra_only']\n"
 
 
-@pytest.mark.parametrize("version", (1, 2))
-def test_evaluate_of_an_older_checkpoint_version_exits_2(ws, trained, tmp_path, capsys,
-                                                         version):
+def _evaluate_of_checkpoint_version(ws, trained, tmp_path, capsys, version):
     with open(os.path.join(trained, "checkpoint.ratm"), "rb") as f:
         blob = f.read()
     old = str(tmp_path / "old.ratm")
@@ -439,6 +437,14 @@ def test_evaluate_of_an_older_checkpoint_version_exits_2(ws, trained, tmp_path, 
     assert capsys.readouterr().err == (f"data error: {old}: unsupported checkpoint version "
                                        f"{version} (this build reads 3); retrain it with "
                                        f"`ractr train`\n")
+
+
+def test_evaluate_of_a_version_1_checkpoint_exits_2(ws, trained, tmp_path, capsys):
+    _evaluate_of_checkpoint_version(ws, trained, tmp_path, capsys, 1)
+
+
+def test_evaluate_of_a_version_2_checkpoint_exits_2(ws, trained, tmp_path, capsys):
+    _evaluate_of_checkpoint_version(ws, trained, tmp_path, capsys, 2)
 
 
 @pytest.mark.parametrize("other", ["five-columns", "singleton"])

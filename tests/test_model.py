@@ -398,10 +398,15 @@ def _mlp(pre, d, hidden):
             (f"{pre}.lin2.w", (hidden, d)), (f"{pre}.lin2.b", (d,))]
 
 
-@pytest.mark.parametrize("variant", model_mod.VARIANTS)
-def test_checkpoint_parameter_layout(variant):
+# the (variant, intra) cases: each variant, then the intra layout
+LAYOUT_CASES = [(v, False) for v in VARIANTS] + [("cascade", True)]
+
+
+@pytest.mark.parametrize("variant,intra", LAYOUT_CASES)
+def test_checkpoint_parameter_layout(variant, intra):
     """Pins the ordered (name, shape) list a .ratm stores at num_blocks=2."""
     d, hidden = 8, 16
+    variant = "intra" if intra else variant
     m = CtrModel(field_num_ids=[5, 7], embed_dim=d, num_blocks=2, num_heads=2,
                  mlp_ratio=2, variant=variant, seed=0)
     per_block = {
@@ -424,14 +429,14 @@ def test_checkpoint_parameter_layout(variant):
     assert [(n, t.data.shape) for n, t in m.named_parameters()] == want
 
 
-@pytest.mark.parametrize("variant", model_mod.VARIANTS)
-def test_initial_weights_are_the_documented_draws(variant):
+@pytest.mark.parametrize("variant,intra", LAYOUT_CASES)
+def test_initial_weights_are_the_documented_draws(variant, intra):
     """An oracle apart from the model's layout code: one generator seeded as
     the model draws every parameter in checkpoint order (pinned above):
     embeddings from N(0, 0.01), every weight but the head's from
     U(-sqrt(1/fan_in), sqrt(1/fan_in)), LN gammas ones, all else zeros."""
     m = CtrModel(field_num_ids=[5, 7], embed_dim=8, num_blocks=2, num_heads=2,
-                 mlp_ratio=2, variant=variant, seed=17)
+                 mlp_ratio=2, variant="intra" if intra else variant, seed=17)
     rng = np.random.default_rng(17)
     for name, t in m.named_parameters():
         shape = t.data.shape
@@ -610,12 +615,7 @@ def test_checkpoint_errors(tmp_path):
         load_checkpoint(str(tmp_path / "absent.ratm"))
 
 
-@pytest.mark.parametrize("version", (1, 2))
-def test_an_older_checkpoint_version_asks_for_a_retrain(tmp_path, version):
-    """Version 1 stored an intra_only switch beside the variant, so its
-    config does not name the model; version 2 stored a pad row (emb.pad) and
-    a key bias in every attention, which this layout does not have. Neither
-    is read."""
+def _assert_version_asks_for_a_retrain(tmp_path, version):
     path = str(tmp_path / "m.ratm")
     save_checkpoint(tiny_model(), path)
     with open(path, "rb") as f:
@@ -627,6 +627,18 @@ def test_an_older_checkpoint_version_asks_for_a_retrain(tmp_path, version):
         load_checkpoint(path)
     assert str(err.value) == (f"{path}: unsupported checkpoint version {version} (this "
                               f"build reads 3); retrain it with `ractr train`")
+
+
+def test_a_version_1_checkpoint_asks_for_a_retrain(tmp_path):
+    """Version 1 stored an intra_only switch beside the variant, so its
+    config does not name the model; it is not read."""
+    _assert_version_asks_for_a_retrain(tmp_path, 1)
+
+
+def test_a_version_2_checkpoint_asks_for_a_retrain(tmp_path):
+    """Version 2 stored a pad row (emb.pad) and a key bias in every
+    attention, which this layout does not have; it is not read."""
+    _assert_version_asks_for_a_retrain(tmp_path, 2)
 
 
 def _with_config(blob: bytes, text: str) -> bytes:
