@@ -11,6 +11,7 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -230,7 +231,7 @@ def _encode(schema_names, rows, labels, timestamps, train_end, valid_end) -> Dat
         vocab = dict.fromkeys(col[:train_end])
         vocab.pop("", None)
         fs = FieldSchema(name, vocab)
-        ids[:, f] = [fs._ids.get(v, 0) for v in col]
+        ids[:, f] = np.fromiter(map(fs._ids.get, col, repeat(0)), np.int64, len(col))
         schema.append(fs)
 
     return Dataset(

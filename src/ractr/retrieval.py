@@ -14,22 +14,31 @@ form a prefix of the pool: every record of an earlier timestamp, then those
 of the query's own timestamp below the query's index.
 
 Queries are scored a small block at a time over the longest eligible prefix
-in the block, in two passes. The first is approximate and cheap. Fields with
-at most NARROW_IDS distinct pool ids are packed into groups, and each pool
-row holds one uint8 code per group that spells its ids in the group's
-fields. A block builds, per group, a (query, code) table of the query's
-summed match weights, and a row's approximate score is one table lookup per
-group plus a dense compare pass per wider field. This pass runs in float32,
-which halves the bytes it moves: it adds the same weights as the formula,
-each rounded to float32, in another order, so each approximate score is
-within e_q = gamma_F(2**-24) * sum_f |w_qf| of the real sum (Higham 2002,
-ch. 3-4), and _slack bounds its distance from the exact float64 sum. Every
-row of the exact top-k therefore scores at least tau - 2 slack_q
-approximately, where tau is the k-th largest approximate score. The second
-pass rescores just those rows exactly in float64, adding each field's
-weight in ascending field order from +0.0 as the per-pair sum does, and
-sorts them by (score desc, position desc). Scores and neighbors are bitwise
-equal to the per-pair sum and its order.
+in the block, in two passes. The first is approximate and cheap, and its
+buffers are (pool row, query): each pool row's scores for the block's
+queries are one contiguous row. Fields with at most NARROW_IDS distinct pool
+ids are packed into groups, and each pool row holds one code per group that
+spells its ids in the group's fields. A block builds, per group, a (code,
+query) table of the query's summed match weights, and each pool row adds the
+table's row of its code. A wider field holds each pool row's slot in the
+field's distinct ids, and a block builds a (slot, query) table that holds
+each query's weight at its id's slot and zeros elsewhere; each pool row adds
+the table's row of its slot. This pass runs in float32, which halves the
+bytes it moves: it adds the same weights as the formula, each rounded to
+float32, in another order, so each approximate score is within
+e_q = gamma_F(2**-24) * sum_f |w_qf| of the real sum (Higham 2002, ch. 3-4),
+and _slack bounds its distance from the exact float64 sum.
+
+Every row of the exact top-k therefore scores at least tau - 2 slack_q
+approximately, for any tau at most the k-th largest approximate score. The
+block takes tau from FLOOR_GROUPS interleaved groups of pool rows, row i in
+group i mod FLOOR_GROUPS: the k largest group maxima are scores of k
+distinct rows, so the k-th largest of them is such a tau. Only the groups
+whose maximum reaches the floor are searched for candidates. The second pass
+rescores those candidates exactly in float64, adding each field's weight in
+ascending field order from +0.0 as the per-pair sum does, and sorts them by
+(score desc, position desc). A lower floor only adds candidates, so scores
+and neighbors are bitwise equal to the per-pair sum and its order.
 
 A query with no live weight (all its ids missing or unseen) scores +0.0
 on every row, so its top-k is the last k rows of its prefix, newest first,
@@ -54,27 +63,33 @@ INDEX_VERSION = 3
 
 ELIGIBILITY = ("earlier", "all")
 
-# queries scored together. A block's float32 score and lookup buffers and
-# its match buffer take 9 bytes per query per pool row, in each worker.
-# Neighbor tables of the two benchmark pools (seed 1; 6,000 and 15,600
-# queries) on 2 Xeon cores, median of 9 interleaved rounds: blocks of 16 took
-# 0.25 and 0.93 s, 32 0.18 and 0.79 s, 64 0.15 and 0.73 s. Each doubling
-# halves the per-block table and call overhead but doubles the buffers; 32
-# keeps them at 3.9 MB a worker on the 13,600-row pool, as 16 float64
-# queries (17 bytes a row) took before.
-QUERY_BLOCK = 32
+# queries scored together. A block's float32 score and lookup buffers take 8
+# bytes per query per pool row, in each worker, and its wide-field table 4
+# bytes per query per distinct id of the widest field. Neighbor tables of the
+# two benchmark pools (seed 1; 6,000 and 15,600 queries) on 2 Xeon cores,
+# median of 9 interleaved rounds: blocks of 32 took 0.139 and 0.467 s, 64
+# 0.103 and 0.374 s, 128 0.092 and 0.337 s. Each doubling halves the
+# per-block table and call overhead but doubles the buffers; 64 keeps them
+# at 7.0 MB a worker on the 13,600-row pool.
+QUERY_BLOCK = 64
 
 # a field with at most this many distinct pool ids is narrow: its ids and 0
-# fit one uint8 code. Narrow fields share a code in groups of at most
+# fit one of GROUP_CODES codes. Narrow fields share a code in groups of at most
 # GROUP_CODES id combinations.
 NARROW_IDS = 255
 GROUP_CODES = 256
 
+# a block's top-k floor comes from the maxima of this many interleaved groups
+# of pool rows, row i in group i mod FLOOR_GROUPS: one pass of whole-row
+# maxima, 160 us for 13,568 rows of 64 queries, where contiguous 64-row
+# segments took 431 us. Fewer groups search more rows in each group that
+# reaches the floor. The rounds above, at blocks of 64, took 0.103 and
+# 0.394 s with 64 groups, 0.100 and 0.392 s with 128, 0.103 and 0.374 s
+# with 256, and 0.120 and 0.403 s with 512.
+FLOOR_GROUPS = 256
+
 # candidate rows rescored together: at most 4,096 x F terms at a time
 RESCORE_CHUNK = 4096
-
-# pool column dtypes, narrowest first, with the largest id each holds
-COLUMN_DTYPES = tuple((d, int(np.iinfo(d).max)) for d in (np.uint8, np.uint16, np.uint32))
 
 
 @dataclass
@@ -129,11 +144,15 @@ class RetrievalIndex:
         # order, into groups of at most GROUP_CODES id combinations. A row's
         # group code holds its ids' slots in the group's fields as mixed-radix
         # digits, and _digits holds each narrow field's digit of every code.
+        # Codes and wide columns are intp, so a lookup by them converts no
+        # indices.
         radix = [v.size for v, _ in per_field]
         self._narrow = np.array([f for f, v in enumerate(terms) if v.size <= NARROW_IDS], np.int64)
         self._wide = np.setdiff1d(np.arange(self.num_fields), self._narrow)
-        # each wide field's pool column in the narrowest dtype that holds its ids
-        self._cols = {f: cols[f].astype(_column_dtype(terms[f])) for f in self._wide.tolist()}
+        # each wide field's pool column as its ids' slots in the field's
+        # distinct ids, and the most distinct ids of any wide field
+        self._cols = {f: np.searchsorted(per_field[f][0], cols[f]) for f in self._wide.tolist()}
+        self._wide_slots = max((radix[f] for f in self._cols), default=0)
         starts, width = [], GROUP_CODES + 1
         for j, f in enumerate(self._narrow):
             if width * radix[f] > GROUP_CODES:
@@ -148,7 +167,7 @@ class RetrievalIndex:
             r = [radix[f] for f in fields]
             stride = np.cumprod([1] + r[:0:-1])[::-1]     # product of the radices after each
             self._group_codes.append(sum(np.searchsorted(per_field[f][0], cols[f]) * st
-                                         for f, st in zip(fields, stride)).astype(np.uint8))
+                                         for f, st in zip(fields, stride)))
             digits += [np.arange(GROUP_CODES) // st % rf for rf, st in zip(r, stride)]
         self._digits = np.array(digits, np.uint8).reshape(len(digits), GROUP_CODES)
 
@@ -160,13 +179,6 @@ class RetrievalIndex:
         term = np.searchsorted(self._term_key, key)
         hit = (self._term_key[term] == key) & (self._vocab[slot] == query_ids)
         return np.where(hit, term, self.num_terms)
-
-
-def _column_dtype(terms: np.ndarray) -> type:
-    """The narrowest unsigned dtype that holds a field's ids, given its sorted
-    non-zero ids; int64 when one is negative or past uint32."""
-    lo, hi = (int(terms[0]), int(terms[-1])) if terms.size else (0, 0)
-    return next((d for d, top in COLUMN_DTYPES if lo >= 0 and hi <= top), np.int64)
 
 
 def build_index(pool_field_ids: np.ndarray, timestamps: np.ndarray) -> RetrievalIndex:
@@ -222,6 +234,7 @@ class _Queries:
     ids: np.ndarray             # (queries, F) int64
     weights: np.ndarray         # (queries, F) match weights, 0.0 where nothing matches
     digits: np.ndarray          # (queries, narrow fields) each id's slot, uint8
+    slots: np.ndarray           # (queries, F) each id's slot, 0 where nothing matches
     slack: np.ndarray           # (queries,) bound on |approximate - exact| score
 
 
@@ -257,38 +270,47 @@ def _gamma(n: int, u: float) -> float:
 
 
 def _approximate_scores(index: RetrievalIndex, queries: _Queries, rows: np.ndarray,
-                        s: np.ndarray, t: np.ndarray, eq: np.ndarray, match: np.ndarray,
-                        tables: np.ndarray) -> None:
-    """Fill s (rows x prefix, float32) with the block's scores up to rounding.
+                        s: np.ndarray, t: np.ndarray, tables: np.ndarray, match: np.ndarray,
+                        by_slot: np.ndarray) -> None:
+    """Fill s (prefix x rows, float32) with the block's scores up to rounding.
 
-    Each group gets a (query, code) table, the sum of the query's weights on
-    the group's fields whose digit of the code is the query's slot, and is
-    read with one lookup of its pool codes. Wide fields add a dense pass.
-    Weights, tables and buffers are float32, within _slack of the exact sum.
+    Each group gets a (code, query) table, the sum of the query's weights on
+    the group's fields whose digit of the code is the query's slot, and each
+    pool row copies the table's row of its code. A wide field's (slot,
+    query) table holds each query's weight at its id's slot and zeros
+    elsewhere, and each pool row copies the row of its slot. Weights, tables
+    and buffers are float32, within _slack of the exact sum.
     """
-    m = s.shape[1]
+    m, nq = s.shape
     w = queries.weights[rows].astype(np.float32)
     w_narrow = w[:, index._narrow]
     np.equal(index._digits, queries.digits[rows, :, None], out=match)
+    by_query = tables[:nq * GROUP_CODES].reshape(nq, GROUP_CODES)
+    by_code = tables[nq * GROUP_CODES:2 * nq * GROUP_CODES].reshape(GROUP_CODES, nq)
     first = True
     for g, group in enumerate(index._groups):
         if not w_narrow[:, group].any():        # it would add only zeros
             continue
-        np.einsum("qfc,qf->qc", match[:, group], w_narrow[:, group], out=tables[:, g])
-        np.take(tables[:, g], index._group_codes[g][:m], axis=1, out=s if first else t,
-                mode="clip")
+        # einsum writes the (query, code) order about 16x faster than its
+        # transpose, so a copy transposes it
+        np.einsum("qfc,qf->qc", match[:, group], w_narrow[:, group], out=by_query)
+        by_code[...] = by_query.T
+        np.take(by_code, index._group_codes[g][:m], axis=0, out=s if first else t, mode="clip")
         if not first:
             s += t
         first = False
     if first:
         s.fill(0.0)
+    # by_slot is all zeros between fields: each query sets, then resets, only
+    # its own column, so queries that share an id share its row; a
+    # weightless query writes +0.0 at slot 0
+    table = by_slot[:index._wide_slots * nq].reshape(index._wide_slots, nq)
+    each = np.arange(nq)
     for f in index._wide[w[:, index._wide].any(axis=0)].tolist():
-        # A query id the column's dtype cannot hold wrapped in the cast and
-        # may "match" a pool id here. It is in no pool record, so its weight
-        # is +0.0, and a match adds 1 * +0.0, exactly what a mismatch adds.
-        col = index._cols[f]
-        np.equal(col[:m], queries.ids[rows, f, None].astype(col.dtype), out=eq)
-        np.multiply(eq, w[:, f, None], out=t)
+        slot = queries.slots[rows, f]
+        table[slot, each] = w[:, f]
+        np.take(table, index._cols[f][:m], axis=0, out=t, mode="clip")
+        table[slot, each] = 0.0
         s += t
 
 
@@ -310,34 +332,53 @@ def _exact_scores(index: RetrievalIndex, queries: _Queries, live: np.ndarray,
     return score
 
 
+def _floor_groups(k: int, m: int) -> tuple[int, int]:
+    """(groups, rows per group) for a block of m eligible rows: at least k
+    groups, as the floor needs, and never more than m."""
+    groups = min(max(FLOOR_GROUPS, k), m)
+    return groups, -(-m // groups)
+
+
 def _score_blocks(index: RetrievalIndex, queries: _Queries, prefix: np.ndarray,
                   positions: np.ndarray, scores: np.ndarray, blocks: list[np.ndarray]) -> None:
     """Score each block of query rows (ascending prefix, longest last) with
     this worker's own buffers, writing only those rows of positions/scores."""
-    size = max(rows.size * int(prefix[rows[-1]]) for rows in blocks)
+    k = positions.shape[1]
+    size = max(rows.size * groups * h for rows in blocks
+               for groups, h in [_floor_groups(k, int(prefix[rows[-1]]))])
     s_buf, t_buf = np.empty(size, np.float32), np.empty(size, np.float32)
-    eq_buf = np.empty(size, dtype=bool)
     most = max(rows.size for rows in blocks)
     match = np.empty((most, *index._digits.shape), dtype=bool)
-    tables = np.empty((most, len(index._groups), GROUP_CODES), np.float32)
+    tables = np.empty(2 * most * GROUP_CODES, np.float32)
+    by_slot = np.zeros(index._wide_slots * most, np.float32)
     for rows in blocks:
+        nq = rows.size
         p = prefix[rows]
         m = int(p[-1])
-        s, t, eq = (buf[:rows.size * m].reshape(rows.size, m) for buf in (s_buf, t_buf, eq_buf))
-        _approximate_scores(index, queries, rows, s, t, eq, match[:rows.size], tables[:rows.size])
+        groups, h = _floor_groups(k, m)
+        # rows m and past pad s to h x groups rows and are never eligible
+        s = s_buf[:h * groups * nq].reshape(h * groups, nq)
+        t = t_buf[:m * nq].reshape(m, nq)
+        _approximate_scores(index, queries, rows, s[:m], t, tables, match[:nq], by_slot)
+        s[m:] = -np.inf
         for r in np.flatnonzero(p < m):
-            s[r, p[r]:] = -np.inf
-        kk = min(positions.shape[1], m)
-        np.copyto(t, s)
-        t.partition(m - kk, axis=1)
+            s[p[r]:m, r] = -np.inf
+        kk = min(k, m)
+        # The kk largest group maxima are the scores of kk distinct rows, so
+        # the kk-th largest of them, tau, is at most the kk-th largest score.
+        by_group = s.reshape(h, groups, nq)
+        top = by_group.max(axis=0)
+        tau = np.partition(top, groups - kk, axis=0)[groups - kk]
         # Every row of the exact top-k scores at least this in s: a row x of
         # it outranks some row y of the approximate top-k (or is one), so
-        # s_x >= exact_x - slack >= exact_y - slack >= s_y - 2 slack. The
-        # floor is float64, and so is the comparison. It keeps ineligible
-        # rows out when fewer than kk are eligible.
-        floor = np.maximum(t[:, m - kk] - 2 * queries.slack[rows], -np.finfo(np.float64).max)
-        np.greater_equal(s, floor[:, None], out=eq)
-        r, c = np.divmod(np.flatnonzero(eq), m)
+        # s_x >= exact_x - slack >= exact_y - slack >= s_y - 2 slack, and
+        # s_y >= tau. The floor is float64, and so is the comparison. It
+        # keeps ineligible rows out when fewer than kk are eligible.
+        floor = np.maximum(tau - 2 * queries.slack[rows], -np.finfo(np.float64).max)
+        # only the groups whose maximum reaches the floor hold candidates
+        g, r = np.nonzero(top >= floor)
+        i, j = np.nonzero(by_group[:, g, r] >= floor[r])
+        c, r = i * groups + g[j], r[j]
         live = np.flatnonzero(queries.weights[rows].any(axis=0))
         sc = _exact_scores(index, queries, live, rows[r], c)
         # the candidates in exact order: score desc, then position desc
@@ -377,12 +418,12 @@ def retrieve_batch(index: RetrievalIndex, query_ids: np.ndarray, k: int,
     A query with no live weight gets the last k rows of its prefix, newest
     first, at +0.0. The others are ordered by eligible prefix length, so
     similar prefixes share a block of QUERY_BLOCK, scored over the block's
-    longest prefix: a lookup per field group and a compare per wide field for
-    each eligible row, then an exact rescoring of the rows near the k-th
-    score. parallel.deal spreads the blocks round-robin over the usable
-    cores, which gives each share some short and some long prefixes. Results
-    are bit-identical to per-query retrieve for any block size and on any
-    number of cores.
+    longest prefix: a lookup per field group and per wide field for each
+    eligible row, then an exact rescoring of the rows that reach a floor
+    below the k-th score. parallel.deal spreads the blocks round-robin over
+    the usable cores, which gives each share some short and some long
+    prefixes. Results are bit-identical to per-query retrieve for any block
+    size and on any number of cores.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -410,8 +451,8 @@ def retrieve_batch(index: RetrievalIndex, query_ids: np.ndarray, k: int,
                                 for lo in range(0, order.size, QUERY_BLOCK))
               if prefix[rows[-1]] > 0]
     if blocks:
-        queries = _Queries(query_ids, weights,
-                           index._term_slot[terms[:, index._narrow]].astype(np.uint8),
+        slots = index._term_slot[terms]
+        queries = _Queries(query_ids, weights, slots[:, index._narrow].astype(np.uint8), slots,
                            _slack(weights))
         parallel.deal(partial(_score_blocks, index, queries, prefix, positions, scores), blocks)
     return RetrievalResult(positions, scores, positions >= 0)

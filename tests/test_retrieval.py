@@ -636,19 +636,19 @@ def test_any_worker_count_gives_the_same_result(ds, monkeypatch):
         sys.setswitchinterval(switch)
 
 
-def test_column_dtype_is_the_narrowest_that_holds_the_ids(monkeypatch):
-    # only wide fields keep a pool column; a field of 2 ids is wide here
+def test_wide_columns_hold_each_rows_id_slot(monkeypatch):
+    # only wide fields keep a pool column, of each row's slot in the field's
+    # sorted distinct ids; a field of 2 ids is wide here
     monkeypatch.setattr(retrieval, "NARROW_IDS", 1)
-    for top, dtype in ((255, np.uint8), (256, np.uint16), (65_535, np.uint16),
-                       (65_536, np.uint32), (2**32 - 1, np.uint32), (2**32, np.int64)):
+    for top in (255, 256, 65_535, 65_536, 2**32 - 1, 2**32):
         ids = np.array([[1, top], [0, 3], [7, top]])
         idx = build_index(ids, np.arange(3))
-        assert {f: col.dtype for f, col in idx._cols.items()} == {0: np.uint8, 1: dtype}
+        assert idx._cols.keys() == {0, 1}
         for f, col in idx._cols.items():
-            assert col.flags.c_contiguous
-            np.testing.assert_array_equal(col, ids[:, f])
-    # a negative id fits no unsigned dtype
-    assert build_index(np.array([[-1], [2]]), np.arange(2))._cols[0].dtype == np.int64
+            assert col.dtype == np.intp and col.flags.c_contiguous
+            np.testing.assert_array_equal(np.unique(ids[:, f])[col], ids[:, f])
+    # a negative id has a slot like any other
+    assert build_index(np.array([[-1], [2]]), np.arange(2))._cols[0].tolist() == [0, 1]
     # a field of one id is narrow, and has no column
     assert build_index(np.array([[5, 1], [5, 2]]), np.arange(2))._cols.keys() == {1}
 
@@ -661,11 +661,11 @@ def test_query_ids_past_a_narrow_column_add_no_weight(monkeypatch):
     assert idx._cols == {}                      # every field is narrow: group codes only
     monkeypatch.setattr(retrieval, "NARROW_IDS", 1)
     idx = build_index(ids, np.sort(rng.integers(0, 30, size=90)))
-    assert {f: col.dtype for f, col in idx._cols.items()} == {0: np.uint8, 1: np.uint8,
-                                                              2: np.uint16}
+    assert idx._cols.keys() == {0, 1, 2}
     v = int(ids[0, 0])
-    # 256 + v and v - 256 wrap to v in uint8 (65,536 + w to w in uint16) and
-    # so "match" v's rows; queries with real weights there share their block
+    # 256 + v and v - 256 would wrap to v in uint8 (65,536 + w to w in
+    # uint16), and so "match" v's rows in a column that narrow; queries with
+    # real weights there share their block
     queries = np.array([[256 + v, v, ids[0, 2]], [v - 256, 2, 65_536 + ids[1, 2]],
                         [v, ids[1, 1], ids[1, 2]], [v, 3, ids[2, 2]]])
     for block in (1, 4):
@@ -673,7 +673,7 @@ def test_query_ids_past_a_narrow_column_add_no_weight(monkeypatch):
         got = retrieve_batch(idx, queries, 6)
         for i, q in enumerate(queries):
             assert_same_as_oracle(row(got, i), brute_force_retrieve(idx, q, 6))
-    # the wrapped field contributes nothing, as for any unseen id
+    # the field past the narrow dtype contributes nothing, as for any unseen id
     unseen = queries[:2].copy()
     unseen[0, 0], unseen[1, 0], unseen[1, 2] = 0, 0, 0
     a = retrieve_batch(idx, queries, 6)
@@ -708,7 +708,7 @@ def test_workers_live_for_one_call(monkeypatch):
     rng = np.random.default_rng(19)
     idx = random_index(rng, 300, 3, 6)
     threads = threading.active_count()
-    retrieve_batch(idx, rng.integers(0, 7, size=(40, 3)), 5)
+    retrieve_batch(idx, rng.integers(0, 7, size=(retrieval.QUERY_BLOCK + 8, 3)), 5)  # two blocks
     # two shares of the blocks, one scored on the calling thread
     assert len(workers) == 2 and workers.count(threading.main_thread()) == 1
     assert threading.active_count() == threads
@@ -720,7 +720,7 @@ def test_forked_child_starts_its_own_workers(monkeypatch):
     monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
     rng = np.random.default_rng(15)
     idx = random_index(rng, 300, 3, 6)
-    queries = rng.integers(0, 7, size=(40, 3))
+    queries = rng.integers(0, 7, size=(retrieval.QUERY_BLOCK + 8, 3))     # two blocks
     want = all_bits(retrieve_batch(idx, queries, 5))     # the parent has used workers
     pid = os.fork()
     if pid == 0:                                        # the child never returns to pytest
@@ -752,17 +752,17 @@ def test_group_codes_spell_each_rows_narrow_ids():
     # fit beside them, and 2 do not fit beside those
     assert [idx._narrow[group].tolist() for group in idx._groups] == [[0, 2, 3], [4], [5]]
     for group, codes in zip(idx._groups, idx._group_codes):
-        assert codes.dtype == np.uint8
+        assert codes.dtype == np.intp
         for j in range(group.start, group.stop):
             f = idx._narrow[j]
             np.testing.assert_array_equal(np.unique(ids[:, f])[idx._digits[j][codes]], ids[:, f])
 
 
 def exact_dense_scores(index, query_ids, weights, m):
-    """(queries, m) scores as the formula sums them: field order, from +0.0."""
-    s = np.zeros((len(query_ids), m))
+    """(m, queries) scores as the formula sums them: field order, from +0.0."""
+    s = np.zeros((m, len(query_ids)))
     for f in range(index.num_fields):
-        s += np.where(index.pool_field_ids[:m, f] == query_ids[:, f, None], weights[:, f, None], 0.0)
+        s += np.where(index.pool_field_ids[:m, f, None] == query_ids[:, f], weights[:, f], 0.0)
     return s
 
 
@@ -784,10 +784,10 @@ def test_scores_inside_the_rounding_bound_change_nothing(ds, around, monkeypatch
 
     def noisy(index, queries, block, s, *buffers):
         approximate(index, queries, block, s, *buffers)
-        e = gamma * np.abs(queries.weights[block]).sum(axis=1)[:, None]
+        e = gamma * np.abs(queries.weights[block]).sum(axis=1)
         if around == "exact":
             s[...], e = exact_dense_scores(index, queries.ids[block], queries.weights[block],
-                                           s.shape[1]), 2 * e
+                                           s.shape[0]), 2 * e
         s += e * rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=s.shape)
 
     for elig in ELIGIBILITY:
@@ -853,3 +853,55 @@ def test_chunked_rescoring_when_every_row_ties(monkeypatch):
     assert got.neighbor_indices.tolist() == [[299, 298, 297, 296]] * 3
     for i, q in enumerate(queries):
         assert_same_as_oracle(row(got, i), brute_force_retrieve(idx, q, 4))
+
+
+def test_group_floor_keeps_every_exact_neighbor(monkeypatch):
+    # The top-k floor comes from the k-th largest maximum of FLOOR_GROUPS
+    # interleaved row groups (row i in group i mod FLOOR_GROUPS), at most the
+    # k-th largest score. Field 0 is wide (~400 ids), fields 1-3 narrow.
+    rng = np.random.default_rng(23)
+    groups, k = retrieval.FLOOR_GROUPS, 5
+    n = 5 * groups + 37                         # 37 rows past the last whole round
+    ids = np.column_stack([np.arange(n) % 400 + 1, rng.integers(1, 4, size=(n, 3))])
+    # the five rows of id 9001 share a residue class, and outscore the rest
+    same_class = 7 + groups * np.arange(5)
+    ids[same_class, 0] = 9001
+    ts = np.sort(rng.integers(0, n // 3, size=n))
+    idx = build_index(ids, ts)
+    assert idx._wide.tolist() == [0]
+    tail_key = ids[n - 2, 0]                    # also in rows n - 402, n - 802, n - 1202
+    queries = np.array([
+        [9001, 1, 2, 3],
+        [tail_key, 1, 1, 1],
+        [tail_key, 2, 2, 2],                    # the same wide id in one block
+        [tail_key, 0, 0, 0],
+        [65_536 + tail_key, 1, 2, 3],           # past uint16: in no pool row
+        [2**32 + 9001, 3, 3, 3],
+        [9001, 0, 0, 0],
+        *ids[rng.integers(0, n, size=9)],
+    ])
+    # strictly-earlier prefixes of every length in one block: below k, below
+    # FLOOR_GROUPS, past a whole round, the whole pool
+    q_idx = np.array([n, n, n - 3, 1300, 3, 2, 1000, 260, 255, 256, 4, 0, 600, 1, n - 1, 40])
+    q_ts = ts[np.minimum(q_idx, n - 1)]
+    q_ts[q_idx == n] = ts[-1] + 1
+
+    def position(elig, i):
+        return {} if elig == "all" else {"query_ts": int(q_ts[i]), "query_index": int(q_idx[i])}
+
+    ref = {elig: [brute_force_retrieve(idx, q, k, elig, **position(elig, i))
+                  for i, q in enumerate(queries)] for elig in ELIGIBILITY}
+    # the exact top-k of the first query lie in one group: a strictly looser floor
+    assert sorted(ref["all"][0].neighbor_indices.tolist()) == same_class.tolist()
+    # and the second query's best rows reach past the last whole round
+    assert n - 2 in ref["all"][1].neighbor_indices.tolist()
+    all_cores = parallel._usable_cores()
+    for cores in sorted({1, all_cores}):
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: cores)
+        for block in (1, 2, retrieval.QUERY_BLOCK):
+            monkeypatch.setattr(retrieval, "QUERY_BLOCK", block)
+            for elig in ELIGIBILITY:
+                pos = {} if elig == "all" else {"query_ts": q_ts, "query_index": q_idx}
+                got = retrieve_batch(idx, queries, k, elig, **pos)
+                for i in range(len(queries)):
+                    assert_same_as_oracle(row(got, i), ref[elig][i])
