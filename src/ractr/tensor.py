@@ -15,7 +15,6 @@ gradients.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -299,6 +298,11 @@ def relu(a: Tensor) -> Tensor:
 
 def gelu(a: Tensor) -> Tensor:
     """Exact erf-based GELU, x * Phi(x). The backward reuses the forward's Phi."""
+    # erf is scipy.special's, imported on the first GELU forward so that a
+    # process that never runs the model (retrieve, synth) never loads scipy;
+    # Python's per-module import lock makes a first call on two threads safe
+    from scipy.special import erf
+
     x = a.data
     phi = np.divide(x, _SQRT2)
     # scipy 1.17's erf releases the GIL: on 2 cores, 2 threads ran it 1.4-1.9x faster than 1
@@ -343,7 +347,8 @@ def softmax_lastdim(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
 
 def _softmax(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     # out of place: in place, it sped the joint layout's forward far more than
-    # the cascade's, past criterion 5's gate on their ratio (ROADMAP item 5)
+    # the cascade's, past criterion 5's gate on their ratio (ROADMAP,
+    # "Autodiff leftovers": the in-place attention softmax)
     if mask is not None:
         mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
         x = np.where(mask, x, -np.inf)

@@ -20,7 +20,6 @@ import time
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import parallel
 from . import tensor as T
@@ -138,7 +137,8 @@ def logloss(y_true, p_pred, clip_eps: float = 1e-7) -> float:
 
 
 def auc(y_true, scores) -> float:
-    """Mann-Whitney AUC via average ranks; ties count half."""
+    """Mann-Whitney AUC from numpy average ranks: ties count half, and any
+    NaN score gives nan."""
     y = np.asarray(y_true)
     s = np.asarray(scores, dtype=np.float64)
     if y.shape != s.shape:
@@ -148,9 +148,23 @@ def auc(y_true, scores) -> float:
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC undefined: slice has a single class")
-    ranks = rankdata(s)
-    r_pos = ranks[pos].sum()
+    if np.isnan(s).any():
+        return float("nan")
+    ranks = _average_ranks(s.ravel())
+    r_pos = ranks[pos.ravel()].sum()
     return float((r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def _average_ranks(s: np.ndarray) -> np.ndarray:
+    """1-based ranks of s, each tie run at its mean rank (start + 1 + end) / 2,
+    the values scipy.stats.rankdata's "average" method gives."""
+    order = np.argsort(s, kind="stable")
+    sorted_s = s[order]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_s[1:] != sorted_s[:-1])))
+    ends = np.append(starts[1:], s.size)
+    ranks = np.empty(s.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
 
 
 class Adam:

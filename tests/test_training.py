@@ -1,7 +1,10 @@
 """Metrics, the optimizer, the train loop, evaluation segments, ablation."""
 
+import json
 import math
+import os
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -10,13 +13,14 @@ import numpy as np
 import pytest
 
 from helpers import adam_steps, random_dataset
+import ractr
 from ractr import parallel, training
 from ractr import tensor as T
 from ractr.data import Dataset, FieldSchema
 from ractr.errors import DataError, UsageError
 from ractr.model import VARIANTS, CtrModel, build_input_batch, save_checkpoint
 from ractr.retrieval import brute_force_retrieve, build_index, index_from_dataset
-from ractr.synthetic import majority_task
+from ractr.synthetic import majority_task, write_csv
 from ractr.training import (
     ABLATION_ORDER,
     Adam,
@@ -107,6 +111,104 @@ def test_auc_invariant_under_monotone_transform():
     s = rng.random(50)
     assert auc(y, 3.0 * s + 2.0) == auc(y, s)
     assert auc(y, np.tanh(s)) == auc(y, s)
+
+
+def rank_formula_auc(y, s):
+    """The Mann-Whitney AUC from scipy's average ranks, the oracle."""
+    from scipy.stats import rankdata
+    pos = y == 1
+    n_pos = int(pos.sum())
+    n_neg = y.size - n_pos
+    return float((rankdata(s)[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def test_auc_is_the_rank_formula_bit_for_bit():
+    rng = np.random.default_rng(26)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, 0.5, -0.5, 5e-324, -1e308])
+    for _ in range(300):
+        n = int(rng.integers(2, 200))
+        y = rng.integers(0, 2, size=n)
+        y[rng.choice(n, size=2, replace=False)] = (0, 1)
+        coarse = np.round(rng.normal(size=n), int(rng.integers(0, 3)))  # heavy ties
+        s = np.where(rng.random(n) < 0.4, rng.choice(specials, size=n), coarse)
+        got, want = auc(y, s), rank_formula_auc(y, s)
+        assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), (y, s)
+
+
+def test_auc_of_any_nan_score_is_nan():
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 50):
+        y = np.arange(n) % 2
+        for i in range(n):
+            s = rng.random(n)
+            s[i] = np.nan
+            assert math.isnan(auc(y, s))
+    assert math.isnan(auc([0, 1], [np.nan, np.nan]))
+    assert math.isnan(auc([0, 1, 1], [-np.inf, np.nan, np.inf]))
+    with pytest.raises(ValueError, match="single class"):   # the errors come first
+        auc([1, 1], [np.nan, 0.2])
+    with pytest.raises(ValueError, match="length mismatch"):
+        auc([1, 0, 1], [np.nan, 0.5])
+
+
+# the retrieval path, which must not import scipy; then a first scoring on
+# two threads, so that both meet GELU's first import of scipy.special
+FOOTPRINT_SCRIPT = """
+import hashlib, json, sys
+import numpy as np
+if sys.argv[3] == "eager":
+    import scipy.special
+import ractr
+from ractr import parallel
+from ractr.data import CsvSpec, load_csv
+from ractr.model import CtrModel
+from ractr.retrieval import index_from_dataset, retrieve, retrieve_batch
+from ractr.training import precompute_neighbors, predict_rows
+
+ds = load_csv(sys.argv[1], CsvSpec.from_dict(json.loads(sys.argv[2])))
+index = index_from_dataset(ds)
+retrieve(index, ds.field_ids[-1], k=5)
+retrieve_batch(index, ds.field_ids[ds.train_end:], k=5)
+neigh, mask = precompute_neighbors(ds, index, k=5)
+before = [m for m in ("scipy.stats", "scipy.special") if m in sys.modules]
+
+model = CtrModel([fs.num_ids for fs in ds.schema], embed_dim=8, num_heads=2, seed=0)
+rng = np.random.default_rng(0)
+for _, t in model.named_parameters():
+    t.data = rng.normal(0.0, 0.1, size=t.data.shape)
+parallel._usable_cores = lambda: 2             # two workers, even on one core
+sys.setswitchinterval(1e-6)
+probs = predict_rows(model, ds, np.arange(len(ds)), neigh, mask)
+after = [m for m in ("scipy.stats", "scipy.special") if m in sys.modules]
+print(json.dumps({"before": before, "after": after,
+                  "bits": hashlib.sha256(probs.tobytes()).hexdigest()}))
+"""
+
+
+def test_retrieval_imports_no_scipy_and_gelu_loads_erf_on_two_threads(tmp_path):
+    ds = tiny_task()
+    csv_path = tmp_path / "data.csv"
+    write_csv(ds, str(csv_path))
+    n = len(ds)
+    spec = {"label_col": "label", "timestamp_col": "ts",
+            "feature_cols": [fs.name for fs in ds.schema],
+            "ratios": [ds.train_end / n, (ds.valid_end - ds.train_end) / n,
+                       (n - ds.valid_end) / n]}
+    src = os.path.dirname(os.path.dirname(ractr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+
+    def run(mode):
+        out = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT, str(csv_path),
+                              json.dumps(spec), mode],
+                             env=env, capture_output=True, text=True, check=True)
+        return json.loads(out.stdout)
+
+    lazy, eager = run("lazy"), run("eager")
+    assert lazy["before"] == []
+    assert lazy["after"] == ["scipy.special"]
+    assert eager["before"] == eager["after"] == ["scipy.special"]
+    assert lazy["bits"] == eager["bits"]
 
 
 # ---------------------------------------------------------------- optimizer
