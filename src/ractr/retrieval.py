@@ -21,24 +21,28 @@ ids are packed into groups, and each pool row holds one code per group that
 spells its ids in the group's fields. A block builds, per group, a (code,
 query) table of the query's summed match weights, and each pool row adds the
 table's row of its code. A wider field holds each pool row's slot in the
-field's distinct ids, and a block builds a (slot, query) table that holds
-each query's weight at its id's slot and zeros elsewhere; each pool row adds
-the table's row of its slot. This pass runs in float32, which halves the
-bytes it moves: it adds the same weights as the formula, each rounded to
-float32, in another order, so each approximate score is within
-e_q = gamma_F(2**-24) * sum_f |w_qf| of the real sum (Higham 2002, ch. 3-4),
-and _slack bounds its distance from the exact float64 sum.
+field's distinct ids, and its (slot, query) table holds each query's weight
+at its id's slot; each pool row adds the row of its slot. A row makes at
+most L = groups + wide fields such lookups.
 
-Every row of the exact top-k therefore scores at least tau - 2 slack_q
-approximately, for any tau at most the k-th largest approximate score. The
-block takes tau from FLOOR_GROUPS interleaved groups of pool rows, row i in
-group i mod FLOOR_GROUPS: the k largest group maxima are scores of k
-distinct rows, so the k-th largest of them is such a tau. Only the groups
-whose maximum reaches the floor are searched for candidates. The second pass
-rescores those candidates exactly in float64, adding each field's weight in
-ascending field order from +0.0 as the per-pair sum does, and sorts them by
-(score desc, position desc). A lower floor only adds candidates, so scores
-and neighbors are bitwise equal to the per-pair sum and its order.
+This pass runs in int16 fixed point. Query q's weights are scaled by
+sigma_q = (2**15 - 2L) / sum_f |w_qf| in float64, and each table entry is
+rounded to an integer, within 1/2 + eps of sigma_q times its real sum, eps
+far below 1/(2L). The adds are exact integer arithmetic, no partial sum
+passes 2**15 - 3L/2 in size, and a row's score s lands within L/2 + L eps
+of sigma_q times its exact float64 score e. For any tau at most the k-th
+largest s, every row x of the exact top-k then has s_x >= tau - L: x
+outranks some row y of the approximate top-k (or is one), so s_x >= sigma_q
+e_x - L/2 - L eps >= sigma_q e_y - L/2 - L eps >= s_y - L - 2L eps, with
+s_y >= tau, and s_x is an integer. The block takes tau from FLOOR_GROUPS
+interleaved groups of pool rows, row i in group i mod FLOOR_GROUPS: the k
+largest group maxima are scores of k distinct rows, so the k-th largest of
+them is such a tau. Only the groups whose maximum reaches the floor are
+searched for candidates. The second pass rescores those candidates exactly
+in float64, adding each field's weight in ascending field order from +0.0
+as the per-pair sum does, and sorts them by (score desc, position desc). A
+lower floor only adds candidates, so scores and neighbors are bitwise equal
+to the per-pair sum and its order.
 
 A query with no live weight (all its ids missing or unseen) scores +0.0
 on every row, so its top-k is the last k rows of its prefix, newest first,
@@ -50,6 +54,7 @@ and each row's result is the same whichever share scores it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -63,15 +68,14 @@ INDEX_VERSION = 3
 
 ELIGIBILITY = ("earlier", "all")
 
-# queries scored together. A block's float32 score and lookup buffers take 8
-# bytes per query per pool row, in each worker, and its wide-field table 4
-# bytes per query per distinct id of the widest field. Neighbor tables of the
-# two benchmark pools (seed 1; 6,000 and 15,600 queries) on 2 Xeon cores,
-# median of 9 interleaved rounds: blocks of 32 took 0.139 and 0.467 s, 64
-# 0.103 and 0.374 s, 128 0.092 and 0.337 s. Each doubling halves the
-# per-block table and call overhead but doubles the buffers; 64 keeps them
-# at 7.0 MB a worker on the 13,600-row pool.
-QUERY_BLOCK = 64
+# queries scored together. A block's int16 score and lookup buffers take 4
+# bytes per query per pool row, in each worker, and its wide-field table 2
+# bytes per query per distinct id of the widest field: 7.0 MB a worker on the
+# 13,600-row pool. Neighbor tables of the two benchmark pools (seed 1; 6,000
+# and 15,600 queries), medians of 8 alternating in-process rounds on 2 Xeon
+# cores: blocks of 64 took 76.0 and 288.6 ms, 128 60.5 and 239.3 ms, faster
+# in every round; on one core the big pool's took 290.6 and 290.1 ms.
+QUERY_BLOCK = 128
 
 # a field with at most this many distinct pool ids is narrow: its ids and 0
 # fit one of GROUP_CODES codes. Narrow fields share a code in groups of at most
@@ -83,13 +87,21 @@ GROUP_CODES = 256
 # of pool rows, row i in group i mod FLOOR_GROUPS: one pass of whole-row
 # maxima, 160 us for 13,568 rows of 64 queries, where contiguous 64-row
 # segments took 431 us. Fewer groups search more rows in each group that
-# reaches the floor. The rounds above, at blocks of 64, took 0.103 and
-# 0.394 s with 64 groups, 0.100 and 0.392 s with 128, 0.103 and 0.374 s
-# with 256, and 0.120 and 0.403 s with 512.
+# reaches the floor. Tables of the two pools with float32 blocks of 64 took
+# 0.103 and 0.394 s with 64 groups, 0.100 and 0.392 s with 128, 0.103 and
+# 0.374 s with 256, and 0.120 and 0.403 s with 512. Taking tau from a
+# contiguous (query, group) copy of the maxima was no faster in the rounds
+# above: 62.9 and 246.9 ms at 128 on 2 cores, 285.4 ms on one.
 FLOOR_GROUPS = 256
 
 # candidate rows rescored together: at most 4,096 x F terms at a time
 RESCORE_CHUNK = 4096
+
+# the approximate pass's int16 fill of ineligible and padding rows, below
+# every real score: |score| <= 2**15 - 3L/2 with L >= 1 lookups
+FILL = -2**15
+# a row makes at most this many lookups, so that 2L < 2**15 and sigma_q > 0
+MAX_LOOKUPS = 2**14 - 1
 
 
 @dataclass
@@ -143,9 +155,8 @@ class RetrievalIndex:
         # Narrow fields (at most NARROW_IDS terms) are packed greedily, in field
         # order, into groups of at most GROUP_CODES id combinations. A row's
         # group code holds its ids' slots in the group's fields as mixed-radix
-        # digits, and _digits holds each narrow field's digit of every code.
-        # Codes and wide columns are intp, so a lookup by them converts no
-        # indices.
+        # digits, the first field's the most significant. Codes and wide
+        # columns are intp, so a lookup by them converts no indices.
         radix = [v.size for v, _ in per_field]
         self._narrow = np.array([f for f, v in enumerate(terms) if v.size <= NARROW_IDS], np.int64)
         self._wide = np.setdiff1d(np.arange(self.num_fields), self._narrow)
@@ -161,15 +172,28 @@ class RetrievalIndex:
             width *= radix[f]
         # each group as a slice of the narrow fields, with one code per pool row
         self._groups = [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [self._narrow.size])]
-        self._group_codes, digits = [], []
+        self._group_codes = []
         for group in self._groups:
             fields = self._narrow[group]
             r = [radix[f] for f in fields]
             stride = np.cumprod([1] + r[:0:-1])[::-1]     # product of the radices after each
             self._group_codes.append(sum(np.searchsorted(per_field[f][0], cols[f]) * st
                                          for f, st in zip(fields, stride)))
-            digits += [np.arange(GROUP_CODES) // st % rf for rf, st in zip(r, stride)]
-        self._digits = np.array(digits, np.uint8).reshape(len(digits), GROUP_CODES)
+        # narrow field j's slots are rows _offsets[j] .. _offsets[j + 1] - 1 of
+        # a block's one-hot table. A group's leading and trailing halves of
+        # fields each get a (digit combination, field) grid of one-hot rows,
+        # combinations in code order, so a code is lead * (trail count) + trail.
+        sizes = np.array(radix, np.int64)[self._narrow]
+        self._offsets = np.cumsum(np.append(0, sizes))
+        halves = [np.array_split(np.arange(g.start, g.stop), 2) for g in self._groups]
+        self._grids = [[np.indices(sizes[js], np.intp).reshape(js.size, math.prod(sizes[js])).T
+                        + self._offsets[js] for js in pair] for pair in halves]
+        # lookups a pool row makes in the approximate pass: L
+        self._lookups = len(self._groups) + self._wide.size
+        if self._lookups > MAX_LOOKUPS:
+            raise DataError(f"a retrieval index makes at most {MAX_LOOKUPS:,} lookups a row (one "
+                            f"a group of narrow fields, one a field of over {NARROW_IDS} ids); "
+                            f"this pool needs {self._lookups:,}")
 
     def _query_terms(self, query_ids: np.ndarray) -> np.ndarray:
         """(queries, F) flat term of each id; the sentinel where it matches no
@@ -233,84 +257,60 @@ class _Queries:
     """A batch's queries as the block workers read them, one row a query."""
     ids: np.ndarray             # (queries, F) int64
     weights: np.ndarray         # (queries, F) match weights, 0.0 where nothing matches
-    digits: np.ndarray          # (queries, narrow fields) each id's slot, uint8
+    one_hot_rows: np.ndarray    # (queries, narrow fields) each id's row of the one-hot table
     slots: np.ndarray           # (queries, F) each id's slot, 0 where nothing matches
-    slack: np.ndarray           # (queries,) bound on |approximate - exact| score
 
 
-def _slack(weights: np.ndarray) -> np.ndarray:
-    """Per query, a bound on |approximate - exact| score over every pool row.
-
-    Both add the same at most F of the query's match weights w; call their
-    real sum x. The approximate pass rounds each weight to float32 (relative
-    error at most u = 2**-24) and adds the rounded terms in float32, in some
-    order (at most F - 1 more roundings), so it lands within gamma_F(2**-24)
-    * sum |w| of x, where gamma_n(u) = n*u / (1 - n*u) (Higham 2002, ch. 3-4,
-    lemma 3.3). The exact pass adds the float64 weights in float64, within
-    gamma_F(2**-53) * sum |w| of x.
-
-    A rounded weight keeps that relative error only if it is a normal
-    float32, and it is: w = ln((N - n + 0.5) / (n + 0.5)) is exactly 0 when
-    N = 2n, and otherwise |w| >= 1 / (N + 0.5), far above float32's smallest
-    normal 2**-126 for any pool an int64 can count.
-
-    The bound adds the two errors, taking gamma at F + 3 for float32: the
-    extra 3 * 2**-24 * sum |w| covers the float64 rounding of this bound and
-    of the threshold built from it. It then doubles the sum as a margin,
-    which adds next to no rescored rows: rows that close are nearly all
-    exact ties, rescored anyway.
-    """
-    f = weights.shape[1]
-    total = np.abs(weights).sum(axis=1)
-    return 2 * (_gamma(f + 3, 2.0 ** -24) + _gamma(f, 2.0 ** -53)) * total
-
-
-def _gamma(n: int, u: float) -> float:
-    return n * u / (1 - n * u)
+def _scales(index: RetrievalIndex, weights: np.ndarray) -> np.ndarray:
+    """Per query with a live weight, sigma_q = (2**15 - 2L) / sum_f |w_qf|:
+    it scales the query's scores into int16 with room for L roundings."""
+    return (2**15 - 2 * index._lookups) / np.abs(weights).sum(axis=1)
 
 
 def _approximate_scores(index: RetrievalIndex, queries: _Queries, rows: np.ndarray,
-                        s: np.ndarray, t: np.ndarray, tables: np.ndarray, match: np.ndarray,
+                        s: np.ndarray, t: np.ndarray, by_code: np.ndarray,
                         by_slot: np.ndarray) -> None:
-    """Fill s (prefix x rows, float32) with the block's scores up to rounding.
+    """Fill s (prefix x rows, int16) with the block's scores in fixed point.
 
-    Each group gets a (code, query) table, the sum of the query's weights on
-    the group's fields whose digit of the code is the query's slot, and each
-    pool row copies the table's row of its code. A wide field's (slot,
-    query) table holds each query's weight at its id's slot and zeros
-    elsewhere, and each pool row copies the row of its slot. Weights, tables
-    and buffers are float32, within _slack of the exact sum.
+    Each query's weights are scaled by sigma_q (_scales) in float64, and a
+    one-hot table holds each narrow field's scaled weight at its id's slot
+    and zeros elsewhere. A group's (code, query) table is the outer sum of
+    its two halves' tables, each the sum of its fields' one-hot rows over
+    its grid, rounded to int16, and each pool row copies its code's row. A
+    wide field's (slot, query) table holds each query's rounded scaled
+    weight at its id's slot and zeros elsewhere, and each pool row copies
+    the row of its slot. Each score is within L/2 + L eps of sigma_q times
+    the exact one.
     """
     m, nq = s.shape
-    w = queries.weights[rows].astype(np.float32)
+    w = queries.weights[rows]
+    w *= _scales(index, w)[:, None]
     w_narrow = w[:, index._narrow]
-    np.equal(index._digits, queries.digits[rows, :, None], out=match)
-    by_query = tables[:nq * GROUP_CODES].reshape(nq, GROUP_CODES)
-    by_code = tables[nq * GROUP_CODES:2 * nq * GROUP_CODES].reshape(GROUP_CODES, nq)
+    each = np.arange(nq)
+    one_hot = np.zeros((index._offsets[-1], nq))
+    one_hot[queries.one_hot_rows[rows], each[:, None]] = w_narrow
     first = True
-    for g, group in enumerate(index._groups):
-        if not w_narrow[:, group].any():        # it would add only zeros
+    for g, (lead, trail) in enumerate(index._grids):
+        if not w_narrow[:, index._groups[g]].any():     # it would add only zeros
             continue
-        # einsum writes the (query, code) order about 16x faster than its
-        # transpose, so a copy transposes it
-        np.einsum("qfc,qf->qc", match[:, group], w_narrow[:, group], out=by_query)
-        by_code[...] = by_query.T
-        np.take(by_code, index._group_codes[g][:m], axis=0, out=s if first else t, mode="clip")
+        table = (one_hot[lead].sum(axis=1)[:, None] + one_hot[trail].sum(axis=1)).reshape(-1, nq)
+        codes = by_code[:table.size].reshape(table.shape)
+        np.rint(table, out=codes, casting="unsafe")
+        np.take(codes, index._group_codes[g][:m], axis=0, out=s if first else t, mode="clip")
         if not first:
             s += t
         first = False
     if first:
-        s.fill(0.0)
+        s.fill(0)
     # by_slot is all zeros between fields: each query sets, then resets, only
     # its own column, so queries that share an id share its row; a
-    # weightless query writes +0.0 at slot 0
+    # weightless query writes 0 at slot 0
     table = by_slot[:index._wide_slots * nq].reshape(index._wide_slots, nq)
-    each = np.arange(nq)
     for f in index._wide[w[:, index._wide].any(axis=0)].tolist():
         slot = queries.slots[rows, f]
-        table[slot, each] = w[:, f]
+        table[slot, each] = np.rint(w[:, f])
         np.take(table, index._cols[f][:m], axis=0, out=t, mode="clip")
-        table[slot, each] = 0.0
+        table[slot, each] = 0
         s += t
 
 
@@ -327,8 +327,7 @@ def _exact_scores(index: RetrievalIndex, queries: _Queries, live: np.ndarray,
         qq, cc = q[part, None], c[part, None]
         terms = np.where(index.pool_field_ids[cc, live] == queries.ids[qq, live],
                          queries.weights[qq, live], 0.0)
-        for j in range(live.size):
-            score[part] += terms[:, j]
+        score[part] = np.cumsum(terms, axis=1)[:, -1]
     return score
 
 
@@ -346,11 +345,10 @@ def _score_blocks(index: RetrievalIndex, queries: _Queries, prefix: np.ndarray,
     k = positions.shape[1]
     size = max(rows.size * groups * h for rows in blocks
                for groups, h in [_floor_groups(k, int(prefix[rows[-1]]))])
-    s_buf, t_buf = np.empty(size, np.float32), np.empty(size, np.float32)
+    s_buf, t_buf = np.empty(size, np.int16), np.empty(size, np.int16)
     most = max(rows.size for rows in blocks)
-    match = np.empty((most, *index._digits.shape), dtype=bool)
-    tables = np.empty(2 * most * GROUP_CODES, np.float32)
-    by_slot = np.zeros(index._wide_slots * most, np.float32)
+    by_code = np.empty(most * GROUP_CODES, np.int16)
+    by_slot = np.zeros(index._wide_slots * most, np.int16)
     for rows in blocks:
         nq = rows.size
         p = prefix[rows]
@@ -359,22 +357,21 @@ def _score_blocks(index: RetrievalIndex, queries: _Queries, prefix: np.ndarray,
         # rows m and past pad s to h x groups rows and are never eligible
         s = s_buf[:h * groups * nq].reshape(h * groups, nq)
         t = t_buf[:m * nq].reshape(m, nq)
-        _approximate_scores(index, queries, rows, s[:m], t, tables, match[:nq], by_slot)
-        s[m:] = -np.inf
+        _approximate_scores(index, queries, rows, s[:m], t, by_code, by_slot)
+        s[m:] = FILL
         for r in np.flatnonzero(p < m):
-            s[p[r]:m, r] = -np.inf
+            s[p[r]:m, r] = FILL
         kk = min(k, m)
         # The kk largest group maxima are the scores of kk distinct rows, so
         # the kk-th largest of them, tau, is at most the kk-th largest score.
         by_group = s.reshape(h, groups, nq)
         top = by_group.max(axis=0)
         tau = np.partition(top, groups - kk, axis=0)[groups - kk]
-        # Every row of the exact top-k scores at least this in s: a row x of
-        # it outranks some row y of the approximate top-k (or is one), so
-        # s_x >= exact_x - slack >= exact_y - slack >= s_y - 2 slack, and
-        # s_y >= tau. The floor is float64, and so is the comparison. It
-        # keeps ineligible rows out when fewer than kk are eligible.
-        floor = np.maximum(tau - 2 * queries.slack[rows], -np.finfo(np.float64).max)
+        # Every row of the exact top-k scores at least tau - L in s (see the
+        # module docstring). The floor stays above FILL, which keeps
+        # ineligible rows out when fewer than kk are eligible.
+        lookups = index._lookups
+        floor = np.maximum(tau, FILL + 1 + lookups) - lookups
         # only the groups whose maximum reaches the floor hold candidates
         g, r = np.nonzero(top >= floor)
         i, j = np.nonzero(by_group[:, g, r] >= floor[r])
@@ -452,8 +449,8 @@ def retrieve_batch(index: RetrievalIndex, query_ids: np.ndarray, k: int,
               if prefix[rows[-1]] > 0]
     if blocks:
         slots = index._term_slot[terms]
-        queries = _Queries(query_ids, weights, slots[:, index._narrow].astype(np.uint8), slots,
-                           _slack(weights))
+        queries = _Queries(query_ids, weights, slots[:, index._narrow] + index._offsets[:-1],
+                           slots)
         parallel.deal(partial(_score_blocks, index, queries, prefix, positions, scores), blocks)
     return RetrievalResult(positions, scores, positions >= 0)
 

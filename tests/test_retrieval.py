@@ -753,9 +753,13 @@ def test_group_codes_spell_each_rows_narrow_ids():
     assert [idx._narrow[group].tolist() for group in idx._groups] == [[0, 2, 3], [4], [5]]
     for group, codes in zip(idx._groups, idx._group_codes):
         assert codes.dtype == np.intp
-        for j in range(group.start, group.stop):
+        # mixed-radix digits, the last field's the least significant
+        for j in reversed(range(group.start, group.stop)):
             f = idx._narrow[j]
-            np.testing.assert_array_equal(np.unique(ids[:, f])[idx._digits[j][codes]], ids[:, f])
+            radix = idx._offsets[j + 1] - idx._offsets[j]
+            np.testing.assert_array_equal(np.unique(ids[:, f])[codes % radix], ids[:, f])
+            codes = codes // radix
+        assert not codes.any()
 
 
 def exact_dense_scores(index, query_ids, weights, m):
@@ -766,40 +770,63 @@ def exact_dense_scores(index, query_ids, weights, m):
     return s
 
 
+def lookup_sums(index, query_ids, weights, m):
+    """(m, queries) scores summed lookup by lookup, each group's fields and
+    then each wide field, as the approximate pass adds them."""
+    lookups = [index._narrow[group] for group in index._groups] + [[f] for f in index._wide]
+    s = np.zeros((m, len(query_ids)))
+    for fields in lookups:
+        s += sum(np.where(index.pool_field_ids[:m, f, None] == query_ids[:, f], weights[:, f], 0.0)
+                 for f in fields)
+    return s
+
+
 @pytest.mark.parametrize("around", ("lookup", "exact"))
 @pytest.mark.parametrize("ds", worker_datasets(), ids=("random-small", "random-wide", "majority"))
 def test_scores_inside_the_rounding_bound_change_nothing(ds, around, monkeypatch):
-    # The lookup pass rounds each weight to float32 and sums at most F of
-    # them in float32, so it lands within e = gamma_F(2**-24) * sum |w| of
-    # the real sum, and the exact float64 sum lands far closer. Approximate
-    # scores anywhere inside that bound, around the lookup sums (+-e) or the
-    # exact ones (+-2e), must give the same bits.
+    # Each of a row's L lookups lands within 1/2 (and far less than 1 more)
+    # of sigma_q times its real sum, so the row's int16 score lands within
+    # L/2 of sigma_q times a score E: the sum of the lookups' float64 sums
+    # ("lookup") or the exact float64 score ("exact"). Approximate scores
+    # anywhere in ceil(sigma_q E - L/2) .. floor(sigma_q E + L/2) must give
+    # the same bits: drawn at random, and adversarially, with every row of
+    # the exact top-k at the bottom of its interval and every other row at
+    # the top.
     idx = index_from_dataset(ds)
     rows = np.arange(len(ds))
-    u = 2.0 ** -24
-    gamma = idx.num_fields * u / (1 - idx.num_fields * u)
+    half = idx._lookups / 2
     rng = np.random.default_rng(17)
     approximate = retrieval._approximate_scores
+    center = lookup_sums if around == "lookup" else exact_dense_scores
     default = retrieval.QUERY_BLOCK
+    adversarial, top = False, None
 
-    def noisy(index, queries, block, s, *buffers):
+    def injected(index, queries, block, s, *buffers):
         approximate(index, queries, block, s, *buffers)
-        e = gamma * np.abs(queries.weights[block]).sum(axis=1)
-        if around == "exact":
-            s[...], e = exact_dense_scores(index, queries.ids[block], queries.weights[block],
-                                           s.shape[0]), 2 * e
-        s += e * rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=s.shape)
+        w = queries.weights[block]
+        c = retrieval._scales(index, w) * center(index, queries.ids[block], w, s.shape[0])
+        assert np.abs(s - c).max() <= half + 1e-6      # the pass keeps its own bound
+        lo, hi = np.ceil(c - half).astype(np.int64), np.floor(c + half).astype(np.int64)
+        if adversarial:
+            in_top = np.zeros(s.shape, dtype=bool)
+            q, slot = np.nonzero((top[block] >= 0) & (top[block] < s.shape[0]))
+            in_top[top[block][q, slot], q] = True
+            s[...] = np.where(in_top, lo, hi)
+        else:
+            s[...] = rng.integers(lo, hi + 1)
 
     for elig in ELIGIBILITY:
         pos = {} if elig == "all" else {"query_ts": ds.timestamps, "query_index": rows}
         want = all_bits(retrieve_batch(idx, ds.field_ids, 5, elig, **pos))
+        top = want[0]
         with monkeypatch.context() as m:
-            m.setattr(retrieval, "_approximate_scores", noisy)
-            for block in (1, default):
-                m.setattr(retrieval, "QUERY_BLOCK", block)
-                got = all_bits(retrieve_batch(idx, ds.field_ids, 5, elig, **pos))
-                for a, b in zip(got, want):
-                    np.testing.assert_array_equal(a, b)
+            m.setattr(retrieval, "_approximate_scores", injected)
+            for adversarial in (False, True):
+                for block in (1, default):
+                    m.setattr(retrieval, "QUERY_BLOCK", block)
+                    got = all_bits(retrieve_batch(idx, ds.field_ids, 5, elig, **pos))
+                    for a, b in zip(got, want):
+                        np.testing.assert_array_equal(a, b)
         for i in rows[::11]:
             one = {} if elig == "all" else {"query_ts": int(ds.timestamps[i]), "query_index": int(i)}
             ref = brute_force_retrieve(idx, ds.field_ids[i], 5, elig, **one)
@@ -905,3 +932,101 @@ def test_group_floor_keeps_every_exact_neighbor(monkeypatch):
                 got = retrieve_batch(idx, queries, k, elig, **pos)
                 for i in range(len(queries)):
                     assert_same_as_oracle(row(got, i), ref[elig][i])
+
+
+def test_int16_extremes_match_the_oracle(monkeypatch):
+    # Several wide fields and one group per narrow field make L = 9 lookups.
+    # Rows 0-419 (more than half the pool) hold id 1 in every field, so a
+    # query of ones weighs every field negatively and scores those rows
+    # near -sigma_q sum|w| = -(2**15 - 2L), just above the fill. Row 2
+    # holds ids found nowhere else, so its query weighs every field at the
+    # maximum. Strictly-earlier prefixes of 0 to k + 1 rows meet the fill.
+    rng = np.random.default_rng(25)
+    n, k, wide, narrow = 800, 5, 4, 5
+    ids = np.ones((n, wide + narrow), dtype=np.int64)
+    ids[420:, :wide] = rng.permuted(np.tile(np.arange(2, n - 418), (wide, 1)), axis=1).T
+    ids[420:, wide:] = rng.integers(2, 21, size=(n - 420, narrow))
+    ids[2] = 9000 + np.arange(wide + narrow)
+    ts = np.arange(n) // 3
+    idx = build_index(ids, ts)
+    lookups = idx._lookups
+    assert idx._wide.tolist() == list(range(wide)) and len(idx._groups) == narrow
+    assert lookups == 9
+    negative, maximal = np.ones(wide + narrow, dtype=np.int64), ids[2]
+    mixed = np.where(np.arange(wide + narrow) % 2, negative, maximal)
+    kinds = np.array([negative, maximal, mixed, *ids[rng.integers(0, n, size=4)]])
+    weights = idx._term_weight[idx._query_terms(kinds)]
+    assert (weights[0] < 0).all()
+    assert (weights[1] == np.log((n - 0.5) / 1.5)).all()
+    # every partial sum fits int16: sigma_q sum|w| + 3L/2 <= 2**15 - 1
+    total = retrieval._scales(idx, weights) * np.abs(weights).sum(axis=1)
+    assert (total + 1.5 * lookups <= 2**15 - 1).all()
+    prefixes = np.concatenate([np.arange(k + 2), [300, 420, 421, n]])
+    queries = np.repeat(kinds, len(prefixes), axis=0)
+    q_idx = np.tile(prefixes, len(kinds))
+    q_ts = np.append(ts, ts[-1] + 1)[q_idx]
+
+    def position(elig, i):
+        return {} if elig == "all" else {"query_ts": int(q_ts[i]), "query_index": int(q_idx[i])}
+
+    ref = {elig: [brute_force_retrieve(idx, q, k, elig, **position(elig, i))
+                  for i, q in enumerate(queries)] for elig in ELIGIBILITY}
+    lowest = []
+    approximate = retrieval._approximate_scores
+
+    def spy(index, qs, rows, s, *buffers):
+        approximate(index, qs, rows, s, *buffers)
+        lowest.append(int(s.min()))
+
+    monkeypatch.setattr(retrieval, "_approximate_scores", spy)
+    all_cores = parallel._usable_cores()
+    for cores in sorted({1, all_cores}):
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: cores)
+        for block in (1, 2, retrieval.QUERY_BLOCK):
+            monkeypatch.setattr(retrieval, "QUERY_BLOCK", block)
+            for elig in ELIGIBILITY:
+                pos = {} if elig == "all" else {"query_ts": q_ts, "query_index": q_idx}
+                got = retrieve_batch(idx, queries, k, elig, **pos)
+                for i in range(len(queries)):
+                    assert_same_as_oracle(row(got, i), ref[elig][i])
+    # the negative rows came within L of -(2**15 - 2L), the fill's neighbors
+    assert retrieval.FILL < min(lowest) <= -(2**15 - 2 * lookups) + lookups
+
+
+def test_index_makes_at_most_max_lookups_a_row(monkeypatch):
+    # once NARROW_IDS is 1, every field of ids 1, 2, 2 is wide: one lookup a
+    # field. At 2L >= 2**15 sigma_q would not be positive, so such a pool is
+    # a DataError; one lookup fewer scores exactly.
+    monkeypatch.setattr(retrieval, "NARROW_IDS", 1)
+    limit = retrieval.MAX_LOOKUPS
+    assert 2 * limit < 2**15 <= 2 * (limit + 1)
+    ids = np.array([[1], [2], [2]]) * np.ones(limit + 1, dtype=np.int64)
+    with pytest.raises(DataError, match="at most 16,383 lookups a row.*needs 16,384"):
+        build_index(ids, np.arange(3))
+    idx = build_index(ids[:, :limit], np.arange(3))
+    assert idx._lookups == limit
+    for q in (ids[0, :limit], ids[1, :limit], np.where(np.arange(limit) % 2, 1, 2)):
+        assert_same_as_oracle(retrieve(idx, q, 3), brute_force_retrieve(idx, q, 3))
+
+
+def test_exact_scores_add_each_field_left_to_right():
+    # np.cumsum adds strictly left to right from the first term, as the
+    # per-field loop does from +0.0 (no term is -0.0); the pairwise adds of
+    # np.sum over one row of 9 or more terms differ
+    rng = np.random.default_rng(26)
+    n, nf, nq = 300, 12, 40
+    ids = rng.choice(6, size=(n, nf), p=[0.05, 0.5, 0.2, 0.15, 0.07, 0.03])
+    idx = build_index(ids, np.arange(n))
+    queries = ids[rng.integers(0, n, size=nq)]
+    weights = idx._term_weight[idx._query_terms(queries)]
+    live = np.flatnonzero(weights.any(axis=0))
+    assert live.size >= 9
+    q, c = np.repeat(np.arange(nq), n), np.tile(np.arange(n), nq)
+    got = retrieval._exact_scores(idx, retrieval._Queries(queries, weights, None, None), live, q, c)
+    terms = np.where(ids[c][:, live] == queries[q][:, live], weights[q][:, live], 0.0)
+    assert not np.signbit(terms[terms == 0]).any()
+    want = np.zeros(c.size)
+    for j in range(live.size):
+        want += terms[:, j]
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert (np.array([t.sum() for t in terms]) != want).any()
