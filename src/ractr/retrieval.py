@@ -359,8 +359,9 @@ def _score_blocks(index: RetrievalIndex, queries: _Queries, prefix: np.ndarray,
         t = t_buf[:m * nq].reshape(m, nq)
         _approximate_scores(index, queries, rows, s[:m], t, by_code, by_slot)
         s[m:] = FILL
-        for r in np.flatnonzero(p < m):
-            s[p[r]:m, r] = FILL
+        lo = int(p[0])  # rows past a query's own prefix are not eligible for it
+        if lo < m:
+            np.copyto(s[lo:m], FILL, where=np.arange(lo, m)[:, None] >= p)
         kk = min(k, m)
         # The kk largest group maxima are the scores of kk distinct rows, so
         # the kk-th largest of them, tau, is at most the kk-th largest score.

@@ -188,7 +188,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     Dao et al. 2022)."""
     qh, kh, vh = (_heads_first(t.data) for t in (q, k, v))
     mask = None if key_mask is None else key_mask[:, None, None, :]
-    p = _softmax(np.matmul(qh, kh.swapaxes(-1, -2)) * scale, mask)
+    p = np.matmul(qh, kh.swapaxes(-1, -2))
+    p *= scale
+    _softmax(p, mask)
     out_data = np.empty(q.shape[:2] + v.shape[2:])
     np.matmul(p, vh, out=_heads_first(out_data))
 
@@ -309,6 +311,9 @@ def gelu(a: Tensor) -> Tensor:
     erf(phi, out=phi)
     phi += 1.0
     phi *= 0.5
+    if not a.requires_grad:  # no node keeps phi: x * Phi goes into its buffer
+        phi *= x
+        return Tensor(phi)
     out_data = x * phi
 
     def bw(g):
@@ -336,7 +341,8 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
 def softmax_lastdim(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """Softmax over the last dim. mask: bool, broadcastable; False entries get
     exactly zero weight. A fully masked row is an error."""
-    out_data = _softmax(a.data, mask)
+    # order "K" keeps the input's memory layout, and so numpy's summation order
+    out_data = _softmax(a.data.copy(order="K"), mask)
 
     def bw(g):
         inner = (g * out_data).sum(axis=-1, keepdims=True)
@@ -346,17 +352,25 @@ def softmax_lastdim(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
 
 
 def _softmax(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    # out of place: in place, it sped the joint layout's forward far more than
-    # the cascade's, past criterion 5's gate on their ratio (ROADMAP,
-    # "Autodiff leftovers": the in-place attention softmax)
+    """Overwrite x, which the caller owns, with its softmax over the last dim
+    and return it: masked entries become -inf, then exp(x - row max) / row
+    sum, bitwise as out of place. The row maximum is a running np.maximum
+    over the key columns, one call per column over all rows: a maximum is
+    exact in any order, and on cascade's 6- and 19-key rows this beats
+    numpy's max along a short contiguous axis, while on jm's 114-key rows
+    it costs some (cf. Milakov & Gimelshein, 2018; ROADMAP item 9). The sum
+    stays numpy's, so its pairwise order is unchanged."""
     if mask is not None:
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-        x = np.where(mask, x, -np.inf)
-    m = x.max(axis=-1, keepdims=True)
+        np.copyto(x, -np.inf, where=~np.asarray(mask, dtype=bool))
+    m = x[..., :1].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(m, x[..., j:j + 1], out=m)
     if not np.isfinite(m).all():
         raise ValueError("softmax row fully masked (or non-finite logits)")
-    e = np.exp(x - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    x -= m
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

@@ -782,7 +782,10 @@ def lookup_sums(index, query_ids, weights, m):
 
 
 @pytest.mark.parametrize("around", ("lookup", "exact"))
-@pytest.mark.parametrize("ds", worker_datasets(), ids=("random-small", "random-wide", "majority"))
+@pytest.mark.parametrize("ds", worker_datasets() + (random_dataset(seed=23, n=240, n_fields=4, vocab=20),
+                                                    random_dataset(seed=24, n=240, n_fields=8, vocab=5)),
+                         ids=("random-small", "random-wide", "majority", "random-four-lookups",
+                              "random-three-lookups"))
 def test_scores_inside_the_rounding_bound_change_nothing(ds, around, monkeypatch):
     # Each of a row's L lookups lands within 1/2 (and far less than 1 more)
     # of sigma_q times its real sum, so the row's int16 score lands within
@@ -791,7 +794,14 @@ def test_scores_inside_the_rounding_bound_change_nothing(ds, around, monkeypatch
     # anywhere in ceil(sigma_q E - L/2) .. floor(sigma_q E + L/2) must give
     # the same bits: drawn at random, and adversarially, with every row of
     # the exact top-k at the bottom of its interval and every other row at
-    # the top.
+    # the top. The integer interval spans all of L only where sigma_q E + L/2
+    # is an integer, as at E = 0 for an even L. The floor is scale-free, so
+    # the adversary may use any smaller sigma_q; it takes the largest that
+    # puts the query's k-th row there. A floor margin of L - 1 then fails
+    # wherever a row outside the top-k ties the k-th: at E = 0 for an even
+    # L (random-small, random-four-lookups), and at an E > 0 for an odd L
+    # (random-three-lookups). Random-wide's and majority's sets have no such
+    # tie, so no injection there can reach that margin.
     idx = index_from_dataset(ds)
     rows = np.arange(len(ds))
     half = idx._lookups / 2
@@ -804,16 +814,22 @@ def test_scores_inside_the_rounding_bound_change_nothing(ds, around, monkeypatch
     def injected(index, queries, block, s, *buffers):
         approximate(index, queries, block, s, *buffers)
         w = queries.weights[block]
-        c = retrieval._scales(index, w) * center(index, queries.ids[block], w, s.shape[0])
+        e = center(index, queries.ids[block], w, s.shape[0])
+        sigma = retrieval._scales(index, w)
+        c = sigma * e
         assert np.abs(s - c).max() <= half + 1e-6      # the pass keeps its own bound
-        lo, hi = np.ceil(c - half).astype(np.int64), np.floor(c + half).astype(np.int64)
         if adversarial:
             in_top = np.zeros(s.shape, dtype=bool)
-            q, slot = np.nonzero((top[block] >= 0) & (top[block] < s.shape[0]))
+            real = (top[block] >= 0) & (top[block] < s.shape[0])   # a prefix of each row
+            q, slot = np.nonzero(real)
             in_top[top[block][q, slot], q] = True
-            s[...] = np.where(in_top, lo, hi)
-        else:
-            s[...] = rng.integers(lo, hi + 1)
+            kth = np.zeros(len(block))
+            q = np.flatnonzero(real.any(axis=1))
+            kth[q] = e[top[block][q, real[q].sum(axis=1) - 1], q]
+            snapped = np.floor(sigma * kth + half) - half
+            c = np.where(snapped > 0, snapped / np.where(kth > 0, kth, 1.0), sigma) * e
+        lo, hi = np.ceil(c - half).astype(np.int64), np.floor(c + half).astype(np.int64)
+        s[...] = np.where(in_top, lo, hi) if adversarial else rng.integers(lo, hi + 1)
 
     for elig in ELIGIBILITY:
         pos = {} if elig == "all" else {"query_ts": ds.timestamps, "query_index": rows}

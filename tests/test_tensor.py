@@ -348,6 +348,78 @@ def test_fused_ops_match_the_unfused_nodes(masked):
             assert np.abs(gf - gu).max() <= 1e-13 * max(1.0, np.abs(gu).max())
 
 
+def reference_softmax(x, mask=None):
+    """The textbook softmax, out of place: masked entries at -inf first."""
+    if mask is not None:
+        x = np.where(mask, x, -np.inf)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", (1, 2, 6, 19, 114, 129))
+def test_in_place_softmax_is_bitwise_the_textbook_one(n):
+    # the running maximum over key columns is exact, and the sum is numpy's
+    rng = np.random.default_rng(30 + n)
+    shape = (5, 3, 7, n)
+    ties = rng.integers(-2, 3, size=shape).astype(float)   # repeated row maxima
+    large = rng.choice([-1e300, -1e3, 0.0, 1e3, 1e300], size=shape)
+    with_inf = rng.normal(size=shape)
+    with_inf[rng.random(shape) < 0.3] = -np.inf
+    with_inf[..., rng.integers(n)] = rng.normal(size=shape[:-1])  # one finite entry a row
+    mask = rng.random((5, 1, 1, n)) < 0.7
+    mask[..., 0] = True
+    for x in (rng.normal(size=shape), ties, large, with_inf):
+        for m in (None, mask):
+            want = reference_softmax(x, m)
+            got = T._softmax(x.copy(), m)
+            assert got.tobytes() == want.tobytes()
+            assert T.softmax_lastdim(T.Tensor(x), m).data.tobytes() == want.tobytes()
+    # an input whose last axis is not contiguous keeps numpy's summation order too
+    xt = rng.normal(size=(n, 4, 3)).transpose(2, 1, 0)
+    assert T.softmax_lastdim(T.Tensor(xt)).data.tobytes() == reference_softmax(xt).tobytes()
+
+
+def test_in_place_softmax_fully_masked_row_raises():
+    x = np.zeros((2, 6))
+    mask = np.ones((2, 6), dtype=bool)
+    mask[1] = False
+    with pytest.raises(ValueError):
+        T._softmax(x, mask)
+    with pytest.raises(ValueError):
+        T._softmax(np.full((1, 6), -np.inf), None)
+
+
+@pytest.mark.parametrize("graph", (True, False), ids=("graph", "no-graph"))
+def test_ops_leave_their_inputs_unchanged(graph):
+    """The forward writes into its own buffers only, never into an input: the
+    no-graph paths reuse their temporaries, and the attention softmax runs in
+    place on the scores."""
+    rng = np.random.default_rng(31)
+    q, k, v, key_mask = attention_inputs(rng)
+    x = T.Tensor(rng.normal(size=(2, 3, 4)))
+    gamma, beta = T.Tensor(rng.normal(size=4)), T.Tensor(rng.normal(size=4))
+    smask = rng.random((2, 3, 4)) < 0.7
+    smask[..., 0] = True
+    tensors = (q, k, v, x, gamma, beta)
+    for t in tensors:
+        t.requires_grad = graph
+    cases = [
+        (lambda: T.attention(q, k, v, 0.5, key_mask), [q, k, v]),
+        (lambda: T.gelu(x), [x]),
+        (lambda: T.layer_norm(x, gamma, beta), [x, gamma, beta]),
+        (lambda: T.softmax_lastdim(x, smask), [x]),
+        (lambda: T.softmax_lastdim(x), [x]),
+    ]
+    before = [a.tobytes() for a in (*(t.data for t in tensors), key_mask, smask)]
+    for forward, params in cases:
+        out = forward()
+        assert out.requires_grad == graph
+        if graph:
+            T.tsum(T.mul(out, rng.normal(size=out.shape))).backward(params)
+        after = [a.tobytes() for a in (*(t.data for t in tensors), key_mask, smask)]
+        assert after == before
+
+
 # ---------------------------------------------------------------- stability
 
 def test_large_inputs_stay_finite():
